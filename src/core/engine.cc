@@ -30,7 +30,7 @@ namespace core
  *
  * One explorer is one host-parallel task (§6): it only ever writes
  * its unit's NodeStats slot, its fabric delta journal, its slice of
- * the sent-bytes ledger and its buffering trace sink — never shared
+ * the sent-bytes ledger and its unit-local trace sink — never shared
  * engine state — so any number of explorers may run concurrently.
  */
 class HybridExplorer
@@ -188,10 +188,11 @@ class HybridExplorer
         // per-embedding flag test (same resolution order as the flag
         // scan, so modeled outcomes are unchanged).
         const std::span<const VertexId> verts = chunk.vertexColumn();
+        const std::uint64_t hits_before = stats_.staticCacheHits;
+        const std::uint64_t misses_before = stats_.staticCacheMisses;
         for (const std::uint32_t idx : chunk.fetchList()) {
             const Resolution r = provider_.resolve(
-                unit_, verts[idx], &tables_[level], stats_,
-                level, faults_);
+                unit_, verts[idx], &tables_[level], stats_, faults_);
             if (r.kind == ResolutionKind::Shared) {
                 sched.noteShared(idx, r.owner);
             } else if (r.kind == ResolutionKind::Remote) {
@@ -199,6 +200,17 @@ class HybridExplorer
                 chunk.addFetchedBytes(r.bytes);
             }
         }
+        // One tally per outcome and phase, not one event per probe:
+        // the trace stays O(chunks) however many embeddings fetch.
+        const std::uint64_t hits = stats_.staticCacheHits - hits_before;
+        const std::uint64_t misses =
+            stats_.staticCacheMisses - misses_before;
+        if (hits != 0)
+            trace().emit({sim::PhaseEvent::CacheHit, unit_, level,
+                          hits, 0});
+        if (misses != 0)
+            trace().emit({sim::PhaseEvent::CacheMiss, unit_, level,
+                          misses, 0});
         return sched.issue(recorder_, stats_, sentBytes_, trace(),
                            level, faults_, &engine_.config_.cost);
     }
@@ -432,6 +444,22 @@ EngineConfig::session() const
 namespace
 {
 
+/** One unit's trace for one run (§6): per-event tallies summed into
+ *  the engine's counts at the ordered merge, plus a replay buffer
+ *  that is fed only while a user sink is installed — so a run
+ *  without one holds no trace record at all. */
+struct UnitTrace
+{
+    UnitTrace() = default;
+    UnitTrace(const UnitTrace &) = delete;
+    UnitTrace &operator=(const UnitTrace &) = delete;
+
+    sim::CountingTraceSink counts;
+    sim::BufferingTraceSink buffer;
+    /** What the unit's explorer emits into. */
+    sim::TeeTraceSink sink{counts};
+};
+
 /** The flat view HybridExplorer and accessors read: graph half from
  *  the context, query half from the session. */
 EngineConfig
@@ -492,8 +520,6 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
         context_->ensureHubBitmaps();
     const std::uint64_t per_unit = context_->cacheBytesPerUnit();
     for (unsigned u = 0; u < partition_.numUnits(); ++u) {
-        unitSinks_.push_back(
-            std::make_unique<sim::BufferingTraceSink>());
         caches_.push_back(std::make_unique<DataCache>(
             g, config_.cachePolicy, per_unit,
             config_.cacheDegreeThreshold));
@@ -501,8 +527,7 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
             g, partition_, caches_.back().get(),
             config_.horizontalSharing,
             EdgeListProvider::engineCosts(config_.cost,
-                                          *caches_.back()),
-            *unitSinks_.back()));
+                                          *caches_.back())));
         providers_.back()->setResidency(&context_->residency());
         if (!config_.faults.empty())
             faultSessions_.push_back(
@@ -551,9 +576,9 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
 
     // Per-unit isolation (§6): each unit journals fabric transfers
     // in a delta, attributes send-side bytes to a private ledger,
-    // traces into its own buffering sink and writes doubles only
-    // into its own NodeStats slot.  The same journals are used at
-    // every thread count — including 1 — and merged in unit order
+    // traces into its own UnitTrace and writes doubles only into its
+    // own NodeStats slot.  The same journals are used at every
+    // thread count — including 1 — and merged in unit order
     // below, so modeled results are a pure function of the config,
     // never of the thread count or the interleaving.
     std::vector<sim::FabricDelta> deltas;
@@ -563,6 +588,11 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     std::vector<std::vector<std::uint64_t>> sent(
         units, std::vector<std::uint64_t>(units, 0));
     std::vector<std::int64_t> raws(units, 0);
+    sim::TraceSink *const user_sink = tracer_.secondary();
+    std::vector<UnitTrace> traces(units);
+    if (user_sink)
+        for (UnitTrace &t : traces)
+            t.sink.secondary(&t.buffer);
     // Per-unit donation ledgers for the post-barrier steal pass
     // (DESIGN.md §11); each unit appends only to its own slot.
     std::vector<std::vector<ChunkRecord>> stealLedgers(
@@ -578,10 +608,9 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         recovery_armed ? units : 0);
 
     const auto run_unit = [&](std::size_t u) {
-        unitSinks_[u]->clear(); // drop leftovers of a failed run
         HybridExplorer explorer(
             *this, static_cast<unsigned>(u), plan, visitor,
-            stats_.nodes[u], deltas[u], sent[u], *unitSinks_[u],
+            stats_.nodes[u], deltas[u], sent[u], traces[u].sink,
             session_.stealEnabled ? &stealLedgers[u] : nullptr,
             recovery_armed ? &crashReports[u] : nullptr);
         raws[u] = explorer.run();
@@ -602,12 +631,17 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         pool_->run(units, run_unit);
     }
 
-    // Ordered merge: replay each unit's trace buffer, fabric delta
-    // (a configured byte cap throws here, in the same unit order it
-    // would have sequentially) and send-side byte attribution.
+    // Ordered merge: fold each unit's trace tallies (sums commute)
+    // and replay its buffer into the user sink, then its fabric
+    // delta (a configured byte cap throws here, in the same unit
+    // order it would have sequentially) and send-side attribution.
     std::int64_t raw = 0;
     for (unsigned u = 0; u < units; ++u) {
-        unitSinks_[u]->flushTo(tracer_);
+        traceCounts_.add(traces[u].counts);
+        stats_.traceBufferPeak = std::max<std::uint64_t>(
+            stats_.traceBufferPeak, traces[u].buffer.size());
+        if (user_sink)
+            traces[u].buffer.flushTo(*user_sink);
         fabric_.apply(deltas[u]);
         for (unsigned o = 0; o < units; ++o)
             stats_.nodes[o].bytesSent += sent[u][o];
@@ -785,8 +819,6 @@ Engine::resetStats()
     // khuzdul-lint: allow(fabric-mutation) sequential ledger wipe between census patterns; no units in flight
     fabric_.reset();
     traceCounts_.reset();
-    for (auto &sink : unitSinks_)
-        sink->clear();
     for (auto &cache : caches_)
         cache->resetCounters();
     for (auto &provider : providers_)

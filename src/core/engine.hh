@@ -314,6 +314,9 @@ class Engine
     /**
      * Install a phase-event sink observing every layer (nullptr
      * uninstalls).  Tracing never changes results or modeled time.
+     * While a sink is installed each unit buffers its run's events
+     * (O(chunks + fetch batches) records) for the ordered replay;
+     * without one, units only count.
      */
     void setTraceSink(sim::TraceSink *sink) { tracer_.secondary(sink); }
 
@@ -392,10 +395,6 @@ class Engine
     /** One deterministic fault cursor per execution unit (empty
      *  when config_.faults is); reset alongside the ledger. */
     std::vector<std::unique_ptr<sim::FaultSession>> faultSessions_;
-
-    /** Per-unit event buffers flushed into tracer_ in unit order
-     *  after each run, reproducing the sequential trace stream. */
-    std::vector<std::unique_ptr<sim::BufferingTraceSink>> unitSinks_;
 
     /** Host worker pool, created lazily on the first parallel run
      *  and rebuilt when config_.hostThreads resolves differently. */

@@ -28,11 +28,9 @@ resolutionKindName(ResolutionKind kind)
 EdgeListProvider::EdgeListProvider(const Graph &g,
                                    const Partition &partition,
                                    DataCache *cache,
-                                   bool horizontal_sharing, Costs costs,
-                                   sim::TraceSink &trace)
+                                   bool horizontal_sharing, Costs costs)
     : graph_(&g), partition_(&partition), cache_(cache),
-      horizontalSharing_(horizontal_sharing), costs_(costs),
-      trace_(&trace)
+      horizontalSharing_(horizontal_sharing), costs_(costs)
 {}
 
 EdgeListProvider::Costs
@@ -53,7 +51,7 @@ EdgeListProvider::engineCosts(const sim::CostModel &cost,
 Resolution
 EdgeListProvider::resolve(unsigned requester, VertexId v,
                           HorizontalTable *table,
-                          sim::NodeStats &stats, int level,
+                          sim::NodeStats &stats,
                           sim::FaultSession *faults)
 {
     Resolution r;
@@ -67,14 +65,10 @@ EdgeListProvider::resolve(unsigned requester, VertexId v,
         stats.cacheNs += costs_.cacheProbeNs;
         if (cache_->lookup(v)) {
             ++stats.staticCacheHits;
-            trace_->emit({sim::PhaseEvent::CacheHit, requester, level,
-                          v, 0});
             r.kind = ResolutionKind::CacheHit;
             return r;
         }
         ++stats.staticCacheMisses;
-        trace_->emit({sim::PhaseEvent::CacheMiss, requester, level, v,
-                      0});
     }
     if (faults
         && faults->nodePermanentlyDown(partition_->ownerNode(v)))

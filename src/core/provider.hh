@@ -30,7 +30,6 @@
 #include "sim/cost_model.hh"
 #include "sim/faults.hh"
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 #include "support/types.hh"
 
 namespace khuzdul
@@ -95,8 +94,7 @@ class EdgeListProvider
      */
     EdgeListProvider(const Graph &g, const Partition &partition,
                      DataCache *cache, bool horizontal_sharing,
-                     Costs costs,
-                     sim::TraceSink &trace = sim::nullTraceSink());
+                     Costs costs);
 
     /** The engine's probe-cost schedule for @p cache's policy
      *  (replacement policies pay their bookkeeping, §7.6). */
@@ -106,8 +104,9 @@ class EdgeListProvider
     /**
      * Resolve the edge list of @p v for @p requester, charging
      * probe time and reuse counters to @p stats.  @p table is the
-     * requester's chunk-scoped dedup table (may be null).
-     * @p level annotates emitted trace events only.
+     * requester's chunk-scoped dedup table (may be null).  Cache
+     * probes are counted in @p stats, not traced: the caller reports
+     * one tally per fetch phase.
      *
      * When @p faults is non-null and the owner's node is permanently
      * down, the chain degrades to the recovery ladder (§9): cache →
@@ -117,7 +116,6 @@ class EdgeListProvider
      */
     Resolution resolve(unsigned requester, VertexId v,
                        HorizontalTable *table, sim::NodeStats &stats,
-                       int level = 0,
                        sim::FaultSession *faults = nullptr);
 
     const Partition &partition() const { return *partition_; }
@@ -175,7 +173,6 @@ class EdgeListProvider
     DataCache *cache_;
     bool horizontalSharing_;
     Costs costs_;
-    sim::TraceSink *trace_;
     SharedResidency *residency_ = nullptr;
     std::uint64_t sharedProbes_ = 0;
     std::uint64_t sharedHits_ = 0;

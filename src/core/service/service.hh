@@ -24,7 +24,7 @@
  * inside any workload mix, at any pool width, under any admission
  * order.  That holds because every modeled charge is sequenced by
  * the session's own deterministic ledgers (DataCaches, Fabric,
- * NodeStats, unit trace buffers); the only cross-query state is
+ * NodeStats, unit trace tallies); the only cross-query state is
  * host-side observability that no modeled path reads.
  */
 
@@ -134,12 +134,13 @@ class QueryService
     /** Block until every submitted query has completed. */
     void wait();
 
-    /** Result of query @p id (wait() first, or poll finished()). */
+    /** Result of query @p id (wait() first, or poll finished()).
+     *  The reference stays valid across later submit() calls. */
     const QueryResult &result(std::size_t id) const;
 
     /** All results so far, indexed by id (wait() first for a full
      *  workload view). */
-    const std::vector<QueryResult> &results() const
+    const std::deque<QueryResult> &results() const
     {
         return results_;
     }
@@ -182,7 +183,9 @@ class QueryService
     std::condition_variable workAvailable_; ///< dispatchers wait
     std::condition_variable queryDone_;     ///< wait() waits
     std::deque<PendingQuery> pending_;      ///< FIFO beyond the bound
-    std::vector<QueryResult> results_;
+    /** A deque so submit()'s emplace_back never moves a result a
+     *  caller still holds by reference. */
+    std::deque<QueryResult> results_;
     std::vector<bool> done_;
     std::vector<std::shared_ptr<CancelToken>> cancelTokens_;
     std::size_t submittedCount_ = 0;

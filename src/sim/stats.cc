@@ -289,6 +289,7 @@ RunStats::accumulate(const RunStats &other)
     hostWallNs += other.hostWallNs;
     sharedCacheProbes += other.sharedCacheProbes;
     sharedCacheHits += other.sharedCacheHits;
+    traceBufferPeak = std::max(traceBufferPeak, other.traceBufferPeak);
 }
 
 std::string
@@ -367,7 +368,8 @@ RunStats::toJson(bool include_host) const
        << ", \"query_retries\": " << queryRetries << "},\n";
     if (include_host && hostThreads > 0) {
         os << "  \"host\": {\"threads\": " << hostThreads
-           << ", \"wall_ns\": " << hostWallNs;
+           << ", \"wall_ns\": " << hostWallNs
+           << ", \"trace_buffer_peak\": " << traceBufferPeak;
         if (sharedCacheProbes > 0)
             os << ", \"shared_cache_probes\": " << sharedCacheProbes
                << ", \"shared_cache_hits\": " << sharedCacheHits;

@@ -168,6 +168,11 @@ struct RunStats
      */
     std::uint64_t sharedCacheProbes = 0;
     std::uint64_t sharedCacheHits = 0;
+
+    /** Most trace records any one unit buffered during one run.
+     *  Units buffer only while a user trace sink is installed, so
+     *  this is 0 without one and O(chunks + fetch batches) with. */
+    std::uint64_t traceBufferPeak = 0;
     /// @}
 
     /** Makespan: slowest node plus startup. */

@@ -72,6 +72,15 @@ CountingTraceSink::total() const
 }
 
 void
+CountingTraceSink::add(const CountingTraceSink &other)
+{
+    for (std::size_t e = 0; e < kNumPhaseEvents; ++e) {
+        counts_[e] += other.counts_[e];
+        values_[e] += other.values_[e];
+    }
+}
+
+void
 CountingTraceSink::reset()
 {
     counts_.fill(0);

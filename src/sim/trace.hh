@@ -1,9 +1,9 @@
 /**
  * @file
- * Phase-event tracing for the layered runtime.  Every layer of the
- * engine (chunk explorer, edge-list provider, circulant scheduler)
- * reports its phase transitions — chunk open/close, fetch batch
- * issued/completed, extend start/end, cache hit/miss — through one
+ * Phase-event tracing for the layered runtime.  The chunk explorer
+ * and the circulant scheduler report phase transitions — chunk
+ * open/close, fetch batch issued/completed, extend start/end, the
+ * cache hit/miss tallies of each fetch phase — through one
  * TraceSink hook.  Tracing only observes: enabling or disabling a
  * sink never changes counts, stats, or modeled time.
  *
@@ -35,8 +35,8 @@ enum class PhaseEvent : std::uint8_t
     FetchBatchCompleted, ///< the batch's modeled transfer finished
     ExtendStart,         ///< extension sweep over a chunk begins
     ExtendEnd,           ///< extension sweep over a chunk ends
-    CacheHit,            ///< edge list served by the data cache
-    CacheMiss,           ///< cache probe missed; resolution continues
+    CacheHit,            ///< cache probes served (per fetch phase)
+    CacheMiss,           ///< cache probes missed (per fetch phase)
     KernelDispatch,      ///< set-kernel executions (per-chunk delta)
     FaultInjected,       ///< a transfer attempt hit an injected fault
     FetchRetry,          ///< failed batch re-attempted after backoff
@@ -57,7 +57,9 @@ const char *phaseEventName(PhaseEvent event);
 
 /** One phase transition.  The payload fields are event-specific:
  *  bytes/lists for fetch batches, embedding counts for chunk and
- *  extend events, the vertex id for cache probes, and for
+ *  extend events, for CacheHit/CacheMiss the number of cache probes
+ *  with that outcome over one fetch phase (value; one event per
+ *  phase, only when non-zero, aux = 0), and for
  *  KernelDispatch the total set-operation delta (value) over the
  *  chunk just closed, all kernel kinds combined (aux = 0).  Steal
  *  events report from the thief's unit: StealIssued carries the
@@ -128,6 +130,9 @@ class CountingTraceSink final : public TraceSink
 
     std::uint64_t total() const;
 
+    /** Add @p other's tallies (how per-unit counts are merged). */
+    void add(const CountingTraceSink &other);
+
     void reset();
 
   private:
@@ -137,10 +142,11 @@ class CountingTraceSink final : public TraceSink
 
 /**
  * Buffers events in arrival order for a deferred, ordered replay.
- * The engine gives every execution unit one of these so units can
- * trace from concurrent host threads without interleaving; after
- * the barrier the buffers are flushed into the real sink in unit
- * order, reproducing the sequential event stream byte for byte.
+ * While a user sink is installed the engine gives every execution
+ * unit one of these so units can trace from concurrent host threads
+ * without interleaving; after the barrier the buffers are flushed
+ * into the user sink in unit order, reproducing the sequential
+ * event stream byte for byte.
  */
 class BufferingTraceSink final : public TraceSink
 {
@@ -196,6 +202,9 @@ class TeeTraceSink final : public TraceSink
 
     /** Install/replace/remove (nullptr) the secondary sink. */
     void secondary(TraceSink *sink) { secondary_ = sink; }
+
+    /** The installed secondary sink (nullptr when none). */
+    TraceSink *secondary() const { return secondary_; }
 
     void
     emit(const TraceRecord &record) override

@@ -3,14 +3,18 @@
  * Unit tests for the edge-list resolution chain: each link of
  * local -> cache -> horizontal share -> remote in isolation, the
  * probe-cost charging, the per-policy cost schedule, and the cache
- * trace events.
+ * trace events the engine reports from the probe counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/engine.hh"
 #include "core/provider.hh"
 #include "graph/generators.hh"
 #include "graph/partition.hh"
+#include "pattern/planner.hh"
 #include "sim/trace.hh"
 
 namespace khuzdul
@@ -24,6 +28,17 @@ vertexOwnedBy(const Partition &partition, unsigned unit)
 {
     return partition.ownedVertices(unit).front();
 }
+
+/** Keeps every event in arrival order. */
+struct RecordingSink final : sim::TraceSink
+{
+    void emit(const sim::TraceRecord &record) override
+    {
+        records.push_back(record);
+    }
+
+    std::vector<sim::TraceRecord> records;
+};
 
 TEST(Provider, LocalResolutionIsFree)
 {
@@ -143,21 +158,53 @@ TEST(Provider, EngineCostsFollowCachePolicy)
 
 TEST(Provider, EmitsCacheTraceEvents)
 {
-    const Graph g = gen::cycle(64);
-    const Partition partition(g, 4, 1);
-    core::DataCache cache(g, core::CachePolicy::Static, 1 << 20, 1);
-    sim::CountingTraceSink trace;
-    core::EdgeListProvider provider(g, partition, &cache, false, {},
-                                    trace);
+    // The provider only counts probes; the engine's fetch phase
+    // reports them as at most one CacheHit and one CacheMiss tally,
+    // right after the chunk opens and before any batch is issued.
+    const Graph g = gen::rmat(300, 2000, 0.55, 0.2, 0.2, 2024);
+    core::EngineConfig config;
+    config.cluster = sim::ClusterConfig::paperDefault(4);
+    config.cluster.socketsPerNode = 1;
+    config.cacheDegreeThreshold = 8;
+    core::Engine engine(g, config);
+    RecordingSink sink;
+    engine.setTraceSink(&sink);
+    engine.run(compileAutomine(Pattern::clique(4), {}));
 
-    const VertexId v = vertexOwnedBy(partition, 1);
-    sim::NodeStats stats;
-    provider.resolve(0, v, nullptr, stats);
-    provider.resolve(0, v, nullptr, stats);
-    provider.resolve(0, vertexOwnedBy(partition, 0), nullptr, stats);
-    EXPECT_EQ(trace.count(sim::PhaseEvent::CacheMiss), 1u);
-    EXPECT_EQ(trace.count(sim::PhaseEvent::CacheHit), 1u);
-    EXPECT_EQ(trace.total(), 2u); // local resolution emits nothing
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t cache_events = 0;
+    const auto &records = sink.records;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const sim::TraceRecord &r = records[i];
+        const bool hit = r.event == sim::PhaseEvent::CacheHit;
+        if (!hit && r.event != sim::PhaseEvent::CacheMiss)
+            continue;
+        ++cache_events;
+        (hit ? hits : misses) += r.value;
+        EXPECT_GT(r.value, 0u);
+        EXPECT_EQ(r.aux, 0u);
+        // Walk back over this phase's other tally to its chunk.
+        std::size_t j = i;
+        while (j > 0 && (records[j - 1].event == sim::PhaseEvent::CacheHit
+                         || records[j - 1].event
+                             == sim::PhaseEvent::CacheMiss))
+            --j;
+        ASSERT_GT(j, 0u);
+        EXPECT_EQ(records[j - 1].event, sim::PhaseEvent::ChunkOpen);
+        EXPECT_EQ(records[j - 1].unit, r.unit);
+        EXPECT_EQ(records[j - 1].level, r.level);
+        EXPECT_LE(i - j, 1u);
+    }
+    std::uint64_t stat_hits = 0;
+    std::uint64_t stat_misses = 0;
+    for (const auto &node : engine.stats().nodes) {
+        stat_hits += node.staticCacheHits;
+        stat_misses += node.staticCacheMisses;
+    }
+    EXPECT_GT(cache_events, 0u);
+    EXPECT_EQ(hits, stat_hits);
+    EXPECT_EQ(misses, stat_misses);
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * QueryService tests: admission control (bounded in-flight, FIFO
  * admission order), per-query results matching a solo engine run
  * bit-for-bit, cross-query shared-cache accounting, trace sink
- * wiring, and the reset-vs-clear cache contract on GraphContext.
+ * wiring, result references that outlive later submits, and the
+ * reset-vs-clear cache contract on GraphContext.
  */
 
 #include <gtest/gtest.h>
@@ -186,6 +187,26 @@ TEST(QueryService, TraceSinkObservesTheQuerysStream)
         EXPECT_EQ(sink.count(static_cast<sim::PhaseEvent>(e)),
                   query.traceCounts[e])
             << sim::phaseEventName(static_cast<sim::PhaseEvent>(e));
+}
+
+TEST(QueryService, ResultReferenceSurvivesLaterSubmits)
+{
+    core::GraphContext context(serviceGraph(), serviceSetup());
+    core::QueryService service(context);
+    const auto plan = compileAutomine(Pattern::triangle(), {});
+    service.submit(plan);
+    service.wait();
+
+    const core::QueryResult &first = service.result(0);
+    const Count count = first.count;
+    const std::string modeled = first.modeledJson;
+    for (int i = 0; i < 64; ++i)
+        service.submit(plan);
+    service.wait();
+    EXPECT_EQ(&service.result(0), &first);
+    EXPECT_EQ(first.id, 0u);
+    EXPECT_EQ(first.count, count);
+    EXPECT_EQ(first.modeledJson, modeled);
 }
 
 TEST(QueryService, DestructorDrainsPendingQueries)

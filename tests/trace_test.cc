@@ -2,12 +2,14 @@
  * @file
  * Phase-event tracing tests: the sink implementations in isolation,
  * the cross-check between the engine's internal event tallies and
- * its RunStats counters, and the observation-only guarantee (a run
- * is bit-exact with tracing enabled or disabled).
+ * its RunStats counters, the bound on event volume and buffered
+ * records, and the observation-only guarantee (a run is bit-exact
+ * with tracing enabled or disabled).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/engine.hh"
@@ -102,8 +104,13 @@ TEST(Trace, EngineEventsCrossCheckRunStats)
     EXPECT_EQ(t.count(sim::PhaseEvent::ChunkClose), chunks);
     EXPECT_EQ(t.count(sim::PhaseEvent::ExtendStart), chunks);
     EXPECT_EQ(t.count(sim::PhaseEvent::ExtendEnd), chunks);
-    EXPECT_EQ(t.count(sim::PhaseEvent::CacheHit), hits);
-    EXPECT_EQ(t.count(sim::PhaseEvent::CacheMiss), misses);
+    // Cache events are per-phase tallies: their payloads sum to the
+    // probe counters, and no chunk's fetch phase reports twice.
+    EXPECT_GT(hits, 0u);
+    EXPECT_EQ(t.valueSum(sim::PhaseEvent::CacheHit), hits);
+    EXPECT_EQ(t.valueSum(sim::PhaseEvent::CacheMiss), misses);
+    EXPECT_LE(t.count(sim::PhaseEvent::CacheHit), chunks);
+    EXPECT_LE(t.count(sim::PhaseEvent::CacheMiss), chunks);
     // One socket per node: every issued batch crosses the network,
     // so issued events match the message count, and the issued
     // payload sum matches the bytes on the wire.
@@ -122,6 +129,70 @@ TEST(Trace, EngineEventsCrossCheckRunStats)
     EXPECT_GT(kernel_calls, 0u);
     EXPECT_EQ(t.valueSum(sim::PhaseEvent::KernelDispatch),
               kernel_calls);
+}
+
+TEST(Trace, EventCountIsBoundedByChunksAndMessages)
+{
+    // A non-IEP enumeration probes the cache once per fetching
+    // embedding; the event stream must not grow with that.  Per
+    // chunk: open, close, extend start/end, kernel dispatch and at
+    // most one hit and one miss tally (7); per message: issued and
+    // completed (2).
+    const Graph g = gen::rmat(400, 3000, 0.55, 0.2, 0.2, 11);
+    auto config = traceConfig();
+    config.chunkBytes = 4 << 10;
+    core::Engine engine(g, config);
+    engine.run(compileAutomine(Pattern::cycleOf(4), {}));
+
+    std::uint64_t chunks = 0;
+    std::uint64_t probes = 0;
+    for (const auto &node : engine.stats().nodes) {
+        chunks += node.chunksProcessed;
+        probes += node.staticCacheHits + node.staticCacheMisses;
+    }
+    const std::uint64_t messages = engine.stats().totalMessages();
+    const std::uint64_t events = engine.traceCounts().total();
+    EXPECT_GT(chunks, 0u);
+    EXPECT_GT(probes, events); // per-probe events would exceed this
+    EXPECT_LE(events, 7 * chunks + 2 * messages);
+}
+
+TEST(Trace, NoRecordIsBufferedWithoutUserSink)
+{
+    const Graph g = gen::rmat(300, 2000, 0.55, 0.2, 0.2, 2024);
+    core::Engine engine(g, traceConfig());
+    engine.run(compileAutomine(Pattern::clique(4), {}));
+    EXPECT_GT(engine.traceCounts().total(), 0u);
+    EXPECT_EQ(engine.stats().traceBufferPeak, 0u);
+    EXPECT_NE(engine.stats().toJson().find("\"trace_buffer_peak\": 0"),
+              std::string::npos);
+    EXPECT_EQ(engine.stats().toJson(false).find("trace_buffer_peak"),
+              std::string::npos);
+}
+
+TEST(Trace, BufferedRecordsAreBoundedByChunks)
+{
+    // With a user sink every unit buffers its run's stream, which
+    // holds per chunk the 7 chunk-level events above plus at most
+    // one issued/completed pair per peer unit.
+    const Graph g = gen::rmat(400, 3000, 0.55, 0.2, 0.2, 11);
+    auto config = traceConfig();
+    config.chunkBytes = 4 << 10;
+    config.hostThreads = 2;
+    core::Engine engine(g, config);
+    std::ostringstream out;
+    sim::JsonLinesTraceSink sink(out);
+    engine.setTraceSink(&sink);
+    engine.run(compileAutomine(Pattern::cycleOf(4), {}));
+
+    const auto &stats = engine.stats();
+    const std::uint64_t peers = stats.nodes.size() - 1;
+    std::uint64_t busiest = 0;
+    for (const auto &node : stats.nodes)
+        busiest = std::max(busiest, node.chunksProcessed);
+    EXPECT_GT(stats.traceBufferPeak, 0u);
+    EXPECT_LE(stats.traceBufferPeak, (7 + 2 * peers) * busiest);
+    EXPECT_LE(stats.traceBufferPeak, engine.traceCounts().total());
 }
 
 TEST(Trace, TracingIsObservationOnly)
