@@ -547,6 +547,37 @@ Engine::computeCoresPerUnit() const
     return std::max(1u, per_node / config_.cluster.socketsPerNode);
 }
 
+std::vector<double>
+Engine::unitFinishNs() const
+{
+    std::vector<double> finish;
+    finish.reserve(stats_.nodes.size());
+    for (const sim::NodeStats &node : stats_.nodes)
+        finish.push_back(node.totalNs());
+    return finish;
+}
+
+void
+Engine::commitMigration(unsigned receiver, unsigned victim,
+                        const ChunkRecord &rec, double transfer_ns,
+                        double handshake_ns)
+{
+    const unsigned units_per_node = partition_.socketsPerNode();
+    // khuzdul-lint: allow(fabric-mutation) migration commit: the sequential post-merge passes ARE the sanctioned entry point
+    fabric_.recordTransfer(receiver / units_per_node,
+                           victim / units_per_node, rec.columnBytes, 1);
+    // Fault-free prices: the receiver re-runs the chunk against a
+    // healthy fetch path, plus the column transfer and a handshake.
+    sim::NodeStats &in = stats_.nodes[receiver];
+    in.computeNs += rec.computeNs;
+    in.commExposedNs += rec.baseExposedNs + transfer_ns;
+    in.commTotalNs += rec.baseCommNs + transfer_ns;
+    in.schedulerNs += handshake_ns;
+    in.bytesReceived += rec.columnBytes;
+    in.messagesSent += 1;
+    stats_.nodes[victim].bytesSent += rec.columnBytes;
+}
+
 Count
 Engine::run(const ExtendPlan &plan)
 {
@@ -671,41 +702,27 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             dead.unitCrashes += 1;
             dead.chunksOrphaned += r.lost.size() + r.orphans.size();
         }
-        std::vector<double> finish(units, 0);
-        for (unsigned u = 0; u < units; ++u)
-            finish[u] = stats_.nodes[u].totalNs();
         const RecoveryPlanner planner(fabric_);
-        const auto adoptions = planner.plan(crashes, std::move(finish));
+        const auto adoptions = planner.plan(crashes, unitFinishNs());
         const double handshake = config_.cost.adoptionHandshakeNs;
-        const unsigned units_per_node = partition_.socketsPerNode();
         for (const AdoptionDecision &d : adoptions) {
             const ChunkRecord &rec = d.chunk;
-            const NodeId an = d.adopter / units_per_node;
-            const NodeId vn = d.victim / units_per_node;
-            // khuzdul-lint: allow(fabric-mutation) adoption commit: the sequential post-merge pass IS the sanctioned entry point
-            fabric_.recordTransfer(an, vn, rec.columnBytes, 1);
-            sim::NodeStats &adopter = stats_.nodes[d.adopter];
-            sim::NodeStats &victim = stats_.nodes[d.victim];
             // Mirror of the planner's finish[] update: the adopter
-            // re-runs the chunk at fault-free prices from the
-            // checkpointed columns.  Lost chunks are double-paid by
-            // design — the dead unit's burned time stays in its
-            // frozen snapshot AND the adopter replays the work,
-            // which is exactly what re-execution from a checkpoint
-            // costs.  The victim's frozen times are never touched;
-            // only its send-side volume grows (the checkpoint store
-            // on its node ships the columns).
-            adopter.computeNs += rec.computeNs;
-            adopter.commExposedNs += rec.baseExposedNs + d.transferNs;
-            adopter.commTotalNs += rec.baseCommNs + d.transferNs;
-            adopter.schedulerNs += handshake;
-            adopter.bytesReceived += rec.columnBytes;
-            adopter.messagesSent += 1;
+            // re-runs the chunk from the checkpointed columns.  Lost
+            // chunks are double-paid by design — the dead unit's
+            // burned time stays in its frozen snapshot AND the
+            // adopter replays the work, which is exactly what
+            // re-execution from a checkpoint costs.  The victim's
+            // frozen times are never touched; only its send-side
+            // volume grows (the checkpoint store on its node ships
+            // the columns).
+            commitMigration(d.adopter, d.victim, rec, d.transferNs,
+                            handshake);
+            sim::NodeStats &adopter = stats_.nodes[d.adopter];
             adopter.chunksAdopted += 1;
             adopter.adoptionBytesIn += rec.columnBytes;
             adopter.adoptionNs += handshake + d.transferNs;
-            victim.bytesSent += rec.columnBytes;
-            victim.adoptionBytesOut += rec.columnBytes;
+            stats_.nodes[d.victim].adoptionBytesOut += rec.columnBytes;
             tracer_.emit({sim::PhaseEvent::ChunkAdopted, d.adopter,
                           rec.level, rec.embeddings, d.victim});
         }
@@ -718,9 +735,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     // the rest of the modeled machine is.  Counts are never
     // touched — only modeled time, traffic and attribution move.
     if (session_.stealEnabled && units > 1) {
-        std::vector<double> finish(units, 0);
-        for (unsigned u = 0; u < units; ++u)
-            finish[u] = stats_.nodes[u].totalNs();
+        std::vector<double> finish = unitFinishNs();
         // Dead units neither donate nor steal: an empty ledger
         // disqualifies them as victims, an infinite finish as
         // thieves.  Their chunks already moved in the recovery pass.
@@ -733,30 +748,20 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         const auto decisions =
             planner.plan(std::move(stealLedgers), std::move(finish));
         const double handshake = config_.cost.stealHandshakeNs;
-        const unsigned units_per_node = partition_.socketsPerNode();
         std::uint64_t steal_bytes = 0;
         for (const StealDecision &d : decisions) {
             const ChunkRecord &rec = d.chunk;
-            const NodeId tn = d.thief / units_per_node;
-            const NodeId vn = d.victim / units_per_node;
             tracer_.emit({sim::PhaseEvent::StealIssued, d.thief,
                           rec.level, rec.columnBytes, d.victim});
-            // khuzdul-lint: allow(fabric-mutation) steal commit: the sequential post-merge pass IS the sanctioned entry point
-            fabric_.recordTransfer(tn, vn, rec.columnBytes, 1);
+            // Mirror of the planner's finish[] update: the thief
+            // re-executes the chunk; the victim sheds exactly what
+            // its ledger recorded and keeps the handshake.
+            // recoveryNs and replay waste stay with the victim — the
+            // fault history happened on its watch.
+            commitMigration(d.thief, d.victim, rec, d.transferNs,
+                            handshake);
             sim::NodeStats &thief = stats_.nodes[d.thief];
             sim::NodeStats &victim = stats_.nodes[d.victim];
-            // Mirror of the planner's finish[] update: the thief
-            // re-executes the chunk at fault-free prices plus the
-            // column transfer; the victim sheds exactly what its
-            // ledger recorded and keeps the handshake.  recoveryNs
-            // and replay waste stay with the victim — the fault
-            // history happened on its watch.
-            thief.computeNs += rec.computeNs;
-            thief.commExposedNs += rec.baseExposedNs + d.transferNs;
-            thief.commTotalNs += rec.baseCommNs + d.transferNs;
-            thief.schedulerNs += handshake;
-            thief.bytesReceived += rec.columnBytes;
-            thief.messagesSent += 1;
             thief.chunksStolen += 1;
             thief.stealBytesIn += rec.columnBytes;
             thief.stealOverheadNs += handshake + d.transferNs;
@@ -764,7 +769,6 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             victim.commExposedNs -= rec.exposedNs;
             victim.commTotalNs -= rec.commNs;
             victim.schedulerNs += handshake;
-            victim.bytesSent += rec.columnBytes;
             victim.chunksDonated += 1;
             victim.stealBytesOut += rec.columnBytes;
             victim.stealOverheadNs += handshake;

@@ -14,7 +14,9 @@
  *     into per-owner batches and folds the pipelined
  *     comm(b0) + Σ max(compute, comm) timeline (§4.3);
  *   - PlanExtender (core/extender): the intersection/filter/IEP
- *     extension kernel with vertical sharing (§5.1);
+ *     step kernel with vertical sharing (§5.1), also driven by the
+ *     baselines' runPlanDfs (core/plan_runner), so there is exactly
+ *     one copy of the extension semantics;
  *   - HybridExplorer (this TU): the BFS-DFS traversal — fixed-budget
  *     chunks per level, DFS across chunks, BFS within (§4.2) —
  *     driving the layers above;
@@ -56,6 +58,7 @@ namespace core
 
 class ThreadPool;
 class CancelToken;
+struct ChunkRecord;
 
 /**
  * Per-query session tunables — the knobs that are legitimately a
@@ -376,6 +379,23 @@ class Engine
 
     Engine(std::unique_ptr<GraphContext> owned, GraphContext *context,
            const SessionConfig &session);
+
+    /** Every unit's modeled finish time (NodeStats::totalNs()): the
+     *  input of the post-barrier recovery and steal planners. */
+    std::vector<double> unitFinishNs() const;
+
+    /**
+     * Commit the part of one post-barrier chunk migration (crash
+     * adoption, DESIGN.md §9.4, or steal, §11) that both passes
+     * share: the column transfer @p receiver <- @p victim on the
+     * fabric ledger, the receiver re-running the chunk at fault-free
+     * prices plus the transfer and @p handshake_ns, and the victim's
+     * node shipping the columns.  Pass-specific counters and trace
+     * events stay with the caller.
+     */
+    void commitMigration(unsigned receiver, unsigned victim,
+                         const ChunkRecord &rec, double transfer_ns,
+                         double handshake_ns);
 
     /** Non-null iff this engine was built from a flat EngineConfig
      *  and owns its context. */

@@ -7,30 +7,30 @@ namespace core
 
 void
 PlanExtender::buildCandidates(int t, std::span<const VertexId> stored,
+                              std::vector<VertexId> &out,
                               sim::NodeStats &stats)
 {
     const PlanLevel &level = plan_->levels[t];
     WorkItems work = 0;
     PositionMask dep = level.depMask;
     if (level.reuseParent) {
-        candidates_.assign(stored.begin(), stored.end());
+        out.assign(stored.begin(), stored.end());
         dep = level.extraDepMask;
         ++stats.verticalReuses;
     } else {
         std::size_t lists = 0;
         for (int j = 0; j < t; ++j)
             if ((dep >> j) & 1u)
-                listBuf_[lists++] = {graph_->neighbors(vertices_[j]),
+                listBuf_[lists++] = {edgeList(vertices_[j]),
                                      vertices_[j]};
         if (lists == 1) {
             // Aliasing one already-fetched edge list: the transfer
             // was charged by the provider layer, so the working copy
             // is free in the model (charging convention, kernels.hh).
-            candidates_.assign(listBuf_[0].list.begin(),
-                               listBuf_[0].list.end());
+            out.assign(listBuf_[0].list.begin(), listBuf_[0].list.end());
         } else {
             work += dispatcher_.intersectMany({listBuf_.data(), lists},
-                                              candidates_, scratchA_);
+                                              out, scratchA_);
         }
         dep = 0;
     }
@@ -38,10 +38,9 @@ PlanExtender::buildCandidates(int t, std::span<const VertexId> stored,
         if ((dep >> j) & 1u) {
             scratchB_.clear();
             work += dispatcher_.intersectInto(
-                ListRef(candidates_),
-                {graph_->neighbors(vertices_[j]), vertices_[j]},
+                ListRef(out), {edgeList(vertices_[j]), vertices_[j]},
                 scratchB_);
-            candidates_.swap(scratchB_);
+            out.swap(scratchB_);
         }
     }
     const PositionMask anti = level.reuseParent ? level.extraAntiMask
@@ -50,10 +49,9 @@ PlanExtender::buildCandidates(int t, std::span<const VertexId> stored,
         if ((anti >> j) & 1u) {
             scratchB_.clear();
             work += dispatcher_.subtractInto(
-                ListRef(candidates_),
-                {graph_->neighbors(vertices_[j]), vertices_[j]},
+                ListRef(out), {edgeList(vertices_[j]), vertices_[j]},
                 scratchB_);
-            candidates_.swap(scratchB_);
+            out.swap(scratchB_);
         }
     }
     stats.intersectionItems += work;
@@ -86,6 +84,8 @@ PlanExtender::iepTerminal(int prefix_len,
     std::array<std::int64_t, 32> sizes{};
     for (std::size_t m = 0; m < plan_->iep.masks.size(); ++m) {
         const PositionMask mask = plan_->iep.masks[m];
+        // The planner only marks a mask reusable when the last prefix
+        // level (prefix_len >= 2) stores its candidate set.
         const bool reuse = !plan_->iep.maskReuse.empty()
             && plan_->iep.maskReuse[m];
         std::size_t lists = 0;
@@ -97,12 +97,12 @@ PlanExtender::iepTerminal(int prefix_len,
             for (int j = 0; j < prefix_len; ++j)
                 if ((plan_->iep.maskExtra[m] >> j) & 1u)
                     listBuf_[lists++] =
-                        {graph_->neighbors(vertices_[j]), vertices_[j]};
+                        {edgeList(vertices_[j]), vertices_[j]};
         } else {
             for (int j = 0; j < prefix_len; ++j)
                 if ((mask >> j) & 1u)
                     listBuf_[lists++] =
-                        {graph_->neighbors(vertices_[j]), vertices_[j]};
+                        {edgeList(vertices_[j]), vertices_[j]};
         }
         Count count = 0;
         const WorkItems work = dispatcher_.intersectManyCount(
@@ -138,7 +138,7 @@ PlanExtender::extendInner(const std::vector<Chunk> &chunks,
     recoverVertices(chunks, level, idx);
     const int t = level + 1;
     const PlanLevel &next = plan_->levels[t];
-    buildCandidates(t, chunks[t - 1].result(idx), stats);
+    buildCandidates(t, chunks[t - 1].result(idx), candidates_, stats);
     // Siblings share one stored copy of the candidate set; it is
     // appended lazily when the first child materializes.
     std::uint32_t result_offset = 0;
@@ -173,7 +173,7 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
         return iepTerminal(level + 1, chunks[level].result(idx),
                            stats);
     const int t = plan_->pattern.size() - 1;
-    buildCandidates(t, chunks[t - 1].result(idx), stats);
+    buildCandidates(t, chunks[t - 1].result(idx), candidates_, stats);
     std::int64_t raw = 0;
     for (const VertexId candidate : candidates_) {
         if (!accept(t, candidate))

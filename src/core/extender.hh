@@ -1,12 +1,14 @@
 /**
  * @file
- * The extension kernel of the chunked engine: everything one EXTEND
- * call does *after* its edge lists are available.  PlanExtender
- * recovers an embedding's vertices from the parent-pointer chain,
- * materializes candidate sets (with vertical computation sharing,
- * §5.1), applies the plan's per-candidate filters, and folds the
- * IEP terminal block — owning all scratch buffers so the explorer
- * loop in engine.cc stays a pure traversal.  Charged intersection
+ * The EXTEND step kernel: everything one extension does *after* its
+ * edge lists are available.  PlanExtender materializes candidate
+ * sets (with vertical computation sharing, §5.1), applies the plan's
+ * per-candidate filters, and folds the IEP terminal block, owning
+ * all scratch buffers.  It is the only copy of this logic: the
+ * chunked engine's explorer (core/engine.cc) drives it over
+ * parent-pointer chunks, whose embeddings it recovers itself, and
+ * runPlanDfs (core/plan_runner) drives it as a plain recursive DFS
+ * for the baselines.  Charged intersection
  * work accumulates in an exchangeable ledger that the explorer
  * attributes to the embedding's circulant batch.
  */
@@ -36,10 +38,13 @@ namespace core
 class PlanExtender
 {
   public:
+    /** @p hooks, when set, sees every edge-list read in read order
+     *  (the engine passes none). */
     PlanExtender(const Graph &g, const ExtendPlan &plan,
                  const sim::CostModel &cost,
-                 KernelMode kernel_mode = KernelMode::Auto)
-        : graph_(&g), plan_(&plan), cost_(&cost),
+                 KernelMode kernel_mode = KernelMode::Auto,
+                 RunnerHooks *hooks = nullptr)
+        : graph_(&g), plan_(&plan), cost_(&cost), hooks_(hooks),
           dispatcher_(kernel_mode, &g)
     {}
 
@@ -63,7 +68,6 @@ class PlanExtender
         if (level == prefixLevel_ && parent == prefixParent_
             && parent != kNoParent) {
             vertices_[level] = chunks[level].vertex(idx);
-            ++prefixReuses_;
             return;
         }
         const std::span<const VertexId> col =
@@ -78,16 +82,13 @@ class PlanExtender
         prefixParent_ = parent;
     }
 
-    /** Host-side tally of sibling-run prefix reuses (bench probe;
-     *  not part of the modeled state). */
-    std::uint64_t prefixReuses() const { return prefixReuses_; }
-
     /**
-     * Materialize the candidate set for position @p t of the
-     * embedding.  @p stored is the parent's stored intermediate
+     * Materialize into @p out the candidate set for position @p t of
+     * the embedding.  @p stored is the parent's stored intermediate
      * result (used when the plan level reuses it, §5.1).
      */
     void buildCandidates(int t, std::span<const VertexId> stored,
+                         std::vector<VertexId> &out,
                          sim::NodeStats &stats);
 
     /** Per-candidate filters (distinctness, restrictions, labels). */
@@ -123,14 +124,6 @@ class PlanExtender
         return vertices_;
     }
 
-    const std::vector<VertexId> &candidates() const
-    {
-        return candidates_;
-    }
-
-    /** Charge @p ns of modeled work to the current ledger. */
-    void addWork(double ns) { workNs_ += ns; }
-
     /** Swap the work ledger (explorer save/zero/restore per
      *  embedding so work lands on the right batch). */
     double
@@ -151,9 +144,19 @@ class PlanExtender
     }
 
   private:
+    /** Edge list of @p v, reported to the hooks first. */
+    std::span<const VertexId>
+    edgeList(VertexId v)
+    {
+        if (hooks_)
+            hooks_->onEdgeListAccess(v);
+        return graph_->neighbors(v);
+    }
+
     const Graph *graph_;
     const ExtendPlan *plan_;
     const sim::CostModel *cost_;
+    RunnerHooks *hooks_;
     KernelDispatcher dispatcher_;
 
     std::array<VertexId, kMaxPatternSize> vertices_{};
@@ -164,7 +167,6 @@ class PlanExtender
     double workNs_ = 0;
     int prefixLevel_ = -1;          ///< level of the cached prefix
     std::uint32_t prefixParent_ = kNoParent;
-    std::uint64_t prefixReuses_ = 0;
 };
 
 } // namespace core

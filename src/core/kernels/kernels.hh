@@ -326,8 +326,8 @@ inline constexpr std::size_t kSimdMinSize = 16;
 /// @}
 
 /**
- * Per-call kernel selection.  One dispatcher per execution unit
- * (PlanExtender / plan-runner instance); counters attribute every
+ * Per-call kernel selection.  One dispatcher per PlanExtender (an
+ * engine unit or a runPlanDfs call); counters attribute every
  * pairwise set operation to the kernel that executed it.  Charged
  * WorkItems are canonical (see file header), so the choice of mode
  * never changes modeled time or stats — only wall-clock.

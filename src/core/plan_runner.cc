@@ -1,9 +1,11 @@
 #include "core/plan_runner.hh"
 
 #include <array>
-#include <bit>
 #include <vector>
 
+#include "core/extender.hh"
+#include "sim/cost_model.hh"
+#include "sim/stats.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -14,210 +16,85 @@ namespace core
 namespace
 {
 
-/** Recursive interpreter state shared across levels. */
-struct Runner
+/**
+ * Recursive DFS over one PlanExtender, one recursion level per plan
+ * level.  levels_[t] holds the candidate set position t was drawn
+ * from — the analogue of a chunk's stored result — and goes back to
+ * the extender as `stored` for vertical sharing.
+ */
+class DfsDriver
 {
-    const Graph &g;
-    const ExtendPlan &plan;
-    MatchVisitor *visitor;
-    RunnerHooks *hooks;
-    RunnerResult result;
-
-    /** vertices[i] = graph vertex matched at position i. */
-    std::array<VertexId, kMaxPatternSize> vertices{};
-
-    /** Candidate set each level was drawn from (VCS source). */
-    std::array<std::vector<VertexId>, kMaxPatternSize> candidates{};
-
-    std::vector<VertexId> scratchA;
-    std::vector<VertexId> scratchB;
-    std::array<ListRef, kMaxPatternSize> listBuf{};
-
-    /** Baselines always run the adaptive dispatcher; charges are
-     *  canonical, so their workItems match the pre-kernel runner. */
-    KernelDispatcher dispatcher;
-
-    explicit
-    Runner(const Graph &graph, const ExtendPlan &p, MatchVisitor *vis,
-           RunnerHooks *hk)
-        : g(graph), plan(p), visitor(vis), hooks(hk),
-          dispatcher(KernelMode::Auto, &graph)
+  public:
+    DfsDriver(const Graph &g, const ExtendPlan &plan,
+              MatchVisitor *visitor, RunnerHooks *hooks)
+        : plan_(plan), visitor_(visitor),
+          extender_(g, plan, cost_, KernelMode::Auto, hooks)
     {}
 
-    std::span<const VertexId>
-    edgeList(VertexId v)
-    {
-        if (hooks)
-            hooks->onEdgeListAccess(v);
-        return g.neighbors(v);
-    }
-
-    /**
-     * Materialize the candidate set for position @p t into
-     * candidates[t] given matched positions 0..t-1.
-     */
+    /** Enumerate the embedding tree rooted at @p root. */
     void
-    buildCandidates(int t)
+    explore(VertexId root)
     {
-        const PlanLevel &level = plan.levels[t];
-        std::vector<VertexId> &out = candidates[t];
-        PositionMask dep = level.depMask;
-        if (level.reuseParent) {
-            // Vertical computation sharing: start from the parent's
-            // stored result instead of re-intersecting its deps.
-            out.assign(candidates[t - 1].begin(), candidates[t - 1].end());
-            dep = level.extraDepMask;
-        } else {
-            std::size_t lists = 0;
-            for (int j = 0; j < t; ++j)
-                if ((dep >> j) & 1u)
-                    listBuf[lists++] = {edgeList(vertices[j]),
-                                        vertices[j]};
-            if (lists == 1) {
-                // Aliasing one already-fetched edge list is free in
-                // the model (charging convention, kernels.hh).
-                out.assign(listBuf[0].list.begin(),
-                           listBuf[0].list.end());
-            } else {
-                result.workItems += dispatcher.intersectMany(
-                    {listBuf.data(), lists}, out, scratchA);
-            }
-            dep = 0;
+        extender_.vertices()[0] = root;
+        if (plan_.pattern.size() > 1) {
+            recurse(0);
+            return;
         }
-        // Extra deps of a reused result are folded in one by one.
-        for (int j = 0; j < t; ++j) {
-            if ((dep >> j) & 1u) {
-                scratchB.clear();
-                result.workItems += dispatcher.intersectInto(
-                    ListRef(out), {edgeList(vertices[j]), vertices[j]},
-                    scratchB);
-                out.swap(scratchB);
-            }
-        }
-        // Induced matching: remove neighbors of non-adjacent
-        // earlier positions.
-        const PositionMask anti = level.reuseParent ? level.extraAntiMask
-                                                    : level.antiMask;
-        for (int j = 0; j < t; ++j) {
-            if ((anti >> j) & 1u) {
-                scratchB.clear();
-                result.workItems += dispatcher.subtractInto(
-                    ListRef(out), {edgeList(vertices[j]), vertices[j]},
-                    scratchB);
-                out.swap(scratchB);
-            }
-        }
+        ++result_.embeddingsVisited;
+        ++result_.rawCount;
+        if (visitor_)
+            visitor_->match({extender_.vertices().data(), 1});
     }
 
-    /** Filters that are applied per candidate, not per set. */
-    bool
-    accept(int t, VertexId candidate)
+    RunnerResult
+    result() const
     {
-        ++result.candidatesChecked;
-        const PlanLevel &level = plan.levels[t];
-        if (level.hasLabelFilter && g.label(candidate) != level.labelFilter)
-            return false;
-        for (int j = 0; j < t; ++j) {
-            if (vertices[j] == candidate)
-                return false;
-            if (((level.greaterThanMask >> j) & 1u)
-                && candidate <= vertices[j])
-                return false;
-        }
-        return true;
+        RunnerResult result = result_;
+        result.workItems = stats_.intersectionItems;
+        return result;
     }
 
-    /** Terminal IEP block: count the suffix by inclusion-exclusion. */
-    void
-    terminalIep(int prefix_len)
-    {
-        std::array<std::int64_t, 32> sizes{};
-        for (std::size_t m = 0; m < plan.iep.masks.size(); ++m) {
-            const PositionMask mask = plan.iep.masks[m];
-            const bool reuse = !plan.iep.maskReuse.empty()
-                && plan.iep.maskReuse[m] && prefix_len >= 2;
-            std::size_t lists = 0;
-            if (reuse) {
-                // Vertical sharing into the IEP block.
-                listBuf[lists++] = ListRef(candidates[prefix_len - 1]);
-                for (int j = 0; j < prefix_len; ++j)
-                    if ((plan.iep.maskExtra[m] >> j) & 1u)
-                        listBuf[lists++] = {edgeList(vertices[j]),
-                                            vertices[j]};
-            } else {
-                for (int j = 0; j < prefix_len; ++j)
-                    if ((mask >> j) & 1u)
-                        listBuf[lists++] = {edgeList(vertices[j]),
-                                            vertices[j]};
-            }
-            Count count = 0;
-            result.workItems += dispatcher.intersectManyCount(
-                {listBuf.data(), lists}, count, scratchA, scratchB);
-            std::int64_t size = static_cast<std::int64_t>(count);
-            // Candidate sets must exclude already-matched vertices.
-            for (int j = 0; j < prefix_len; ++j) {
-                bool inside = true;
-                for (std::size_t l = 0; l < lists && inside; ++l)
-                    inside = contains(listBuf[l].list, vertices[j]);
-                if (inside)
-                    --size;
-            }
-            sizes[m] = size;
-        }
-        for (const IepBlock::Term &term : plan.iep.terms) {
-            std::int64_t product = term.coefficient;
-            for (const int idx : term.maskIndex)
-                product *= sizes[idx];
-            result.rawCount += product;
-        }
-    }
-
-    /** Terminal without IEP: scan position n-1 candidates. */
-    void
-    terminalScan()
-    {
-        const int t = plan.pattern.size() - 1;
-        buildCandidates(t);
-        for (const VertexId candidate : candidates[t]) {
-            if (!accept(t, candidate))
-                continue;
-            ++result.rawCount;
-            if (visitor) {
-                vertices[t] = candidate;
-                visitor->match({vertices.data(),
-                                static_cast<std::size_t>(t + 1)});
-            }
-        }
-    }
-
+  private:
     void
     recurse(int level)
     {
-        ++result.embeddingsVisited;
-        const int n = plan.pattern.size();
-        const int prefix_len = plan.numMaterializedLevels();
-        if (plan.hasIep && level == prefix_len - 1) {
-            terminalIep(prefix_len);
-            return;
-        }
-        if (!plan.hasIep && level == n - 2) {
-            terminalScan();
+        ++result_.embeddingsVisited;
+        const int prefix_len = plan_.numMaterializedLevels();
+        if (plan_.hasIep && level == prefix_len - 1) {
+            result_.rawCount += extender_.iepTerminal(
+                prefix_len, levels_[prefix_len - 1], stats_);
             return;
         }
         const int t = level + 1;
-        buildCandidates(t);
-        // candidates[t] is iterated by index because deeper levels
-        // reuse it (VCS) via candidates[t] itself; reallocation is
-        // impossible since buildCandidates(t') with t' > t writes
-        // other slots.
-        for (std::size_t i = 0; i < candidates[t].size(); ++i) {
-            const VertexId candidate = candidates[t][i];
-            if (!accept(t, candidate))
+        const bool terminal = t == plan_.pattern.size() - 1;
+        extender_.buildCandidates(t, levels_[t - 1], levels_[t], stats_);
+        // Deeper levels only write higher slots, so levels_[t] stays
+        // intact while the loop recurses.
+        for (const VertexId candidate : levels_[t]) {
+            ++result_.candidatesChecked;
+            if (!extender_.accept(t, candidate))
                 continue;
-            vertices[t] = candidate;
-            recurse(t);
+            extender_.vertices()[t] = candidate;
+            if (!terminal) {
+                recurse(t);
+                continue;
+            }
+            ++result_.rawCount;
+            if (visitor_)
+                visitor_->match({extender_.vertices().data(),
+                                 static_cast<std::size_t>(t + 1)});
         }
     }
+
+    /** The extender's modeled time is never read: baselines price
+     *  their own from RunnerResult. */
+    const sim::CostModel cost_{};
+    const ExtendPlan &plan_;
+    MatchVisitor *visitor_;
+    PlanExtender extender_;
+    sim::NodeStats stats_;
+    RunnerResult result_;
+    std::array<std::vector<VertexId>, kMaxPatternSize> levels_{};
 };
 
 } // namespace
@@ -227,30 +104,19 @@ runPlanDfs(const Graph &g, const ExtendPlan &plan,
            std::span<const VertexId> roots, MatchVisitor *visitor,
            RunnerHooks *hooks)
 {
-    const int n = plan.pattern.size();
-    KHUZDUL_REQUIRE(n >= 1, "plan has no levels");
+    KHUZDUL_REQUIRE(plan.pattern.size() >= 1, "plan has no levels");
     if (visitor) {
         KHUZDUL_REQUIRE(!plan.hasIep,
                         "visitors cannot observe IEP-folded embeddings");
         KHUZDUL_REQUIRE(plan.countDivisor == 1,
                         "visitors need complete symmetry breaking");
     }
-    Runner runner(g, plan, visitor, hooks);
+    DfsDriver driver(g, plan, visitor, hooks);
     const PlanLevel &root = plan.levels[0];
-    for (const VertexId v : roots) {
-        if (root.hasLabelFilter && g.label(v) != root.labelFilter)
-            continue;
-        runner.vertices[0] = v;
-        if (n == 1) {
-            ++runner.result.rawCount;
-            ++runner.result.embeddingsVisited;
-            if (visitor)
-                visitor->match({runner.vertices.data(), 1});
-            continue;
-        }
-        runner.recurse(0);
-    }
-    return runner.result;
+    for (const VertexId v : roots)
+        if (!root.hasLabelFilter || g.label(v) == root.labelFilter)
+            driver.explore(v);
+    return driver.result();
 }
 
 Count

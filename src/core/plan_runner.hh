@@ -1,12 +1,14 @@
 /**
  * @file
- * Single-machine DFS plan interpreter.  This is the nested-loop
- * execution the paper's Figure 1 shows — the code shape Automine
- * and GraphPi compile to.  It backs the single-machine baselines
+ * Single-machine DFS plan driver.  This is the nested-loop execution
+ * the paper's Figure 1 shows — the code shape Automine and GraphPi
+ * compile to.  Every loop level is one step of the PlanExtender
+ * kernel (core/extender), the same kernel the distributed engine's
+ * chunked explorer drives, so all baselines run exactly the engine's
+ * extension semantics.  It backs the single-machine baselines
  * (AutomineIH, the Peregrine/Pangolin-like engines), the
- * replicated-graph GraphPi baseline, and the per-tree computation
- * of G-thinker; the distributed Khuzdul engine has its own chunked
- * interpreter in core/engine.hh.
+ * replicated-graph GraphPi baseline, the per-tree computation of
+ * G-thinker, the aDFS-like mover and the single-machine FSM backend.
  */
 
 #ifndef KHUZDUL_CORE_PLAN_RUNNER_HH
@@ -25,16 +27,6 @@ namespace khuzdul
 namespace core
 {
 
-/** Observation hooks for baseline engines built on the runner. */
-class RunnerHooks
-{
-  public:
-    virtual ~RunnerHooks() = default;
-
-    /** The enumeration just read the edge list of @p v. */
-    virtual void onEdgeListAccess(VertexId v) { (void)v; }
-};
-
 /** Work and result counters of one runner invocation. */
 struct RunnerResult
 {
@@ -49,15 +41,6 @@ struct RunnerResult
 
     /** Partial embeddings (internal tree nodes) visited. */
     Count embeddingsVisited = 0;
-
-    void
-    accumulate(const RunnerResult &other)
-    {
-        rawCount += other.rawCount;
-        workItems += other.workItems;
-        candidatesChecked += other.candidatesChecked;
-        embeddingsVisited += other.embeddingsVisited;
-    }
 };
 
 /**

@@ -1,8 +1,10 @@
 /**
  * @file
- * The user-defined-function hook of the execution model: when the
- * EXTEND function reaches a complete embedding it passes it to the
- * application through this interface (Figure 5's UDF call).
+ * Callbacks out of the EXTEND step.  MatchVisitor is the
+ * user-defined-function hook of the execution model: when EXTEND
+ * reaches a complete embedding it passes it to the application
+ * (Figure 5's UDF call).  RunnerHooks observes the step's edge-list
+ * reads, from which baseline engines model data movement.
  */
 
 #ifndef KHUZDUL_CORE_VISITOR_HH
@@ -28,6 +30,16 @@ class MatchVisitor
      * valid during the call.
      */
     virtual void match(std::span<const VertexId> positions) = 0;
+};
+
+/** Observation hooks for baseline engines built on runPlanDfs. */
+class RunnerHooks
+{
+  public:
+    virtual ~RunnerHooks() = default;
+
+    /** The enumeration just read the edge list of @p v. */
+    virtual void onEdgeListAccess(VertexId v) { (void)v; }
 };
 
 } // namespace core

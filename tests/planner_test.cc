@@ -133,6 +133,34 @@ TEST(Planner, GraphPiPicksIepForClique)
     EXPECT_EQ(plan.iep.suffixSize, 1);
 }
 
+/** IEP vertical sharing reads the last prefix level's stored
+ *  candidate set, which the step kernel takes on trust: a reusing
+ *  mask needs at least two prefix levels, the last one storing. */
+TEST(Planner, IepMaskReuseImpliesStoredPrefixLevel)
+{
+    int reusing = 0;
+    for (const GraphProfile profile :
+         {GraphProfile{200.0, 4.0}, GraphProfile{10000.0, 20.0},
+          GraphProfile{1.0e6, 80.0}}) {
+        for (int size = 3; size <= 5; ++size) {
+            for (const auto &p : gen::connectedPatterns(size)) {
+                const auto plan = compileGraphPi(p, profile, {});
+                const int prefix = plan.numMaterializedLevels();
+                for (std::size_t m = 0; m < plan.iep.maskReuse.size();
+                     ++m) {
+                    if (!plan.iep.maskReuse[m])
+                        continue;
+                    ++reusing;
+                    ASSERT_GE(prefix, 2) << plan.toString();
+                    EXPECT_TRUE(plan.levels[prefix - 1].storeResult)
+                        << plan.toString();
+                }
+            }
+        }
+    }
+    EXPECT_GT(reusing, 0);
+}
+
 TEST(Planner, GraphPiUsesLargerIepOnSparsePatterns)
 {
     GraphProfile profile{10000.0, 20.0};

@@ -1,14 +1,16 @@
 /**
  * @file
  * Tests for the DFS plan runner and the brute-force oracle itself:
- * closed-form counts on structured graphs, visitor semantics, and
- * work accounting.
+ * closed-form counts on structured graphs, visitor semantics, exact
+ * work accounting, and agreement with the chunked engine.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "core/engine.hh"
 #include "core/plan_runner.hh"
 #include "graph/generators.hh"
 #include "pattern/bruteforce.hh"
@@ -155,34 +157,136 @@ TEST(Runner, VisitorRejectsIepPlans)
     EXPECT_THROW(core::runPlanDfs(g, plan, roots, &visitor), FatalError);
 }
 
-TEST(Runner, WorkCountersArePopulated)
+std::vector<VertexId>
+allRoots(const Graph &g)
 {
-    const Graph g = gen::rmat(300, 2400, 0.55, 0.2, 0.2, 4);
-    const auto plan = compileAutomine(Pattern::clique(4), {});
     std::vector<VertexId> roots(g.numVertices());
     for (VertexId v = 0; v < g.numVertices(); ++v)
         roots[v] = v;
-    const auto result = core::runPlanDfs(g, plan, roots);
-    EXPECT_GT(result.workItems, 0u);
-    EXPECT_GT(result.candidatesChecked, 0u);
-    EXPECT_GT(result.embeddingsVisited, g.numVertices());
+    return roots;
+}
+
+/** One plan per step shape the baselines price, with the runner's
+ *  exact output on pricedGraph().  G-thinker, the aDFS-like mover
+ *  and the single-machine engines derive modeled time from these
+ *  counters, so any drift changes their modeled results. */
+struct PricedPlan
+{
+    ExtendPlan plan;
+    std::int64_t rawCount;
+    core::WorkItems workItems;
+    Count candidatesChecked;
+    Count embeddingsVisited;
+    /** Length and FNV-1a hash of the onEdgeListAccess sequence. */
+    std::uint64_t accesses;
+    std::uint64_t accessHash;
+};
+
+Graph
+pricedGraph()
+{
+    return gen::rmat(300, 2400, 0.55, 0.2, 0.2, 4);
+}
+
+std::vector<PricedPlan>
+pricedPlans(const Graph &g)
+{
+    PlanOptions induced;
+    induced.induced = true;
+    // clique4 shares vertically, induced cycle4 subtracts anti-masks,
+    // and GraphPi's clique5 ends in an IEP block that reuses the
+    // last prefix level's stored candidates.
+    return {
+        {compileAutomine(Pattern::clique(4), {}), 5993, 352592, 40297,
+         6342, 8143, 15306117130340373648ull},
+        {compileAutomine(Pattern::cycleOf(4), induced), 20009, 2721454,
+         129285, 30408, 88823, 2747547030078824189ull},
+        {compileGraphPi(Pattern::clique(5), GraphProfile::fromGraph(g),
+                        {}),
+         27675, 693385, 40297, 12335, 14136, 1629163333465086772ull},
+    };
+}
+
+TEST(Runner, WorkCountersArePopulated)
+{
+    const Graph g = pricedGraph();
+    const auto plans = pricedPlans(g);
+    const ExtendPlan &graphpi = plans[2].plan;
+    ASSERT_TRUE(graphpi.hasIep);
+    ASSERT_TRUE(std::find(graphpi.iep.maskReuse.begin(),
+                          graphpi.iep.maskReuse.end(), true)
+                != graphpi.iep.maskReuse.end());
+    for (const PricedPlan &p : plans) {
+        const auto result = core::runPlanDfs(g, p.plan, allRoots(g));
+        EXPECT_EQ(result.rawCount, p.rawCount) << p.plan.toString();
+        EXPECT_EQ(result.workItems, p.workItems) << p.plan.toString();
+        EXPECT_EQ(result.candidatesChecked, p.candidatesChecked)
+            << p.plan.toString();
+        EXPECT_EQ(result.embeddingsVisited, p.embeddingsVisited)
+            << p.plan.toString();
+    }
 }
 
 TEST(Runner, HooksObserveEdgeListAccesses)
 {
-    const Graph g = gen::complete(5);
-    const auto plan = compileAutomine(Pattern::triangle(), {});
-    class CountAccess : public core::RunnerHooks
+    // The aDFS-like mover decides migrations read by read, so the
+    // order of the reads matters, not just their number.
+    class HashAccess : public core::RunnerHooks
     {
       public:
-        Count accesses = 0;
-        void onEdgeListAccess(VertexId) override { ++accesses; }
-    } hooks;
-    std::vector<VertexId> roots(g.numVertices());
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        roots[v] = v;
-    core::runPlanDfs(g, plan, roots, nullptr, &hooks);
-    EXPECT_GT(hooks.accesses, 0u);
+        std::uint64_t accesses = 0;
+        std::uint64_t hash = 14695981039346656037ull;
+        void
+        onEdgeListAccess(VertexId v) override
+        {
+            ++accesses;
+            hash = (hash ^ v) * 1099511628211ull;
+        }
+    };
+    const Graph g = pricedGraph();
+    for (const PricedPlan &p : pricedPlans(g)) {
+        HashAccess hooks;
+        core::runPlanDfs(g, p.plan, allRoots(g), nullptr, &hooks);
+        EXPECT_EQ(hooks.accesses, p.accesses) << p.plan.toString();
+        EXPECT_EQ(hooks.hash, p.accessHash) << p.plan.toString();
+    }
+}
+
+/** runPlanDfs and the chunked engine step through the same
+ *  PlanExtender: raw counts and charged set-kernel work agree at
+ *  every node count. */
+TEST(Runner, AgreesWithEngineOnCountsAndWork)
+{
+    const Graph g = gen::rmat(400, 3200, 0.55, 0.2, 0.2, 13);
+    const GraphProfile profile = GraphProfile::fromGraph(g);
+    PlanOptions induced;
+    induced.induced = true;
+    std::vector<ExtendPlan> plans;
+    for (const Pattern &p :
+         {Pattern::clique(4), Pattern::cycleOf(4), Pattern::diamond(),
+          Pattern::tailedTriangle(), Pattern::starOf(4)}) {
+        plans.push_back(compileAutomine(p, {}));
+        plans.push_back(compileAutomine(p, induced));
+        plans.push_back(compileGraphPi(p, profile, {}));
+    }
+    for (const ExtendPlan &plan : plans) {
+        const auto dfs = core::runPlanDfs(g, plan, allRoots(g));
+        for (const NodeId nodes : {1u, 4u}) {
+            core::EngineConfig config;
+            config.cluster = sim::ClusterConfig::paperDefault(nodes);
+            config.chunkBytes = 64 << 10;
+            core::Engine engine(g, config);
+            const Count count = engine.run(plan);
+            EXPECT_EQ(static_cast<std::int64_t>(count) * plan.countDivisor,
+                      dfs.rawCount)
+                << nodes << " nodes\n" << plan.toString();
+            core::WorkItems items = 0;
+            for (const sim::NodeStats &node : engine.stats().nodes)
+                items += node.intersectionItems;
+            EXPECT_EQ(items, dfs.workItems)
+                << nodes << " nodes\n" << plan.toString();
+        }
+    }
 }
 
 TEST(Runner, PartialRootsCoverSubsetOfTrees)
