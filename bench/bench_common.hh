@@ -71,11 +71,11 @@ inline core::EngineConfig
 standInEngineConfig(NodeId nodes = 8)
 {
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(nodes);
+    config.graph.cluster = sim::ClusterConfig::paperDefault(nodes);
     // Scaled from the paper's 4 GB default (~1000x smaller data).
-    config.chunkBytes = 1ull << 20;
-    config.cacheFraction = 0.15;
-    config.cacheDegreeThreshold = 32;
+    config.session.chunkBytes = 1ull << 20;
+    config.graph.cacheFraction = 0.15;
+    config.graph.cacheDegreeThreshold = 32;
     return config;
 }
 
@@ -92,9 +92,9 @@ inline core::EngineConfig
 cacheRegimeConfig(NodeId nodes = 8)
 {
     core::EngineConfig config = standInEngineConfig(nodes);
-    config.chunkBytes = 4ull << 10;
-    config.cacheFraction = 0.45;
-    config.cacheDegreeThreshold = 64;
+    config.session.chunkBytes = 4ull << 10;
+    config.graph.cacheFraction = 0.45;
+    config.graph.cacheDegreeThreshold = 64;
     return config;
 }
 

@@ -58,7 +58,7 @@ main()
         // profitable migrations, so on this healthy fabric the
         // column must never exceed plain k-GraphPi.
         core::EngineConfig steal_config = bench::standInEngineConfig(8);
-        steal_config.stealEnabled = true;
+        steal_config.session.stealEnabled = true;
         auto stealing = engines::KhuzdulSystem::kGraphPi(
             dataset.graph, steal_config);
         const auto s = bench::runOnKhuzdul(*stealing, tc);

@@ -41,7 +41,7 @@ main()
             // Cache off isolates the HDS effect, mirroring the
             // figure's normalized deltas.
             auto config = bench::standInEngineConfig(8);
-            config.cachePolicy = core::CachePolicy::None;
+            config.graph.cachePolicy = core::CachePolicy::None;
             auto with_hds = engines::KhuzdulSystem::kGraphPi(
                 dataset.graph, config);
             const auto with_cell =
@@ -54,7 +54,7 @@ main()
             }
 
             auto bare_config = config;
-            bare_config.horizontalSharing = false;
+            bare_config.graph.horizontalSharing = false;
             auto without_hds = engines::KhuzdulSystem::kGraphPi(
                 dataset.graph, bare_config);
             const auto without_cell =

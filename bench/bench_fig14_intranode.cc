@@ -73,9 +73,9 @@ main()
         for (const unsigned cores : core_counts) {
             auto config = bench::standInEngineConfig(1);
             // One socket carrying all cores; 4 reserved for comm.
-            config.cluster.socketsPerNode = 1;
-            config.cluster.coresPerSocket = cores;
-            config.cluster.commCoresPerNode = 4;
+            config.graph.cluster.socketsPerNode = 1;
+            config.graph.cluster.coresPerSocket = cores;
+            config.graph.cluster.commCoresPerNode = 4;
             auto system = engines::KhuzdulSystem::kAutomine(
                 dataset.graph, config);
             const auto cell = bench::runOnKhuzdul(*system, app);

@@ -88,7 +88,7 @@ main()
                               gt_stats);
 
             auto config = bench::standInEngineConfig(8);
-            config.cluster = sim::ClusterConfig::singleSocket(8);
+            config.graph.cluster = sim::ClusterConfig::singleSocket(8);
             auto system = engines::KhuzdulSystem::kAutomine(
                 dataset.graph, config);
             const auto cell = bench::runOnKhuzdul(*system, app);

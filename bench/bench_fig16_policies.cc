@@ -65,7 +65,7 @@ main()
                 continue;
             }
             auto config = bench::cacheRegimeConfig(8);
-            config.cachePolicy = policy;
+            config.graph.cachePolicy = policy;
             auto system = engines::KhuzdulSystem::kGraphPi(
                 dataset.graph, config);
             const auto cell = bench::runOnKhuzdul(*system, app);

@@ -47,7 +47,7 @@ main()
         double base_time = 0;
         for (const double fraction : fractions) {
             auto config = bench::cacheRegimeConfig(8);
-            config.cacheFraction = fraction;
+            config.graph.cacheFraction = fraction;
             // Small caches should still prefer hot lists; keep the
             // paper's threshold.
             auto system = engines::KhuzdulSystem::kGraphPi(

@@ -44,7 +44,7 @@ main()
         const bench::App app = bench::appByName(app_name);
         for (const std::uint64_t chunk : chunk_sizes) {
             auto config = bench::standInEngineConfig(8);
-            config.chunkBytes = chunk;
+            config.session.chunkBytes = chunk;
             auto system = engines::KhuzdulSystem::kGraphPi(
                 dataset.graph, config);
             const auto cell = bench::runOnKhuzdul(*system, app);

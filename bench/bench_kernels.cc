@@ -202,7 +202,7 @@ runEngine(const std::string &graph_name, const Graph &g,
     row.pattern = pattern.toString();
     row.mode = core::kernelModeName(mode);
     core::EngineConfig config = bench::standInEngineConfig();
-    config.kernelMode = mode;
+    config.session.kernelMode = mode;
     auto system = engines::KhuzdulSystem::kGraphPi(g, config);
     Timer timer;
     row.count = system->count(pattern, {});

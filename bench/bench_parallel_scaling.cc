@@ -59,7 +59,7 @@ runSweep(const Graph &g, unsigned threads)
     SweepRow row;
     row.threads = threads;
     core::EngineConfig config = bench::standInEngineConfig(9);
-    config.hostThreads = threads;
+    config.session.hostThreads = threads;
     auto system = engines::KhuzdulSystem::kGraphPi(g, config);
     for (const bench::App &app : bench::paperApps()) {
         Timer timer;

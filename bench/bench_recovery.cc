@@ -99,7 +99,7 @@ runPlan(const Graph &g, const Intensity &intensity)
     row.intensity = intensity.name;
     core::EngineConfig config = bench::standInEngineConfig(9);
     for (const std::string &spec : intensity.specs)
-        config.faults.add(spec);
+        config.session.faults.add(spec);
     auto system = engines::KhuzdulSystem::kGraphPi(g, config);
     for (const bench::App &app : bench::paperApps()) {
         bench::Cell cell = bench::runOnKhuzdul(*system, app);
@@ -233,7 +233,7 @@ main(int argc, char **argv)
     std::vector<CkptRow> ckpt_rows;
     {
         core::EngineConfig config = bench::standInEngineConfig(9);
-        config.checkpointEnabled = true;
+        config.session.checkpointEnabled = true;
         auto system = engines::KhuzdulSystem::kGraphPi(mc.graph,
                                                        config);
         std::size_t a = 0;

@@ -49,11 +49,11 @@ stealBenchConfig(bool steal, bool degraded)
     // Smaller chunks than the stand-in default: chunk migration is
     // the unit of rebalancing, so the ledger needs enough entries
     // per unit for the greedy pass to shave the stragglers close.
-    config.chunkBytes = 64ull << 10;
-    config.stealEnabled = steal;
+    config.session.chunkBytes = 64ull << 10;
+    config.session.stealEnabled = steal;
     if (degraded)
         for (const std::string &spec : degradedPlan())
-            config.faults.add(spec);
+            config.session.faults.add(spec);
     return config;
 }
 

@@ -50,10 +50,10 @@ main()
             // k-Automine on the 18-node cluster, counting on the
             // DAG (divisor 1, no restrictions).
             core::EngineConfig config = bench::standInEngineConfig(18);
-            config.cluster = sim::ClusterConfig::largeCluster(18);
+            config.graph.cluster = sim::ClusterConfig::largeCluster(18);
             // Massive graphs get a smaller relative cache (§7.6:
             // 3-4% for WDC12-scale data).
-            config.cacheFraction = graph_name == "wdc" ? 0.04 : 0.08;
+            config.graph.cacheFraction = graph_name == "wdc" ? 0.04 : 0.08;
             core::Engine engine(dag, config);
             PlanOptions options;
             options.symmetryBreaking = false;

@@ -51,7 +51,7 @@ main()
             const auto cached = bench::runOnKhuzdul(*system, app);
 
             auto without_config = with_config;
-            without_config.cachePolicy = core::CachePolicy::None;
+            without_config.graph.cachePolicy = core::CachePolicy::None;
             auto bare = engines::KhuzdulSystem::kGraphPi(
                 dataset.graph, without_config);
             const auto uncached = bench::runOnKhuzdul(*bare, app);

@@ -42,13 +42,13 @@ main()
             const auto &dataset = datasets::byName(graph_name);
 
             auto aware_config = bench::standInEngineConfig(1);
-            aware_config.numaAware = true;
+            aware_config.graph.numaAware = true;
             auto aware = engines::KhuzdulSystem::kGraphPi(
                 dataset.graph, aware_config);
             const auto with_numa = bench::runOnKhuzdul(*aware, app);
 
             auto oblivious_config = bench::standInEngineConfig(1);
-            oblivious_config.numaAware = false;
+            oblivious_config.graph.numaAware = false;
             auto oblivious = engines::KhuzdulSystem::kGraphPi(
                 dataset.graph, oblivious_config);
             const auto without_numa =

@@ -3,8 +3,8 @@
  * Capacity-planning study: how does one workload respond to cluster
  * size, chunk budget and cache size?  This is the workflow a
  * Khuzdul operator runs before committing hardware — all knobs are
- * plain EngineConfig fields and every run reports modeled time,
- * traffic and reuse counters.
+ * fields of EngineConfig's graph and session halves, and every run
+ * reports modeled time, traffic and reuse counters.
  */
 
 #include <cstdio>
@@ -47,7 +47,7 @@ main()
     std::printf("1) cluster size sweep (defaults otherwise):\n");
     for (const NodeId nodes : {1u, 2u, 4u, 8u, 16u}) {
         core::EngineConfig config;
-        config.cluster = sim::ClusterConfig::paperDefault(nodes);
+        config.graph.cluster = sim::ClusterConfig::paperDefault(nodes);
         auto system = engines::KhuzdulSystem::kGraphPi(graph, config);
         system->count(workload);
         char label[32];
@@ -59,8 +59,8 @@ main()
     for (const std::uint64_t chunk :
          {16ull << 10, 256ull << 10, 4ull << 20}) {
         core::EngineConfig config;
-        config.cluster = sim::ClusterConfig::paperDefault(8);
-        config.chunkBytes = chunk;
+        config.graph.cluster = sim::ClusterConfig::paperDefault(8);
+        config.session.chunkBytes = chunk;
         auto system = engines::KhuzdulSystem::kGraphPi(graph, config);
         system->count(workload);
         report(formatBytes(chunk).c_str(), *system);
@@ -69,10 +69,10 @@ main()
     std::printf("\n3) cache fraction sweep (8 nodes):\n");
     for (const double fraction : {0.0, 0.05, 0.15, 0.40}) {
         core::EngineConfig config;
-        config.cluster = sim::ClusterConfig::paperDefault(8);
-        config.cacheFraction = fraction;
+        config.graph.cluster = sim::ClusterConfig::paperDefault(8);
+        config.graph.cacheFraction = fraction;
         if (fraction == 0.0)
-            config.cachePolicy = core::CachePolicy::None;
+            config.graph.cachePolicy = core::CachePolicy::None;
         auto system = engines::KhuzdulSystem::kGraphPi(graph, config);
         system->count(workload);
         report(formatPercent(fraction).c_str(), *system);

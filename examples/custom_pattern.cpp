@@ -50,7 +50,7 @@ main()
     // Both count identically; the engine checks the divisor math.
     const Graph graph = gen::rmat(10'000, 80'000, 0.55, 0.2, 0.2, 5);
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
+    config.graph.cluster = sim::ClusterConfig::paperDefault(4);
     auto a = engines::KhuzdulSystem::kAutomine(graph, config);
     auto g = engines::KhuzdulSystem::kGraphPi(graph, config);
     const Count count_a = a->count(house);

@@ -26,7 +26,7 @@ main()
     gen::randomizeLabels(graph, 4, /*seed=*/17);
 
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(8);
+    config.graph.cluster = sim::ClusterConfig::paperDefault(8);
     auto system = engines::KhuzdulSystem::kAutomine(graph, config);
     apps::KhuzdulFsmBackend backend(*system);
 

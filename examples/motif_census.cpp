@@ -33,10 +33,10 @@ main()
                                   /*seed=*/7);
 
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
+    config.graph.cluster = sim::ClusterConfig::paperDefault(4);
 
     // One resident graph, one service; every motif is a session.
-    core::GraphContext context(graph, config.graphSetup());
+    core::GraphContext context(graph, config.graph);
     core::ServiceOptions options;
     options.maxInFlight = 4;
     core::QueryService service(context, options);

@@ -32,7 +32,7 @@ main()
 
     // 2. An 8-node simulated cluster with the paper's defaults.
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(8);
+    config.graph.cluster = sim::ClusterConfig::paperDefault(8);
     auto system = engines::KhuzdulSystem::kGraphPi(graph, config);
 
     // 3. Applications.

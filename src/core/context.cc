@@ -11,6 +11,23 @@ namespace core
 namespace
 {
 
+/** Byte cap on hub bitmap rows (hottest-first admission). */
+constexpr std::uint64_t kHubBitmapMaxBytes = 32ull << 20;
+
+/** @p setup, once it is known to describe a possible deployment. */
+const GraphSetup &
+validated(const GraphSetup &setup)
+{
+    // perUnitCacheBytes casts the scaled fraction to an integer; a
+    // per-node cache never needs to hold more than the whole graph.
+    // The comparisons also reject NaN.
+    KHUZDUL_REQUIRE(setup.cacheFraction >= 0
+                        && setup.cacheFraction <= 1,
+                    "cache fraction must be in [0, 1], got "
+                        << setup.cacheFraction);
+    return setup;
+}
+
 std::uint64_t
 perUnitCacheBytes(const Graph &g, const GraphSetup &setup,
                   const Partition &partition)
@@ -24,7 +41,8 @@ perUnitCacheBytes(const Graph &g, const GraphSetup &setup,
 } // namespace
 
 GraphContext::GraphContext(const Graph &g, const GraphSetup &setup)
-    : graph_(&g), setup_(setup),
+    : graph_(&g),
+      setup_(validated(setup)),
       partition_(g, setup.cluster.numNodes,
                  setup.numaAware ? setup.cluster.socketsPerNode : 1),
       residency_(g, partition_.numUnits(),
@@ -54,8 +72,6 @@ GraphContext::cacheBytesPerUnit() const
 void
 GraphContext::ensureHubBitmaps()
 {
-    if (setup_.hubBitmapMaxBytes == 0)
-        return;
     // Graph::buildHubBitmaps mutates lazily-built mutable state and
     // needs external synchronization when sessions spin up
     // concurrently; the context is that synchronization point.
@@ -64,7 +80,7 @@ GraphContext::ensureHubBitmaps()
     if (hubBitmapsBuilt_)
         return;
     graph_->buildHubBitmaps(setup_.hubBitmapDegreeThreshold,
-                            setup_.hubBitmapMaxBytes);
+                            kHubBitmapMaxBytes);
     hubBitmapsBuilt_ = true;
 }
 

@@ -8,10 +8,10 @@
  * degree-oriented DAG of the Pangolin-style baseline, the
  * cross-query residency directory and the cumulative traffic
  * ledger.  Before this type existed each `Engine` owned all of it,
- * tied to one `EngineConfig`, so concurrent queries could not
- * amortize anything.  Now one GraphContext is built per resident
- * graph and any number of per-query `Engine` sessions — and the
- * `core/service` QueryService scheduling them — share it.
+ * so concurrent queries could not amortize anything.  Now one
+ * GraphContext is built per resident graph and any number of
+ * per-query `Engine` sessions — and the `core/service` QueryService
+ * scheduling them — share it.
  *
  * Determinism scope (DESIGN.md §10): everything a session *charges*
  * (cache probe time, fetch bytes, its fabric ledger) runs against
@@ -62,7 +62,8 @@ struct GraphSetup
     /** Graph-data cache policy (STATIC is the paper's design). */
     CachePolicy cachePolicy = CachePolicy::Static;
 
-    /** Cache capacity as a fraction of the graph size, per node. */
+    /** Cache capacity as a fraction of the graph size, per node;
+     *  must lie in [0, 1]. */
     double cacheFraction = 0.15;
 
     /** Static-cache admission degree threshold (§5.3). */
@@ -71,21 +72,13 @@ struct GraphSetup
     /** Horizontal data sharing on/off (Fig 12 ablation). */
     bool horizontalSharing = true;
 
-    /** Slots of the per-chunk horizontal table. */
-    std::size_t horizontalSlots = 1 << 15;
-
     /** NUMA-aware sub-partitioning (§5.4, Table 7 ablation). */
     bool numaAware = true;
 
-    /** Compute slowdown on multi-socket nodes without NUMA-aware
-     *  placement (remote-socket DRAM on ~half the accesses). */
-    double numaComputePenalty = 1.45;
-
-    /** Hub-bitmap admission degree threshold (§5.3-aligned). */
+    /** Hub-bitmap admission degree threshold, aligned with the
+     *  static cache's §5.3 threshold: the same hot vertices whose
+     *  lists are cached everywhere get dense bitsets. */
     EdgeId hubBitmapDegreeThreshold = 32;
-
-    /** Byte cap on hub bitmap rows; 0 disables the bitmap kernel. */
-    std::uint64_t hubBitmapMaxBytes = 32ull << 20;
 };
 
 /**

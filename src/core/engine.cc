@@ -40,6 +40,13 @@ class HybridExplorer
      *  (finite triggers and bounded windows converge far earlier). */
     static constexpr unsigned kMaxChunkReplays = 64;
 
+    /** Embeddings per dynamically-dispatched mini-batch (§6). */
+    static constexpr unsigned kMiniBatchSize = 64;
+
+    /** Compute slowdown on multi-socket nodes without NUMA-aware
+     *  placement (remote-socket DRAM on ~half the accesses). */
+    static constexpr double kNumaComputePenalty = 1.45;
+
     HybridExplorer(Engine &engine, unsigned unit,
                    const ExtendPlan &plan, MatchVisitor *visitor,
                    sim::NodeStats &stats,
@@ -48,7 +55,8 @@ class HybridExplorer
                    sim::TraceSink &sink,
                    std::vector<ChunkRecord> *steal_ledger,
                    CrashReport *crash_report)
-        : engine_(engine), graph_(*engine.graph_), plan_(plan),
+        : engine_(engine), setup_(engine.context_->setup()),
+          graph_(*engine.graph_), plan_(plan),
           visitor_(visitor), unit_(unit), stats_(stats),
           recorder_(recorder), sentBytes_(sent_bytes), sink_(sink),
           stealLedger_(steal_ledger), crash_(crash_report),
@@ -56,9 +64,9 @@ class HybridExplorer
           faults_(engine.faultSessions_.empty()
                       ? nullptr
                       : engine.faultSessions_[unit].get()),
-          extender_(*engine.graph_, plan, engine.config_.cost,
-                    engine.config_.kernelMode),
-          cores_(engine.computeCoresPerUnit()),
+          extender_(*engine.graph_, plan, setup_.cost,
+                    engine.session_.kernelMode),
+          cores_(engine.context_->computeCoresPerUnit()),
           deadlineNs_(engine.session_.deadlineNs),
           deadlineStartNs_(stats.totalNs()),
           cancel_(engine.cancel_)
@@ -67,17 +75,15 @@ class HybridExplorer
         chunkedLevels_ = plan.hasIep ? plan.numMaterializedLevels()
                                      : std::max(1, n - 1);
         for (int i = 0; i < chunkedLevels_; ++i) {
-            chunks_.emplace_back(engine.config_.chunkBytes);
-            tables_.emplace_back(engine.config_.horizontalSlots);
+            chunks_.emplace_back(engine.session_.chunkBytes);
+            tables_.emplace_back();
             scheds_.emplace_back(unit, engine.partition_.numUnits(),
                                  engine.partition_.socketsPerNode());
         }
         if (crash_)
             chunkOpens_.assign(chunkedLevels_, 0);
-        penalty_ = 1.0;
-        if (!engine.config_.numaAware
-            && engine.config_.cluster.socketsPerNode >= 2)
-            penalty_ = engine.config_.numaComputePenalty;
+        if (!setup_.numaAware && setup_.cluster.socketsPerNode >= 2)
+            penalty_ = kNumaComputePenalty;
     }
 
     /** Explore every tree rooted at this unit's owned vertices. */
@@ -134,8 +140,7 @@ class HybridExplorer
         if (!crash_ || crashed_)
             return;
         const std::uint64_t ordinal = ++chunkOpens_[level];
-        for (const sim::FaultSpec &f :
-             engine_.config_.faults.specs()) {
+        for (const sim::FaultSpec &f : engine_.session_.faults.specs()) {
             if (f.kind != sim::FaultKind::Crash || f.unit != unit_
                 || f.level != level || f.chunk != ordinal)
                 continue;
@@ -163,7 +168,7 @@ class HybridExplorer
     {
         if (!crash_ || crashed_)
             return;
-        const double charge = engine_.config_.cost.checkpointNs;
+        const double charge = setup_.cost.checkpointNs;
         stats_.schedulerNs += charge;
         stats_.checkpointOverheadNs += charge;
         ++stats_.checkpointsTaken;
@@ -212,7 +217,7 @@ class HybridExplorer
             trace().emit({sim::PhaseEvent::CacheMiss, unit_, level,
                           misses, 0});
         return sched.issue(recorder_, stats_, sentBytes_, trace(),
-                           level, faults_, &engine_.config_.cost);
+                           level, faults_, &setup_.cost);
     }
 
     /** Run the communication phase until it succeeds, replaying the
@@ -255,7 +260,7 @@ class HybridExplorer
                 "query cancelled at a chunk boundary");
         maybeCrash(level);
         Chunk &chunk = chunks_[level];
-        const sim::CostModel &cost = engine_.config_.cost;
+        const sim::CostModel &cost = setup_.cost;
         ++stats_.chunksProcessed;
         stats_.schedulerNs += cost.chunkSetupNs;
         stats_.peakChunkBytes =
@@ -266,7 +271,7 @@ class HybridExplorer
         fetchWithReplay(level);
 
         stats_.schedulerNs += CirculantScheduler::dispatchOverheadNs(
-            chunk.size(), engine_.config_.miniBatchSize,
+            chunk.size(), kMiniBatchSize,
             cost.miniBatchDispatchNs, cores_);
 
         const bool terminal = level == chunkedLevels_ - 1;
@@ -369,6 +374,7 @@ class HybridExplorer
     }
 
     Engine &engine_;
+    const GraphSetup &setup_;
     const Graph &graph_;
     const ExtendPlan &plan_;
     MatchVisitor *visitor_;
@@ -406,41 +412,6 @@ class HybridExplorer
     std::int64_t raw_ = 0;
 };
 
-GraphSetup
-EngineConfig::graphSetup() const
-{
-    GraphSetup setup;
-    setup.cluster = cluster;
-    setup.cost = cost;
-    setup.cachePolicy = cachePolicy;
-    setup.cacheFraction = cacheFraction;
-    setup.cacheDegreeThreshold = cacheDegreeThreshold;
-    setup.horizontalSharing = horizontalSharing;
-    setup.horizontalSlots = horizontalSlots;
-    setup.numaAware = numaAware;
-    setup.numaComputePenalty = numaComputePenalty;
-    setup.hubBitmapDegreeThreshold = hubBitmapDegreeThreshold;
-    setup.hubBitmapMaxBytes = hubBitmapMaxBytes;
-    return setup;
-}
-
-SessionConfig
-EngineConfig::session() const
-{
-    SessionConfig session;
-    session.chunkBytes = chunkBytes;
-    session.miniBatchSize = miniBatchSize;
-    session.kernelMode = kernelMode;
-    session.hostThreads = hostThreads;
-    session.faults = faults;
-    session.stealEnabled = stealEnabled;
-    session.stealBacklogThresholdNs = stealBacklogThresholdNs;
-    session.deadlineNs = deadlineNs;
-    session.checkpointEnabled = checkpointEnabled;
-    session.maxQueryRetries = maxQueryRetries;
-    return session;
-}
-
 namespace
 {
 
@@ -460,41 +431,11 @@ struct UnitTrace
     sim::TeeTraceSink sink{counts};
 };
 
-/** The flat view HybridExplorer and accessors read: graph half from
- *  the context, query half from the session. */
-EngineConfig
-composeConfig(const GraphSetup &setup, const SessionConfig &session)
-{
-    EngineConfig config;
-    config.cluster = setup.cluster;
-    config.cost = setup.cost;
-    config.cachePolicy = setup.cachePolicy;
-    config.cacheFraction = setup.cacheFraction;
-    config.cacheDegreeThreshold = setup.cacheDegreeThreshold;
-    config.horizontalSharing = setup.horizontalSharing;
-    config.horizontalSlots = setup.horizontalSlots;
-    config.numaAware = setup.numaAware;
-    config.numaComputePenalty = setup.numaComputePenalty;
-    config.hubBitmapDegreeThreshold = setup.hubBitmapDegreeThreshold;
-    config.hubBitmapMaxBytes = setup.hubBitmapMaxBytes;
-    config.chunkBytes = session.chunkBytes;
-    config.miniBatchSize = session.miniBatchSize;
-    config.kernelMode = session.kernelMode;
-    config.hostThreads = session.hostThreads;
-    config.faults = session.faults;
-    config.stealEnabled = session.stealEnabled;
-    config.stealBacklogThresholdNs = session.stealBacklogThresholdNs;
-    config.deadlineNs = session.deadlineNs;
-    config.checkpointEnabled = session.checkpointEnabled;
-    config.maxQueryRetries = session.maxQueryRetries;
-    return config;
-}
-
 } // namespace
 
 Engine::Engine(const Graph &g, const EngineConfig &config)
-    : Engine(std::make_unique<GraphContext>(g, config.graphSetup()),
-             nullptr, config.session())
+    : Engine(std::make_unique<GraphContext>(g, config.graph), nullptr,
+             config.session)
 {}
 
 Engine::Engine(GraphContext &context, const SessionConfig &session)
@@ -506,46 +447,40 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
     : ownedContext_(std::move(owned)),
       context_(ownedContext_ ? ownedContext_.get() : context),
       graph_(&context_->graph()), session_(session),
-      config_(composeConfig(context_->setup(), session)),
       partition_(context_->partition()),
-      fabric_(partition_, config_.cost)
+      fabric_(partition_, context_->setup().cost)
 {
     const Graph &g = *graph_;
-    config_.faults.validate(partition_.numNodes(),
-                            partition_.numUnits());
+    const GraphSetup &setup = context_->setup();
+    // An empty zero-budget chunk is already full: no root would ever
+    // be admitted and the explorer would never advance.
+    KHUZDUL_REQUIRE(session_.chunkBytes > 0,
+                    "chunk byte budget must be nonzero");
+    session_.faults.validate(partition_.numNodes(),
+                             partition_.numUnits());
     stats_.nodes.resize(partition_.numUnits());
-    if ((config_.kernelMode == KernelMode::Auto
-         || config_.kernelMode == KernelMode::Bitmap)
-        && config_.hubBitmapMaxBytes > 0)
+    if (session_.kernelMode == KernelMode::Auto
+        || session_.kernelMode == KernelMode::Bitmap)
         context_->ensureHubBitmaps();
     const std::uint64_t per_unit = context_->cacheBytesPerUnit();
     for (unsigned u = 0; u < partition_.numUnits(); ++u) {
         caches_.push_back(std::make_unique<DataCache>(
-            g, config_.cachePolicy, per_unit,
-            config_.cacheDegreeThreshold));
+            g, setup.cachePolicy, per_unit,
+            setup.cacheDegreeThreshold));
         providers_.push_back(std::make_unique<EdgeListProvider>(
             g, partition_, caches_.back().get(),
-            config_.horizontalSharing,
-            EdgeListProvider::engineCosts(config_.cost,
+            setup.horizontalSharing,
+            EdgeListProvider::engineCosts(setup.cost,
                                           *caches_.back())));
         providers_.back()->setResidency(&context_->residency());
-        if (!config_.faults.empty())
+        if (!session_.faults.empty())
             faultSessions_.push_back(
                 std::make_unique<sim::FaultSession>(
-                    config_.faults, partition_.numNodes()));
+                    session_.faults, partition_.numNodes()));
     }
 }
 
 Engine::~Engine() = default;
-
-unsigned
-Engine::computeCoresPerUnit() const
-{
-    const unsigned per_node = config_.cluster.computeCoresPerNode();
-    if (!config_.numaAware)
-        return per_node;
-    return std::max(1u, per_node / config_.cluster.socketsPerNode);
-}
 
 std::vector<double>
 Engine::unitFinishNs() const
@@ -593,14 +528,15 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         KHUZDUL_REQUIRE(plan.countDivisor == 1,
                         "visitors need complete symmetry breaking");
     }
-    stats_.startupNs += config_.cost.engineStartupNs;
+    const sim::CostModel &cost = context_->setup().cost;
+    stats_.startupNs += cost.engineStartupNs;
 
     const unsigned units = partition_.numUnits();
     // Visitors are client UDFs of unknown thread-safety; their runs
     // stay sequential.  Counting runs use the configured cap.
     const unsigned threads = visitor
         ? 1u
-        : std::min(ThreadPool::resolveThreadCount(config_.hostThreads),
+        : std::min(ThreadPool::resolveThreadCount(session_.hostThreads),
                    units);
     // khuzdul-lint: allow(wall-clock) host observability: feeds RunStats::hostWallNs, excluded from toJson(false)
     const auto wall_start = std::chrono::steady_clock::now();
@@ -634,7 +570,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     // arms the barriers (to measure fault-free overhead) without
     // any crash ever firing.
     const bool recovery_armed = session_.checkpointEnabled
-        || config_.faults.hasCrash();
+        || session_.faults.hasCrash();
     std::vector<CrashReport> crashReports(
         recovery_armed ? units : 0);
 
@@ -704,7 +640,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         }
         const RecoveryPlanner planner(fabric_);
         const auto adoptions = planner.plan(crashes, unitFinishNs());
-        const double handshake = config_.cost.adoptionHandshakeNs;
+        const double handshake = cost.adoptionHandshakeNs;
         for (const AdoptionDecision &d : adoptions) {
             const ChunkRecord &rec = d.chunk;
             // Mirror of the planner's finish[] update: the adopter
@@ -747,7 +683,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             fabric_, session_.stealBacklogThresholdNs);
         const auto decisions =
             planner.plan(std::move(stealLedgers), std::move(finish));
-        const double handshake = config_.cost.stealHandshakeNs;
+        const double handshake = cost.stealHandshakeNs;
         std::uint64_t steal_bytes = 0;
         for (const StealDecision &d : decisions) {
             const ChunkRecord &rec = d.chunk;
@@ -807,7 +743,7 @@ void
 Engine::chargeQueryRetry(unsigned attempt)
 {
     KHUZDUL_REQUIRE(attempt >= 1, "retry attempts are 1-based");
-    double backoff = config_.cost.queryRetryBackoffNs;
+    double backoff = context_->setup().cost.queryRetryBackoffNs;
     for (unsigned k = 1; k < attempt; ++k)
         backoff *= 2;
     stats_.startupNs += backoff;

@@ -69,13 +69,11 @@ struct ChunkRecord;
 struct SessionConfig
 {
     /**
-     * Per-level chunk byte budget (§4.2).  The paper defaults to
-     * 4 GB on ~10 GB graphs; scaled stand-ins default to 4 MB.
+     * Per-level chunk byte budget (§4.2); must be nonzero.  The
+     * paper defaults to 4 GB on ~10 GB graphs; scaled stand-ins
+     * default to 4 MB.
      */
     std::uint64_t chunkBytes = 4ull << 20;
-
-    /** Embeddings per dynamically-dispatched mini-batch (§6). */
-    unsigned miniBatchSize = 64;
 
     /** Set-kernel dispatch policy (core/kernels): Auto adapts per
      *  call; other modes force one kernel for A/B runs.  Charges
@@ -85,14 +83,19 @@ struct SessionConfig
     /**
      * Host worker threads executing simulated units in parallel
      * (§6); ignored when the session runs on a QueryService's
-     * shared pool.  Purely host-side: every value produces
-     * bit-identical modeled results.
+     * shared pool.  Purely host-side: 0 means "all hardware
+     * threads", 1 forces sequential execution, and every value
+     * produces bit-identical modeled results — counts, RunStats,
+     * the fabric ledger and the trace stream never depend on it.
      */
     unsigned hostThreads = 0;
 
     /**
      * Deterministic fault schedule (§9, CLI `--fault`).  Empty =
-     * healthy fabric.
+     * healthy fabric.  Triggers read only modeled per-unit state, so
+     * for a fixed plan the run stays bit-identical at every
+     * hostThreads value; counts stay exact under any plan because
+     * exhausted chunks are replayed, never dropped.
      */
     sim::FaultPlan faults;
 
@@ -136,111 +139,13 @@ struct SessionConfig
     unsigned maxQueryRetries = 0;
 };
 
-/** All engine tunables; defaults mirror the paper's configuration
- *  scaled to the ~1000x smaller stand-in datasets.
- *
- *  This flat struct predates the GraphContext/session ownership
- *  split and remains the convenient single-query surface (CLI,
- *  benches, most tests).  It is exactly the concatenation of the
- *  two halves: graphSetup() extracts the graph-resident half and
- *  session() the per-query half. */
+/** A single-query run's whole configuration: the graph-resident half
+ *  (GraphContext construction) and the per-query half (session
+ *  construction). */
 struct EngineConfig
 {
-    /** Simulated machines. */
-    sim::ClusterConfig cluster;
-
-    /** Time constants. */
-    sim::CostModel cost;
-
-    /**
-     * Per-level chunk byte budget (§4.2).  The paper defaults to
-     * 4 GB on ~10 GB graphs; scaled stand-ins default to 4 MB.
-     */
-    std::uint64_t chunkBytes = 4ull << 20;
-
-    /** Graph-data cache policy (STATIC is the paper's design). */
-    CachePolicy cachePolicy = CachePolicy::Static;
-
-    /** Cache capacity as a fraction of the graph size, per node. */
-    double cacheFraction = 0.15;
-
-    /** Static-cache admission degree threshold (§5.3). */
-    EdgeId cacheDegreeThreshold = 32;
-
-    /** Horizontal data sharing on/off (Fig 12 ablation). */
-    bool horizontalSharing = true;
-
-    /** Slots of the per-chunk horizontal table. */
-    std::size_t horizontalSlots = 1 << 15;
-
-    /** NUMA-aware sub-partitioning (§5.4, Table 7 ablation). */
-    bool numaAware = true;
-
-    /**
-     * Compute slowdown on multi-socket nodes without NUMA-aware
-     * placement (remote-socket DRAM on ~half the accesses).
-     */
-    double numaComputePenalty = 1.45;
-
-    /** Embeddings per dynamically-dispatched mini-batch (§6). */
-    unsigned miniBatchSize = 64;
-
-    /** Set-kernel dispatch policy (core/kernels): Auto adapts per
-     *  call; other modes force one kernel for A/B runs.  Charges
-     *  are canonical, so the mode never changes modeled results. */
-    KernelMode kernelMode = KernelMode::Auto;
-
-    /** Hub-bitmap admission degree threshold, aligned with the
-     *  static cache's §5.3 threshold: the same hot vertices whose
-     *  lists are cached everywhere get dense bitsets. */
-    EdgeId hubBitmapDegreeThreshold = 32;
-
-    /** Byte cap on hub bitmap rows (hottest-first admission);
-     *  0 disables the bitmap kernel entirely. */
-    std::uint64_t hubBitmapMaxBytes = 32ull << 20;
-
-    /**
-     * Host worker threads executing simulated units in parallel
-     * (§6).  Purely host-side: 0 means "all hardware threads", 1
-     * forces sequential execution, and every value produces
-     * bit-identical modeled results — counts, RunStats, the fabric
-     * ledger and the trace stream never depend on it.
-     */
-    unsigned hostThreads = 0;
-
-    /**
-     * Deterministic fault schedule (§9, CLI `--fault`).  Empty =
-     * healthy fabric.  Triggers read only modeled per-unit state, so
-     * for a fixed plan the run stays bit-identical at every
-     * hostThreads value; counts stay exact under any plan because
-     * exhausted chunks are replayed, never dropped.
-     */
-    sim::FaultPlan faults;
-
-    /** Deterministic inter-unit work stealing (DESIGN.md §11); see
-     *  SessionConfig::stealEnabled for the contract. */
-    bool stealEnabled = false;
-
-    /** Minimum modeled backlog (ns) before a unit donates. */
-    double stealBacklogThresholdNs = 1.0e5;
-
-    /** Modeled per-query deadline (ns); 0 = none.  See
-     *  SessionConfig::deadlineNs for the contract. */
-    double deadlineNs = 0;
-
-    /** Level-barrier checkpointing; see
-     *  SessionConfig::checkpointEnabled. */
-    bool checkpointEnabled = false;
-
-    /** Whole-query retry budget of the service; see
-     *  SessionConfig::maxQueryRetries. */
-    unsigned maxQueryRetries = 0;
-
-    /** The graph-resident half (GraphContext construction). */
-    GraphSetup graphSetup() const;
-
-    /** The per-query half (session construction). */
-    SessionConfig session() const;
+    GraphSetup graph;
+    SessionConfig session;
 };
 
 /**
@@ -269,8 +174,8 @@ class Engine
 {
   public:
     /** Single-query convenience: builds a private GraphContext from
-     *  the flat config's graph half and a session from its query
-     *  half.  Exactly equivalent to the two-step form. */
+     *  config.graph and a session from config.session.  Exactly
+     *  equivalent to the two-step form. */
     Engine(const Graph &g, const EngineConfig &config);
 
     /** A query session over a shared (possibly concurrent) context.
@@ -297,16 +202,12 @@ class Engine
     const Partition &partition() const { return partition_; }
 
     /** The shared context this session runs over (the engine's own
-     *  private one when built from a flat EngineConfig). */
+     *  private one when built from an EngineConfig). */
     GraphContext &context() { return *context_; }
     const GraphContext &context() const { return *context_; }
 
     /** Per-query tunables of this session. */
     const SessionConfig &session() const { return session_; }
-
-    /** Flat view: the context's graph half concatenated with this
-     *  session's query half. */
-    const EngineConfig &config() const { return config_; }
 
     /** Cumulative statistics (one entry per execution unit). */
     const sim::RunStats &stats() const { return stats_; }
@@ -371,9 +272,6 @@ class Engine
      */
     void chargeQueryRetry(unsigned attempt);
 
-    /** Compute cores available to one execution unit. */
-    unsigned computeCoresPerUnit() const;
-
   private:
     friend class HybridExplorer;
 
@@ -397,13 +295,12 @@ class Engine
                          const ChunkRecord &rec, double transfer_ns,
                          double handshake_ns);
 
-    /** Non-null iff this engine was built from a flat EngineConfig
-     *  and owns its context. */
+    /** Non-null iff this engine was built from an EngineConfig and
+     *  owns its context. */
     std::unique_ptr<GraphContext> ownedContext_;
     GraphContext *context_;
     const Graph *graph_;
     SessionConfig session_;
-    EngineConfig config_;
     const Partition &partition_;
     sim::Fabric fabric_;
     sim::RunStats stats_;
@@ -413,11 +310,11 @@ class Engine
     std::vector<std::unique_ptr<EdgeListProvider>> providers_;
 
     /** One deterministic fault cursor per execution unit (empty
-     *  when config_.faults is); reset alongside the ledger. */
+     *  when session_.faults is); reset alongside the ledger. */
     std::vector<std::unique_ptr<sim::FaultSession>> faultSessions_;
 
     /** Host worker pool, created lazily on the first parallel run
-     *  and rebuilt when config_.hostThreads resolves differently. */
+     *  and rebuilt when session_.hostThreads resolves differently. */
     std::unique_ptr<ThreadPool> pool_;
 
     /** Borrowed service pool (setHostPool); wins over pool_. */

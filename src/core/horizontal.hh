@@ -27,8 +27,9 @@ namespace core
 class HorizontalTable
 {
   public:
-    /** @param num_slots table size (power of two recommended). */
-    explicit HorizontalTable(std::size_t num_slots = 1 << 16)
+    /** @param num_slots table size (power of two recommended); the
+     *  engine's per-chunk tables use the default. */
+    explicit HorizontalTable(std::size_t num_slots = 1 << 15)
         : slots_(num_slots, kInvalidVertex)
     {}
 

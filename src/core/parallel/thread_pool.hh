@@ -60,7 +60,7 @@ class ThreadPool
 
     /**
      * Resolve a configured thread-count request: 0 means "all
-     * hardware threads" (EngineConfig::hostThreads convention);
+     * hardware threads" (SessionConfig::hostThreads convention);
      * anything else passes through.  Never returns 0.
      */
     static unsigned resolveThreadCount(unsigned requested);

@@ -1,6 +1,7 @@
 #include "core/service/service.hh"
 
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "support/check.hh"
@@ -154,7 +155,17 @@ QueryService::runOne(PendingQuery &&query,
     const unsigned max_retries = query.session.maxQueryRetries;
     unsigned attempt = 0;
     for (;;) {
-        Engine engine(*context_, query.session);
+        // A session the engine rejects ran nothing: it would fail
+        // the same way on every attempt, and has no ledger to fold.
+        std::optional<Engine> built;
+        try {
+            built.emplace(*context_, query.session);
+        } catch (const std::exception &e) {
+            result.failed = true;
+            result.error = e.what();
+            break;
+        }
+        Engine &engine = *built;
         engine.setHostPool(&pool_);
         engine.setCancelToken(query.cancelToken.get());
         if (query.sink)

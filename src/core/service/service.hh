@@ -93,7 +93,11 @@ struct QueryResult
      *  the query was cancelled); error holds the message — typed
      *  failures keep their sim::DeadlineExceeded / QueryCancelled
      *  wording, and an exhausted retry budget is reported as
-     *  "retry budget exhausted after N attempts: <last error>". */
+     *  "retry budget exhausted after N attempts: <last error>".
+     *  A session the engine rejects (e.g. chunkBytes == 0 or an
+     *  out-of-range fault id) fails without running: it is never
+     *  retried, its stats stay empty and the context absorbs
+     *  nothing. */
     bool failed = false;
     std::string error;
 

@@ -119,7 +119,7 @@ struct FaultSpec
 
 /**
  * The whole run's fault schedule: an ordered spec list plus the
- * retry budget.  Copyable plain data (lives inside EngineConfig).
+ * retry budget.  Copyable plain data (lives inside SessionConfig).
  *
  * Spec grammar (one per `--fault`, all fields after the kind are
  * `key=value` or `SRC-DST` link selectors, `*` = any node):

@@ -24,8 +24,8 @@ core::EngineConfig
 engineConfig(NodeId nodes = 2)
 {
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(nodes);
-    config.chunkBytes = 64 << 10;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(nodes);
+    config.session.chunkBytes = 64 << 10;
     return config;
 }
 

@@ -549,6 +549,33 @@ TEST(Cli, BadInputsReportErrors)
     EXPECT_EQ(runCli("count --graph er:100:200 "
                      "--pattern bogus+spec").first, 1);
     EXPECT_EQ(runCli("plan --pattern 0-1,2-3").first, 1); // disconnected
+
+    // A zero chunk budget would never admit a root: rejected up
+    // front instead of spinning.
+    const auto zero_chunk = runCli("count --graph rmat:200:800 "
+                                   "--pattern triangle --chunk-bytes 0");
+    EXPECT_EQ(zero_chunk.first, 1);
+    EXPECT_NE(zero_chunk.second.find("chunk byte budget"),
+              std::string::npos)
+        << zero_chunk.second;
+    const auto negative_cache =
+        runCli("count --graph rmat:200:800 --pattern triangle "
+               "--cache-fraction -1");
+    EXPECT_EQ(negative_cache.first, 1);
+    EXPECT_NE(negative_cache.second.find("cache fraction"),
+              std::string::npos)
+        << negative_cache.second;
+
+    // An invalid session fails its query row; it must not abort the
+    // dispatcher thread (which would exit 134).
+    const auto bad_fault =
+        runCli("serve --graph rmat:200:800 --query triangle "
+               "--nodes 4 --fault down:node=9");
+    EXPECT_EQ(bad_fault.first, 1);
+    EXPECT_NE(bad_fault.second.find("FAILED"), std::string::npos)
+        << bad_fault.second;
+    EXPECT_NE(bad_fault.second.find("out of range"), std::string::npos)
+        << bad_fault.second;
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -32,9 +33,9 @@ core::EngineConfig
 smallConfig(NodeId nodes = 4)
 {
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(nodes);
-    config.chunkBytes = 64 << 10;
-    config.cacheDegreeThreshold = 8;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(nodes);
+    config.session.chunkBytes = 64 << 10;
+    config.graph.cacheDegreeThreshold = 8;
     return config;
 }
 
@@ -73,7 +74,7 @@ TEST(Engine, CountsInvariantAcrossChunkSizes)
         brute::countEmbeddings(g, Pattern::clique(4), false);
     for (const std::uint64_t chunk : {1u << 10, 16u << 10, 4u << 20}) {
         auto config = smallConfig();
-        config.chunkBytes = chunk;
+        config.session.chunkBytes = chunk;
         core::Engine engine(g, config);
         EXPECT_EQ(engine.run(plan), expected) << "chunk " << chunk;
     }
@@ -90,7 +91,7 @@ TEST(Engine, CountsInvariantAcrossCachePolicies)
          {CachePolicy::None, CachePolicy::Static, CachePolicy::Fifo,
           CachePolicy::Lifo, CachePolicy::Lru, CachePolicy::Mru}) {
         auto config = smallConfig();
-        config.cachePolicy = policy;
+        config.graph.cachePolicy = policy;
         core::Engine engine(g, config);
         EXPECT_EQ(engine.run(plan), expected)
             << core::cachePolicyName(policy);
@@ -105,7 +106,7 @@ TEST(Engine, CountsInvariantAcrossSharingAblations)
     for (const bool hds : {false, true}) {
         for (const bool vcs : {false, true}) {
             auto config = smallConfig();
-            config.horizontalSharing = hds;
+            config.graph.horizontalSharing = hds;
             PlanOptions options;
             options.verticalSharing = vcs;
             core::Engine engine(g, config);
@@ -125,7 +126,7 @@ TEST(Engine, CountsInvariantAcrossNumaModes)
         brute::countEmbeddings(g, Pattern::clique(4), false);
     for (const bool numa : {false, true}) {
         auto config = smallConfig();
-        config.numaAware = numa;
+        config.graph.numaAware = numa;
         core::Engine engine(g, config);
         EXPECT_EQ(engine.run(plan), expected) << "numa=" << numa;
     }
@@ -237,9 +238,9 @@ TEST(Engine, ResetStatsKeepsCachesWarm)
     // admit nothing new, miss less, and move fewer bytes.
     const Graph g = gen::rmat(400, 4000, 0.65, 0.15, 0.15, 43);
     auto config = smallConfig(8);
-    config.horizontalSharing = false;
-    config.cacheDegreeThreshold = 32;
-    config.cacheFraction = 0.3;
+    config.graph.horizontalSharing = false;
+    config.graph.cacheDegreeThreshold = 32;
+    config.graph.cacheFraction = 0.3;
     core::Engine engine(g, config);
     const auto plan = compileAutomine(Pattern::clique(4), {});
 
@@ -277,8 +278,8 @@ TEST(Engine, ClearCachesRestoresColdStart)
     // keeps contents resident, see ResetStatsKeepsCachesWarm).
     const Graph g = gen::rmat(400, 4000, 0.65, 0.15, 0.15, 43);
     auto config = smallConfig(8);
-    config.cacheDegreeThreshold = 32;
-    config.cacheFraction = 0.3;
+    config.graph.cacheDegreeThreshold = 32;
+    config.graph.cacheFraction = 0.3;
     core::Engine engine(g, config);
     const auto plan = compileAutomine(Pattern::clique(4), {});
 
@@ -300,7 +301,7 @@ TEST(Engine, SingleNodeHasNoNetworkTraffic)
 {
     const Graph g = testGraph();
     auto config = smallConfig(1);
-    config.cluster.socketsPerNode = 1;
+    config.graph.cluster.socketsPerNode = 1;
     core::Engine engine(g, config);
     engine.run(compileAutomine(Pattern::clique(4), {}));
     EXPECT_EQ(engine.stats().totalBytesSent(), 0u);
@@ -313,12 +314,12 @@ TEST(Engine, HorizontalSharingReducesTraffic)
     const auto plan = compileAutomine(Pattern::clique(4), {});
 
     auto with_config = smallConfig(8);
-    with_config.cachePolicy = core::CachePolicy::None;
+    with_config.graph.cachePolicy = core::CachePolicy::None;
     core::Engine with_hds(g, with_config);
     with_hds.run(plan);
 
     auto without_config = with_config;
-    without_config.horizontalSharing = false;
+    without_config.graph.horizontalSharing = false;
     core::Engine without_hds(g, without_config);
     without_hds.run(plan);
 
@@ -332,16 +333,16 @@ TEST(Engine, StaticCacheReducesTraffic)
     const auto plan = compileAutomine(Pattern::clique(4), {});
 
     auto cached_config = smallConfig(8);
-    cached_config.horizontalSharing = false;
+    cached_config.graph.horizontalSharing = false;
     // Admit only genuinely hot vertices so capacity is not wasted
     // on mid-degree lists (the paper's threshold rationale).
-    cached_config.cacheDegreeThreshold = 32;
-    cached_config.cacheFraction = 0.3;
+    cached_config.graph.cacheDegreeThreshold = 32;
+    cached_config.graph.cacheFraction = 0.3;
     core::Engine cached(g, cached_config);
     cached.run(plan);
 
     auto uncached_config = cached_config;
-    uncached_config.cachePolicy = core::CachePolicy::None;
+    uncached_config.graph.cachePolicy = core::CachePolicy::None;
     core::Engine uncached(g, uncached_config);
     uncached.run(plan);
 
@@ -369,7 +370,7 @@ TEST(Engine, ChunkMemoryStaysNearBudget)
 {
     const Graph g = testGraph();
     auto config = smallConfig(2);
-    config.chunkBytes = 8 << 10;
+    config.session.chunkBytes = 8 << 10;
     core::Engine engine(g, config);
     engine.run(compileAutomine(Pattern::clique(4), {}));
     std::uint64_t peak = 0;
@@ -377,7 +378,7 @@ TEST(Engine, ChunkMemoryStaysNearBudget)
         peak = std::max(peak, node.peakChunkBytes);
     // Soft bound: one extension may overshoot, but not by orders of
     // magnitude.
-    EXPECT_LT(peak, 40 * config.chunkBytes);
+    EXPECT_LT(peak, 40 * config.session.chunkBytes);
     EXPECT_GT(peak, 0u);
 }
 
@@ -385,8 +386,8 @@ TEST(Engine, FaultInjectionByteCapFires)
 {
     const Graph g = gen::rmat(400, 4000, 0.6, 0.15, 0.15, 44);
     auto config = smallConfig(8);
-    config.cachePolicy = core::CachePolicy::None;
-    config.horizontalSharing = false;
+    config.graph.cachePolicy = core::CachePolicy::None;
+    config.graph.horizontalSharing = false;
     core::Engine engine(g, config);
     engine.fabric().setByteCap(1024);
     EXPECT_THROW(engine.run(compileAutomine(Pattern::clique(4), {})),
@@ -411,7 +412,7 @@ TEST(Engine, ParallelRunKeepsVisitorsSequential)
     // configured — and still deliver every embedding.
     const Graph g = gen::complete(7);
     auto config = smallConfig(2);
-    config.hostThreads = 4;
+    config.session.hostThreads = 4;
     core::Engine engine(g, config);
     const auto plan = compileAutomine(Pattern::triangle(), {});
     class CountVisitor : public core::MatchVisitor
@@ -429,7 +430,7 @@ TEST(Engine, ParallelRunReportsHostThreads)
 {
     const Graph g = testGraph();
     auto config = smallConfig(4); // 4 nodes x 2 sockets = 8 units
-    config.hostThreads = 3;
+    config.session.hostThreads = 3;
     core::Engine engine(g, config);
     engine.run(compileAutomine(Pattern::triangle(), {}));
     EXPECT_EQ(engine.stats().hostThreads, 3u);
@@ -448,9 +449,9 @@ TEST(Engine, ByteCapFiresUnderParallelRun)
     // fault still surfaces from run() itself.
     const Graph g = gen::rmat(400, 4000, 0.6, 0.15, 0.15, 44);
     auto config = smallConfig(8);
-    config.cachePolicy = core::CachePolicy::None;
-    config.horizontalSharing = false;
-    config.hostThreads = 4;
+    config.graph.cachePolicy = core::CachePolicy::None;
+    config.graph.horizontalSharing = false;
+    config.session.hostThreads = 4;
     core::Engine engine(g, config);
     engine.fabric().setByteCap(1024);
     EXPECT_THROW(engine.run(compileAutomine(Pattern::clique(4), {})),
@@ -465,7 +466,7 @@ TEST(Engine, TraceStreamIsThreadCountInvariant)
     const auto plan = compileAutomine(Pattern::clique(4), {});
     const auto stream = [&](unsigned threads) {
         auto config = smallConfig(4);
-        config.hostThreads = threads;
+        config.session.hostThreads = threads;
         core::Engine engine(g, config);
         std::ostringstream out;
         sim::JsonLinesTraceSink sink(out);
@@ -490,6 +491,26 @@ TEST(Engine, VisitorRequiresCompleteSymmetryBreaking)
         void match(std::span<const VertexId>) override {}
     } visitor;
     EXPECT_THROW(engine.run(plan, &visitor), FatalError);
+}
+
+TEST(Engine, RejectsUnusableConfigs)
+{
+    // A zero chunk budget would never admit a root, and a cache
+    // fraction outside [0, 1] sizes no cache: both are rejected
+    // before anything runs.
+    const Graph g = testGraph();
+    auto zero_chunk = smallConfig();
+    zero_chunk.session.chunkBytes = 0;
+    EXPECT_THROW({ core::Engine engine(g, zero_chunk); }, FatalError);
+    for (const double fraction :
+         {-1.0, 1.5, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        auto config = smallConfig();
+        config.graph.cacheFraction = fraction;
+        EXPECT_THROW({ core::GraphContext context(g, config.graph); },
+                     FatalError)
+            << fraction;
+    }
 }
 
 } // namespace

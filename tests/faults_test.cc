@@ -33,9 +33,9 @@ core::EngineConfig
 faultConfig(NodeId nodes = 4)
 {
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(nodes);
-    config.chunkBytes = 64 << 10;
-    config.cacheDegreeThreshold = 8;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(nodes);
+    config.session.chunkBytes = 64 << 10;
+    config.graph.cacheDegreeThreshold = 8;
     return config;
 }
 
@@ -268,7 +268,7 @@ TEST(FaultRecovery, CountsAreExactUnderEveryFaultKind)
     };
     for (const char *spec : specs) {
         auto config = faultConfig();
-        config.faults.add(spec);
+        config.session.faults.add(spec);
         core::Engine engine(g, config);
         EXPECT_EQ(engine.run(plan), expected) << spec;
     }
@@ -278,7 +278,7 @@ TEST(FaultRecovery, RetriesAreCountedAndCharged)
 {
     const Graph g = testGraph();
     auto config = faultConfig();
-    config.faults.add("drop:*-*:msg=1:count=2");
+    config.session.faults.add("drop:*-*:msg=1:count=2");
     core::Engine engine(g, config);
     engine.run(compileAutomine(Pattern::triangle(), {}));
     const auto &stats = engine.stats();
@@ -308,7 +308,7 @@ TEST(FaultRecovery, ExhaustedChunksAreReplayedNeverDropped)
     const Count expected =
         brute::countEmbeddings(g, Pattern::triangle(), false);
     auto config = faultConfig();
-    config.faults.add("drop:*-*:msg=1:count=4");
+    config.session.faults.add("drop:*-*:msg=1:count=4");
     core::Engine engine(g, config);
     EXPECT_EQ(engine.run(plan), expected);
     const auto &stats = engine.stats();
@@ -323,8 +323,8 @@ TEST(FaultRecovery, RetryBudgetIsConfigurable)
     // exhausting a batch, so no chunk replays.
     const Graph g = testGraph();
     auto config = faultConfig();
-    config.faults.add("drop:*-*:msg=1:count=4");
-    config.faults.maxRetries = 6;
+    config.session.faults.add("drop:*-*:msg=1:count=4");
+    config.session.faults.maxRetries = 6;
     core::Engine engine(g, config);
     engine.run(compileAutomine(Pattern::triangle(), {}));
     EXPECT_EQ(engine.stats().totalChunksReplayed(), 0u);
@@ -338,7 +338,7 @@ TEST(FaultRecovery, DownNodeReroutesToLiveReplica)
     const Count expected =
         brute::countEmbeddings(g, Pattern::clique(4), false);
     auto config = faultConfig();
-    config.faults.add("down:node=2:from=0");
+    config.session.faults.add("down:node=2:from=0");
     core::Engine engine(g, config);
     EXPECT_EQ(engine.run(plan), expected);
     const auto &stats = engine.stats();
@@ -357,8 +357,8 @@ TEST(FaultRecovery, AllReplicasDownIsAHardFault)
 {
     const Graph g = testGraph();
     auto config = faultConfig(2);
-    config.faults.add("down:node=0:from=0");
-    config.faults.add("down:node=1:from=0");
+    config.session.faults.add("down:node=0:from=0");
+    config.session.faults.add("down:node=1:from=0");
     core::Engine engine(g, config);
     EXPECT_THROW(engine.run(compileAutomine(Pattern::triangle(), {})),
                  sim::FabricFault);
@@ -373,8 +373,8 @@ TEST(FaultRecovery, ResetStatsRestartsTheFaultSessions)
     const Graph g = testGraph();
     const auto plan = compileAutomine(Pattern::triangle(), {});
     auto config = faultConfig();
-    config.cachePolicy = core::CachePolicy::None;
-    config.faults.add("drop:*-*:msg=1:count=2");
+    config.graph.cachePolicy = core::CachePolicy::None;
+    config.session.faults.add("drop:*-*:msg=1:count=2");
     core::Engine engine(g, config);
     engine.run(plan);
     const std::string first = engine.stats().toJson(false);
@@ -394,7 +394,7 @@ TEST(CrashRecovery, CountsExactAndAdoptionObservable)
     const Count expected =
         brute::countEmbeddings(g, Pattern::triangle(), false);
     auto config = faultConfig();
-    config.faults.add("crash:1:level=1:chunk=1");
+    config.session.faults.add("crash:1:level=1:chunk=1");
     core::Engine engine(g, config);
     EXPECT_EQ(engine.run(plan), expected);
 
@@ -430,9 +430,9 @@ TEST(CrashRecovery, CrashWithStealStaysExact)
     const Count expected =
         brute::countEmbeddings(g, Pattern::clique(4), false);
     auto config = faultConfig();
-    config.faults.add("crash:2:level=1:chunk=1");
-    config.stealEnabled = true;
-    config.stealBacklogThresholdNs = 2.0e3;
+    config.session.faults.add("crash:2:level=1:chunk=1");
+    config.session.stealEnabled = true;
+    config.session.stealBacklogThresholdNs = 2.0e3;
     core::Engine engine(g, config);
     EXPECT_EQ(engine.run(plan), expected);
     EXPECT_EQ(engine.stats().totalUnitCrashes(), 1u);
@@ -443,8 +443,8 @@ TEST(CrashRecovery, ResetStatsRestartsCrashState)
     const Graph g = testGraph();
     const auto plan = compileAutomine(Pattern::triangle(), {});
     auto config = faultConfig();
-    config.cachePolicy = core::CachePolicy::None;
-    config.faults.add("crash:0:level=0:chunk=1");
+    config.graph.cachePolicy = core::CachePolicy::None;
+    config.session.faults.add("crash:0:level=0:chunk=1");
     core::Engine engine(g, config);
     engine.run(plan);
     const std::string first = engine.stats().toJson(false);
@@ -459,9 +459,9 @@ TEST(CrashRecovery, NoSurvivorsIsAHardFault)
     // nobody is left to adopt, which is unrecoverable by design.
     const Graph g = testGraph();
     auto config = faultConfig(1);
-    const unsigned units = config.cluster.socketsPerNode;
+    const unsigned units = config.graph.cluster.socketsPerNode;
     for (unsigned u = 0; u < units; ++u)
-        config.faults.add("crash:" + std::to_string(u)
+        config.session.faults.add("crash:" + std::to_string(u)
                           + ":level=0:chunk=1");
     core::Engine engine(g, config);
     EXPECT_THROW(engine.run(compileAutomine(Pattern::triangle(), {})),
@@ -472,7 +472,7 @@ TEST(CrashRecovery, OutOfRangeCrashUnitRejectedAtConstruction)
 {
     const Graph g = testGraph();
     auto config = faultConfig(); // 4 nodes x 2 sockets = 8 units
-    config.faults.add("crash:8:level=0");
+    config.session.faults.add("crash:8:level=0");
     EXPECT_THROW(core::Engine(g, config), FatalError);
 }
 
@@ -487,7 +487,7 @@ TEST(CrashRecovery, CheckpointsChargeOnlyWhenArmed)
     EXPECT_DOUBLE_EQ(off.stats().totalCheckpointOverheadNs(), 0.0);
 
     auto config = faultConfig();
-    config.checkpointEnabled = true;
+    config.session.checkpointEnabled = true;
     core::Engine on(g, config);
     EXPECT_EQ(on.run(plan), expected);
     EXPECT_GT(on.stats().totalCheckpoints(), 0u);
@@ -499,14 +499,14 @@ TEST(CrashRecovery, DeadlineThrowsTypedError)
 {
     const Graph g = testGraph();
     auto config = faultConfig();
-    config.deadlineNs = 1.0; // far below any real modeled run
+    config.session.deadlineNs = 1.0; // far below any real modeled run
     core::Engine engine(g, config);
     EXPECT_THROW(engine.run(compileAutomine(Pattern::triangle(), {})),
                  sim::DeadlineExceeded);
 
     // A generous deadline never fires and never perturbs the run.
     auto relaxed = faultConfig();
-    relaxed.deadlineNs = 1.0e18;
+    relaxed.session.deadlineNs = 1.0e18;
     core::Engine slack(g, relaxed);
     core::Engine plain(g, faultConfig());
     const auto plan = compileAutomine(Pattern::triangle(), {});
@@ -519,7 +519,7 @@ TEST(FaultRecovery, FaultsBlockAppearsInJson)
 {
     const Graph g = testGraph();
     auto config = faultConfig();
-    config.faults.add("timeout:*-*:msg=1:count=2");
+    config.session.faults.add("timeout:*-*:msg=1:count=2");
     core::Engine engine(g, config);
     engine.run(compileAutomine(Pattern::triangle(), {}));
     const std::string json = engine.stats().toJson(false);

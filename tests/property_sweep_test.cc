@@ -64,14 +64,14 @@ TEST_P(EngineConfigSweep, CountsAreConfigurationInvariant)
 {
     const auto [nodes, sockets, chunk, policy, hds, numa] = GetParam();
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(nodes);
-    config.cluster.socketsPerNode = sockets;
-    config.cluster.commCoresPerNode = 2;
-    config.chunkBytes = chunk;
-    config.cachePolicy = policy;
-    config.horizontalSharing = hds;
-    config.numaAware = numa;
-    config.cacheDegreeThreshold = 8;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(nodes);
+    config.graph.cluster.socketsPerNode = sockets;
+    config.graph.cluster.commCoresPerNode = 2;
+    config.session.chunkBytes = chunk;
+    config.graph.cachePolicy = policy;
+    config.graph.horizontalSharing = hds;
+    config.graph.numaAware = numa;
+    config.graph.cacheDegreeThreshold = 8;
     core::Engine engine(sweepGraph(), config);
     for (const Pattern &p :
          {Pattern::triangle(), Pattern::clique(4), Pattern::diamond()}) {
@@ -127,8 +127,8 @@ TEST_P(EngineZoo, AllEnginesAgree)
     const Count expected = oracle(p);
 
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(3);
-    config.chunkBytes = 16 << 10;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(3);
+    config.session.chunkBytes = 16 << 10;
     auto automine = engines::KhuzdulSystem::kAutomine(g, config);
     EXPECT_EQ(automine->count(p), expected) << "k-Automine";
     auto graphpi = engines::KhuzdulSystem::kGraphPi(g, config);
@@ -244,13 +244,13 @@ TEST_P(KernelModeSweep, CountsAndModeledTimeAreModeInvariant)
 {
     const Graph &g = sweepGraph();
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    config.chunkBytes = 16 << 10;
-    config.hubBitmapDegreeThreshold = 8;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(4);
+    config.session.chunkBytes = 16 << 10;
+    config.graph.hubBitmapDegreeThreshold = 8;
 
     core::EngineConfig reference_config = config;
-    reference_config.kernelMode = core::KernelMode::Merge;
-    config.kernelMode = GetParam();
+    reference_config.session.kernelMode = core::KernelMode::Merge;
+    config.session.kernelMode = GetParam();
 
     const auto expectModeledArtifactsEqual =
         [&](core::Engine &engine, core::Engine &reference,
@@ -258,7 +258,7 @@ TEST_P(KernelModeSweep, CountsAndModeledTimeAreModeInvariant)
             EXPECT_EQ(engine.stats().toJson(false),
                       reference.stats().toJson(false))
                 << what;
-            const NodeId nodes = config.cluster.numNodes;
+            const NodeId nodes = config.graph.cluster.numNodes;
             for (NodeId src = 0; src < nodes; ++src)
                 for (NodeId dst = 0; dst < nodes; ++dst) {
                     EXPECT_EQ(engine.fabric().linkBytes(src, dst),
@@ -335,13 +335,13 @@ TEST_P(HostThreadSweep, ModeledResultsAreThreadCountInvariant)
 {
     const Graph &g = sweepGraph();
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    config.chunkBytes = 16 << 10;
-    config.cacheDegreeThreshold = 8;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(4);
+    config.session.chunkBytes = 16 << 10;
+    config.graph.cacheDegreeThreshold = 8;
 
     core::EngineConfig reference_config = config;
-    reference_config.hostThreads = 1;
-    config.hostThreads = GetParam();
+    reference_config.session.hostThreads = 1;
+    config.session.hostThreads = GetParam();
 
     core::Engine reference(g, reference_config);
     core::Engine engine(g, config);
@@ -359,7 +359,7 @@ TEST_P(HostThreadSweep, ModeledResultsAreThreadCountInvariant)
               reference.stats().toJson(false));
 
     // Per-link fabric ledger, byte for byte and message for message.
-    const NodeId nodes = config.cluster.numNodes;
+    const NodeId nodes = config.graph.cluster.numNodes;
     EXPECT_EQ(engine.fabric().totalBytes(),
               reference.fabric().totalBytes());
     for (NodeId src = 0; src < nodes; ++src)
@@ -408,16 +408,16 @@ TEST_P(FaultSweep, FaultedRunsKeepCountsAndThreadInvariance)
     const auto [spec, steal, threads] = GetParam();
     const Graph &g = sweepGraph();
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    config.chunkBytes = 16 << 10;
-    config.cacheDegreeThreshold = 8;
-    config.stealEnabled = steal;
-    config.stealBacklogThresholdNs = 2.0e3;
-    config.faults.add(spec);
+    config.graph.cluster = sim::ClusterConfig::paperDefault(4);
+    config.session.chunkBytes = 16 << 10;
+    config.graph.cacheDegreeThreshold = 8;
+    config.session.stealEnabled = steal;
+    config.session.stealBacklogThresholdNs = 2.0e3;
+    config.session.faults.add(spec);
 
     core::EngineConfig reference_config = config;
-    reference_config.hostThreads = 1;
-    config.hostThreads = threads;
+    reference_config.session.hostThreads = 1;
+    config.session.hostThreads = threads;
 
     core::Engine reference(g, reference_config);
     core::Engine engine(g, config);
@@ -434,7 +434,7 @@ TEST_P(FaultSweep, FaultedRunsKeepCountsAndThreadInvariance)
     // (including the faults block), ledger and trace tallies.
     EXPECT_EQ(engine.stats().toJson(false),
               reference.stats().toJson(false));
-    const NodeId nodes = config.cluster.numNodes;
+    const NodeId nodes = config.graph.cluster.numNodes;
     for (NodeId src = 0; src < nodes; ++src)
         for (NodeId dst = 0; dst < nodes; ++dst)
             EXPECT_EQ(engine.fabric().linkBytes(src, dst),
@@ -489,23 +489,23 @@ TEST_P(StealSweep, StolenRunsKeepCountsAndThreadInvariance)
     const auto [spec, threads] = GetParam();
     const Graph &g = sweepGraph();
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    config.chunkBytes = 4 << 10;
-    config.cacheDegreeThreshold = 8;
-    config.stealEnabled = true;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(4);
+    config.session.chunkBytes = 4 << 10;
+    config.graph.cacheDegreeThreshold = 8;
+    config.session.stealEnabled = true;
     // The sweep graph is ~1000x smaller than the bench stand-ins, so
     // the default 100us backlog threshold would gate every donation;
     // drop it to the scale of this graph's chunk ledgers.
-    config.stealBacklogThresholdNs = 2.0e3;
+    config.session.stealBacklogThresholdNs = 2.0e3;
     if (*spec)
-        config.faults.add(spec);
+        config.session.faults.add(spec);
 
     core::EngineConfig reference_config = config;
-    reference_config.hostThreads = 1;
-    config.hostThreads = threads;
+    reference_config.session.hostThreads = 1;
+    config.session.hostThreads = threads;
 
     core::EngineConfig off_config = reference_config;
-    off_config.stealEnabled = false;
+    off_config.session.stealEnabled = false;
 
     core::Engine reference(g, reference_config);
     core::Engine engine(g, config);
@@ -525,7 +525,7 @@ TEST_P(StealSweep, StolenRunsKeepCountsAndThreadInvariance)
     // (including the steals block), ledger and trace tallies.
     EXPECT_EQ(engine.stats().toJson(false),
               reference.stats().toJson(false));
-    const NodeId nodes = config.cluster.numNodes;
+    const NodeId nodes = config.graph.cluster.numNodes;
     for (NodeId src = 0; src < nodes; ++src)
         for (NodeId dst = 0; dst < nodes; ++dst) {
             EXPECT_EQ(engine.fabric().linkBytes(src, dst),
@@ -593,16 +593,16 @@ TEST_P(CrashSweep, CrashedRunsKeepCountsAndThreadInvariance)
     const auto [spec, steal, threads] = GetParam();
     const Graph &g = sweepGraph();
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    config.chunkBytes = 4 << 10;
-    config.cacheDegreeThreshold = 8;
-    config.stealEnabled = steal;
-    config.stealBacklogThresholdNs = 2.0e3;
-    config.faults.add(spec);
+    config.graph.cluster = sim::ClusterConfig::paperDefault(4);
+    config.session.chunkBytes = 4 << 10;
+    config.graph.cacheDegreeThreshold = 8;
+    config.session.stealEnabled = steal;
+    config.session.stealBacklogThresholdNs = 2.0e3;
+    config.session.faults.add(spec);
 
     core::EngineConfig reference_config = config;
-    reference_config.hostThreads = 1;
-    config.hostThreads = threads;
+    reference_config.session.hostThreads = 1;
+    config.session.hostThreads = threads;
 
     core::Engine reference(g, reference_config);
     core::Engine engine(g, config);
@@ -619,7 +619,7 @@ TEST_P(CrashSweep, CrashedRunsKeepCountsAndThreadInvariance)
     // (including the recovery block), ledger and trace tallies.
     EXPECT_EQ(engine.stats().toJson(false),
               reference.stats().toJson(false));
-    const NodeId nodes = config.cluster.numNodes;
+    const NodeId nodes = config.graph.cluster.numNodes;
     for (NodeId src = 0; src < nodes; ++src)
         for (NodeId dst = 0; dst < nodes; ++dst) {
             EXPECT_EQ(engine.fabric().linkBytes(src, dst),

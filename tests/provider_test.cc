@@ -163,9 +163,9 @@ TEST(Provider, EmitsCacheTraceEvents)
     // right after the chunk opens and before any batch is issued.
     const Graph g = gen::rmat(300, 2000, 0.55, 0.2, 0.2, 2024);
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    config.cluster.socketsPerNode = 1;
-    config.cacheDegreeThreshold = 8;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(4);
+    config.graph.cluster.socketsPerNode = 1;
+    config.graph.cacheDegreeThreshold = 8;
     core::Engine engine(g, config);
     RecordingSink sink;
     engine.setTraceSink(&sink);

@@ -273,8 +273,8 @@ TEST(Runner, AgreesWithEngineOnCountsAndWork)
         const auto dfs = core::runPlanDfs(g, plan, allRoots(g));
         for (const NodeId nodes : {1u, 4u}) {
             core::EngineConfig config;
-            config.cluster = sim::ClusterConfig::paperDefault(nodes);
-            config.chunkBytes = 64 << 10;
+            config.graph.cluster = sim::ClusterConfig::paperDefault(nodes);
+            config.session.chunkBytes = 64 << 10;
             core::Engine engine(g, config);
             const Count count = engine.run(plan);
             EXPECT_EQ(static_cast<std::int64_t>(count) * plan.countDivisor,

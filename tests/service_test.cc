@@ -3,8 +3,9 @@
  * QueryService tests: admission control (bounded in-flight, FIFO
  * admission order), per-query results matching a solo engine run
  * bit-for-bit, cross-query shared-cache accounting, trace sink
- * wiring, result references that outlive later submits, and the
- * reset-vs-clear cache contract on GraphContext.
+ * wiring, result references that outlive later submits, the
+ * reset-vs-clear cache contract on GraphContext, and query-level
+ * resilience (deadlines, retries, cancellation, invalid sessions).
  */
 
 #include <gtest/gtest.h>
@@ -359,6 +360,54 @@ TEST(QueryResilience, CancelledQueryFailsTypedAndIsNeverRetried)
     // Queries ahead of it in the FIFO were untouched.
     for (std::size_t i = 0; i + 1 < ids.size(); ++i)
         EXPECT_FALSE(service.result(ids[i]).failed);
+}
+
+TEST(QueryResilience, InvalidSessionFailsWithoutRetryOrAbsorption)
+{
+    // A session the engine rejects fails its own query with the
+    // typed message: no retry is spent on it, nothing reaches the
+    // context's ledger, and its neighbours in the FIFO still match
+    // a solo engine bit for bit.
+    core::GraphContext context(serviceGraph(), serviceSetup());
+    core::QueryService service(context);
+    core::SessionConfig good;
+    good.maxQueryRetries = 2;
+    core::SessionConfig zero_chunk = good;
+    zero_chunk.chunkBytes = 0;
+    core::SessionConfig bad_fault = good;
+    bad_fault.faults.add("down:node=9"); // the cluster has 4 nodes
+
+    const auto plan = compileAutomine(Pattern::clique(4), {});
+    const std::size_t first = service.submit(plan, good);
+    const std::size_t zero = service.submit(plan, zero_chunk);
+    const std::size_t fault = service.submit(plan, bad_fault);
+    const std::size_t last = service.submit(plan, good);
+    service.wait();
+
+    const core::QueryResult &zero_result = service.result(zero);
+    EXPECT_TRUE(zero_result.failed);
+    EXPECT_NE(zero_result.error.find("chunk byte budget"),
+              std::string::npos)
+        << zero_result.error;
+    EXPECT_EQ(zero_result.retries, 0u);
+    const core::QueryResult &fault_result = service.result(fault);
+    EXPECT_TRUE(fault_result.failed);
+    EXPECT_NE(fault_result.error.find("out of range"),
+              std::string::npos)
+        << fault_result.error;
+    EXPECT_EQ(fault_result.retries, 0u);
+
+    core::GraphContext solo_context(serviceGraph(), serviceSetup());
+    core::Engine solo(solo_context, good);
+    const Count solo_count = solo.run(plan);
+    for (const std::size_t id : {first, last}) {
+        const core::QueryResult &query = service.result(id);
+        ASSERT_FALSE(query.failed) << query.error;
+        EXPECT_EQ(query.count, solo_count);
+        EXPECT_EQ(query.modeledJson, solo.stats().toJson(false));
+    }
+    EXPECT_EQ(context.sharedTotalBytes(),
+              2 * solo.fabric().totalBytes());
 }
 
 TEST(QueryResilience, CrashPlanQueriesMatchSoloEngineBitForBit)

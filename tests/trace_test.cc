@@ -26,10 +26,10 @@ core::EngineConfig
 traceConfig()
 {
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    config.cluster.socketsPerNode = 1;
-    config.chunkBytes = 64 << 10;
-    config.cacheDegreeThreshold = 8;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(4);
+    config.graph.cluster.socketsPerNode = 1;
+    config.session.chunkBytes = 64 << 10;
+    config.graph.cacheDegreeThreshold = 8;
     return config;
 }
 
@@ -140,7 +140,7 @@ TEST(Trace, EventCountIsBoundedByChunksAndMessages)
     // completed (2).
     const Graph g = gen::rmat(400, 3000, 0.55, 0.2, 0.2, 11);
     auto config = traceConfig();
-    config.chunkBytes = 4 << 10;
+    config.session.chunkBytes = 4 << 10;
     core::Engine engine(g, config);
     engine.run(compileAutomine(Pattern::cycleOf(4), {}));
 
@@ -177,8 +177,8 @@ TEST(Trace, BufferedRecordsAreBoundedByChunks)
     // one issued/completed pair per peer unit.
     const Graph g = gen::rmat(400, 3000, 0.55, 0.2, 0.2, 11);
     auto config = traceConfig();
-    config.chunkBytes = 4 << 10;
-    config.hostThreads = 2;
+    config.session.chunkBytes = 4 << 10;
+    config.session.hostThreads = 2;
     core::Engine engine(g, config);
     std::ostringstream out;
     sim::JsonLinesTraceSink sink(out);

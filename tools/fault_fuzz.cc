@@ -40,10 +40,10 @@ core::EngineConfig
 fuzzConfig(bool steal)
 {
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(kNodes);
-    config.cluster.socketsPerNode = kSockets;
-    config.chunkBytes = 16 << 10; // several chunks per level
-    config.stealEnabled = steal;
+    config.graph.cluster = sim::ClusterConfig::paperDefault(kNodes);
+    config.graph.cluster.socketsPerNode = kSockets;
+    config.session.chunkBytes = 16 << 10; // several chunks per level
+    config.session.stealEnabled = steal;
     return config;
 }
 
@@ -111,9 +111,9 @@ runPlan(const Graph &g, const Pattern &p,
         unsigned threads, std::string *modeled_json)
 {
     core::EngineConfig config = fuzzConfig(steal);
-    config.hostThreads = threads;
+    config.session.hostThreads = threads;
     for (const std::string &spec : specs)
-        config.faults.add(spec);
+        config.session.faults.add(spec);
     auto system = engines::KhuzdulSystem::kGraphPi(g, config);
     const Count count = system->count(p);
     if (modeled_json)

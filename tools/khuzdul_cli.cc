@@ -235,40 +235,40 @@ core::EngineConfig
 engineConfigFromArgs(const Args &args)
 {
     core::EngineConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(
+    config.graph.cluster = sim::ClusterConfig::paperDefault(
         static_cast<NodeId>(args.getU64("nodes", 8)));
-    config.cluster.socketsPerNode =
+    config.graph.cluster.socketsPerNode =
         static_cast<unsigned>(args.getU64("sockets", 2));
-    config.chunkBytes = args.getU64("chunk-bytes", 1 << 20);
-    config.cacheFraction = args.getDouble("cache-fraction", 0.15);
+    config.session.chunkBytes = args.getU64("chunk-bytes", 1 << 20);
+    config.graph.cacheFraction = args.getDouble("cache-fraction", 0.15);
     if (args.has("no-cache"))
-        config.cachePolicy = core::CachePolicy::None;
+        config.graph.cachePolicy = core::CachePolicy::None;
     if (args.has("no-hds"))
-        config.horizontalSharing = false;
+        config.graph.horizontalSharing = false;
     if (args.has("no-numa"))
-        config.numaAware = false;
-    config.kernelMode = core::parseKernelMode(
+        config.graph.numaAware = false;
+    config.session.kernelMode = core::parseKernelMode(
         args.get("kernel", "auto"));
     // Host-side only: results are bit-identical for every value.
-    config.hostThreads =
+    config.session.hostThreads =
         static_cast<unsigned>(args.getU64("threads", 0));
     // Deterministic fault schedule (repeatable --fault, §9).
     for (const std::string &spec : args.getList("fault"))
-        config.faults.add(spec);
-    config.faults.maxRetries =
+        config.session.faults.add(spec);
+    config.session.faults.maxRetries =
         static_cast<unsigned>(args.getU64("fault-retries", 3));
     // Deterministic post-barrier work stealing (DESIGN.md §11).
     const std::string steal = args.get("steal", "off");
     KHUZDUL_REQUIRE(steal == "on" || steal == "off",
                     "--steal must be 'on' or 'off', got '"
                         << steal << "'");
-    config.stealEnabled = steal == "on";
-    config.stealBacklogThresholdNs =
+    config.session.stealEnabled = steal == "on";
+    config.session.stealBacklogThresholdNs =
         args.getDouble("steal-threshold", 1.0e5);
     // Crash recovery and query resilience (DESIGN.md §9).
-    config.checkpointEnabled = args.has("checkpoint");
-    config.deadlineNs = args.getDouble("deadline", 0.0);
-    config.maxQueryRetries =
+    config.session.checkpointEnabled = args.has("checkpoint");
+    config.session.deadlineNs = args.getDouble("deadline", 0.0);
+    config.session.maxQueryRetries =
         static_cast<unsigned>(args.getU64("query-retries", 0));
     return config;
 }
@@ -496,12 +496,12 @@ cmdServe(const Args &args)
 {
     const Graph g = loadGraph(args.get("graph", ""));
     const core::EngineConfig config = engineConfigFromArgs(args);
-    core::GraphContext context(g, config.graphSetup());
+    core::GraphContext context(g, config.graph);
 
     core::ServiceOptions options;
     options.maxInFlight =
         static_cast<unsigned>(args.getU64("max-in-flight", 4));
-    options.hostThreads = config.hostThreads;
+    options.hostThreads = config.session.hostThreads;
     core::QueryService service(context, options);
 
     const std::string style = args.get("system", "graphpi");
@@ -519,7 +519,7 @@ cmdServe(const Args &args)
         const ExtendPlan plan = style == "automine"
             ? compileAutomine(p, plan_options)
             : compileGraphPi(p, context.profile(), plan_options);
-        service.submit(plan, config.session());
+        service.submit(plan, config.session);
         patterns.push_back(p);
     }
     Timer timer;
