@@ -124,6 +124,13 @@ class HybridExplorer
         return raw_;
     }
 
+    /** Host-side candidate-memo tallies of this unit's run. */
+    const CandidateMemoCounters &
+    memoCounters() const
+    {
+        return extender_.memoCounters();
+    }
+
   private:
     sim::TraceSink &trace() { return sink_; }
 
@@ -555,6 +562,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     std::vector<std::vector<std::uint64_t>> sent(
         units, std::vector<std::uint64_t>(units, 0));
     std::vector<std::int64_t> raws(units, 0);
+    std::vector<CandidateMemoCounters> memos(units);
     sim::TraceSink *const user_sink = tracer_.secondary();
     std::vector<UnitTrace> traces(units);
     if (user_sink)
@@ -581,6 +589,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             session_.stealEnabled ? &stealLedgers[u] : nullptr,
             recovery_armed ? &crashReports[u] : nullptr);
         raws[u] = explorer.run();
+        memos[u] = explorer.memoCounters();
     };
 
     if (sharedPool_ && !visitor) {
@@ -613,6 +622,8 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         for (unsigned o = 0; o < units; ++o)
             stats_.nodes[o].bytesSent += sent[u][o];
         raw += raws[u];
+        stats_.candidateMemoLookups += memos[u].lookups;
+        stats_.candidateMemoHits += memos[u].hits;
     }
 
     // Post-barrier recovery pass (DESIGN.md §9): runs strictly

@@ -1,14 +1,133 @@
 #include "core/extender.hh"
 
+#include <algorithm>
+#include <bit>
+
 namespace khuzdul
 {
 namespace core
 {
 
+PositionMask
+candidateMemoKey(const ExtendPlan &plan, int t)
+{
+    const PlanLevel &level = plan.levels[t];
+    if (t >= plan.numMaterializedLevels() || level.reuseParent
+        || std::popcount(level.depMask) < 2)
+        return 0;
+    const PositionMask key = level.depMask | level.antiMask;
+    int omitted = 0;
+    for (int m = t - 1; m >= 1 && omitted == 0; --m)
+        if (!((key >> m) & 1u))
+            omitted = m;
+    if (omitted == 0)
+        return 0;
+    for (int s = omitted + 1; s < t; ++s) {
+        const PlanLevel &between = plan.levels[s];
+        if (((between.depMask | between.antiMask) >> omitted) & 1u)
+            return 0;
+    }
+    return key;
+}
+
+PlanExtender::PlanExtender(const Graph &g, const ExtendPlan &plan,
+                           const sim::CostModel &cost,
+                           KernelMode kernel_mode, RunnerHooks *hooks)
+    : graph_(&g), plan_(&plan), cost_(&cost), hooks_(hooks),
+      dispatcher_(kernel_mode, &g)
+{
+    for (int t = 1; t < plan.pattern.size(); ++t)
+        memoKeys_[t] = candidateMemoKey(plan, t);
+}
+
 void
 PlanExtender::buildCandidates(int t, std::span<const VertexId> stored,
                               std::vector<VertexId> &out,
                               sim::NodeStats &stats)
+{
+    const WorkItems work = memoKeys_[t] != 0
+        ? memoized(t, stored, out, stats)
+        : intersect(t, stored, out, stats);
+    stats.intersectionItems += work;
+    workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
+}
+
+WorkItems
+PlanExtender::memoized(int t, std::span<const VertexId> stored,
+                       std::vector<VertexId> &out,
+                       sim::NodeStats &stats)
+{
+    // A level intersects at most kMaxPatternSize lists and subtracts
+    // at most as many, so one set's per-kind tallies fit a byte.
+    static_assert(2 * kMaxPatternSize <= 255);
+    const PositionMask key_mask = memoKeys_[t];
+    const auto width = static_cast<std::size_t>(std::popcount(key_mask));
+    MemoTable &table = memo_[t];
+    if (table.slots.empty()) {
+        table.slots.resize(kMemoSlots);
+        table.keys.resize(kMemoSlots * width);
+        memoArena_.reserve(kMemoArenaIds);
+        ++memoCounters_.tables;
+    }
+    ++memoCounters_.lookups;
+
+    std::array<VertexId, kMaxPatternSize> key{};
+    std::size_t n = 0;
+    std::uint64_t hash = 0;
+    for (int j = 0; j < t; ++j) {
+        if ((key_mask >> j) & 1u) {
+            key[n++] = vertices_[j];
+            hash = (hash ^ vertices_[j]) * 0x9e3779b97f4a7c15ull;
+        }
+    }
+    const std::size_t index = hash >> (64 - kMemoSlotBits);
+    MemoSlot &slot = table.slots[index];
+    VertexId *const slot_key = table.keys.data() + index * width;
+
+    if (slot.valid && std::equal(key.begin(), key.begin() + n, slot_key)) {
+        ++memoCounters_.hits;
+        if (hooks_) {
+            // The reads intersect() made: dep lists, then anti lists,
+            // each in ascending position order.
+            const PlanLevel &level = plan_->levels[t];
+            for (const PositionMask mask : {level.depMask, level.antiMask})
+                for (int j = 0; j < t; ++j)
+                    if ((mask >> j) & 1u)
+                        hooks_->onEdgeListAccess(vertices_[j]);
+        }
+        const VertexId *const begin = memoArena_.data() + slot.offset;
+        out.assign(begin, begin + slot.size);
+        dispatcher_.replay(slot.calls);
+        return slot.work;
+    }
+
+    const KernelCounters before = dispatcher_.counters();
+    const WorkItems work = intersect(t, stored, out, stats);
+    if (out.size() > kMemoArenaIds)
+        return work;
+    if (memoArena_.size() + out.size() > kMemoArenaIds) {
+        // Full arena: drop every stored set at once.
+        for (MemoTable &other : memo_)
+            for (MemoSlot &s : other.slots)
+                s.valid = false;
+        memoArena_.clear();
+    }
+    slot.offset = static_cast<std::uint32_t>(memoArena_.size());
+    slot.size = static_cast<std::uint32_t>(out.size());
+    slot.work = work;
+    for (std::size_t k = 0; k < kNumKernelKinds; ++k)
+        slot.calls[k] = static_cast<std::uint8_t>(
+            dispatcher_.counters().calls[k] - before.calls[k]);
+    slot.valid = true;
+    std::copy(key.begin(), key.begin() + n, slot_key);
+    memoArena_.insert(memoArena_.end(), out.begin(), out.end());
+    return work;
+}
+
+WorkItems
+PlanExtender::intersect(int t, std::span<const VertexId> stored,
+                        std::vector<VertexId> &out,
+                        sim::NodeStats &stats)
 {
     const PlanLevel &level = plan_->levels[t];
     WorkItems work = 0;
@@ -54,26 +173,26 @@ PlanExtender::buildCandidates(int t, std::span<const VertexId> stored,
             out.swap(scratchB_);
         }
     }
-    stats.intersectionItems += work;
-    workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
+    return work;
 }
 
-bool
-PlanExtender::accept(int t, VertexId candidate)
+CandidateFilter
+PlanExtender::filter(int t) const
 {
     const PlanLevel &level = plan_->levels[t];
-    workNs_ += cost_->candidateCheckNs;
-    if (level.hasLabelFilter
-        && graph_->label(candidate) != level.labelFilter)
-        return false;
-    for (int j = 0; j < t; ++j) {
-        if (vertices_[j] == candidate)
-            return false;
-        if (((level.greaterThanMask >> j) & 1u)
-            && candidate <= vertices_[j])
-            return false;
+    CandidateFilter filter;
+    if (level.hasLabelFilter) {
+        filter.labels = graph_;
+        filter.label = level.labelFilter;
     }
-    return true;
+    const PositionMask distinct = level.depMask | level.greaterThanMask;
+    for (int j = 0; j < t; ++j) {
+        if ((level.greaterThanMask >> j) & 1u)
+            filter.minimum = std::max(filter.minimum, vertices_[j] + 1);
+        if (!((distinct >> j) & 1u))
+            filter.others[filter.numOthers++] = vertices_[j];
+    }
+    return filter;
 }
 
 std::int64_t
@@ -111,6 +230,10 @@ PlanExtender::iepTerminal(int prefix_len,
         workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
         std::int64_t size = static_cast<std::int64_t>(count);
         for (int j = 0; j < prefix_len; ++j) {
+            // N(v_j) is one of the lists (or folded into the stored
+            // set) and holds no v_j: graphs have no self loops.
+            if ((mask >> j) & 1u)
+                continue;
             bool inside = true;
             for (std::size_t l = 0; l < lists && inside; ++l)
                 inside = contains(listBuf_[l].list, vertices_[j]);
@@ -139,17 +262,22 @@ PlanExtender::extendInner(const std::vector<Chunk> &chunks,
     const int t = level + 1;
     const PlanLevel &next = plan_->levels[t];
     buildCandidates(t, chunks[t - 1].result(idx), candidates_, stats);
+    const CandidateFilter accepts = filter(t);
+    const double check_ns = cost_->candidateCheckNs;
+    const double create_ns = cost_->embeddingCreateNs;
+    double work_ns = workNs_;
     // Siblings share one stored copy of the candidate set; it is
     // appended lazily when the first child materializes.
     std::uint32_t result_offset = 0;
     bool result_stored = false;
     for (const VertexId candidate : candidates_) {
-        if (!accept(t, candidate))
+        work_ns += check_ns;
+        if (!accepts(candidate))
             continue;
         const std::uint32_t child_idx =
             child.add(candidate, idx, next.fetchEdgeList);
         ++stats.embeddingsCreated;
-        workNs_ += cost_->embeddingCreateNs;
+        work_ns += create_ns;
         if (next.storeResult) {
             if (!result_stored) {
                 result_offset = child.appendResult(candidates_);
@@ -160,6 +288,7 @@ PlanExtender::extendInner(const std::vector<Chunk> &chunks,
                 static_cast<std::uint32_t>(candidates_.size()));
         }
     }
+    workNs_ = work_ns;
 }
 
 std::int64_t
@@ -174,18 +303,27 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
                            stats);
     const int t = plan_->pattern.size() - 1;
     buildCandidates(t, chunks[t - 1].result(idx), candidates_, stats);
+    const CandidateFilter accepts = filter(t);
+    const double check_ns = cost_->candidateCheckNs;
+    const double match_ns = cost_->terminalNs;
+    // The ledger stays in a register for the loop; the additions run
+    // in the same order as charging workNs_ directly, so the sum is
+    // bit-identical.
+    double work_ns = workNs_;
     std::int64_t raw = 0;
     for (const VertexId candidate : candidates_) {
-        if (!accept(t, candidate))
+        work_ns += check_ns;
+        if (!accepts(candidate))
             continue;
         ++raw;
-        workNs_ += cost_->terminalNs;
+        work_ns += match_ns;
         if (visitor) {
             vertices_[t] = candidate;
             visitor->match({vertices_.data(),
                             static_cast<std::size_t>(t + 1)});
         }
     }
+    workNs_ = work_ns;
     return raw;
 }
 

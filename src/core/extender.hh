@@ -11,6 +11,11 @@
  * for the baselines.  Charged intersection
  * work accumulates in an exchangeable ledger that the explorer
  * attributes to the embedding's circulant batch.
+ *
+ * Levels whose candidate set recurs across sibling subtrees are
+ * served from a host-side memo (candidateMemoKey, DESIGN.md §5.4.1):
+ * a hit replays every charge, kernel tally and edge-list read of the
+ * miss it stands for, so only host wall-clock changes.
  */
 
 #ifndef KHUZDUL_CORE_EXTENDER_HH
@@ -34,6 +39,62 @@ namespace khuzdul
 namespace core
 {
 
+/**
+ * Key of @p plan's level @p t in the candidate-set memo: the
+ * positions its candidate set is a function of (depMask | antiMask),
+ * or 0 when the level is not memoized.  A level is memoized when it
+ * is materialized (not in an IEP suffix), does not reuse its
+ * parent's stored result, intersects at least two lists, and its key
+ * omits some position m >= 1 that no level strictly between the
+ * deepest such m and @p t reads — so every sibling at m repeats the
+ * same keys below it.  Depends on the plan alone.
+ */
+PositionMask candidateMemoKey(const ExtendPlan &plan, int t);
+
+/** Host-side tallies of one extender's candidate memo (not
+ *  modeled: every charge is replayed on a hit). */
+struct CandidateMemoCounters
+{
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    /** Direct-mapped tables allocated (at a level's first lookup). */
+    std::uint64_t tables = 0;
+};
+
+/**
+ * Per-candidate filters of one level for the current prefix, built
+ * once per extension: the label, the symmetry-breaking restrictions
+ * folded into one bound (above the largest greaterThanMask vertex),
+ * and distinctness from the matched prefix.
+ */
+struct CandidateFilter
+{
+    /** Set when the level filters on @ref label. */
+    const Graph *labels = nullptr;
+    Label label = 0;
+    /** Candidates below this are rejected. */
+    VertexId minimum = 0;
+    /** The prefix vertices a candidate could still equal.  Every
+     *  candidate lies in N(v_j) for the level's dependencies j
+     *  (graphs have no self loops) and exceeds its greater-than
+     *  positions, so only the remaining positions are checked. */
+    std::array<VertexId, kMaxPatternSize> others{};
+    std::size_t numOthers = 0;
+
+    bool
+    operator()(VertexId candidate) const
+    {
+        if (candidate < minimum)
+            return false;
+        if (labels && labels->label(candidate) != label)
+            return false;
+        for (std::size_t i = 0; i < numOthers; ++i)
+            if (others[i] == candidate)
+                return false;
+        return true;
+    }
+};
+
 /** Per-unit extension state: vertices, candidates, scratch. */
 class PlanExtender
 {
@@ -43,10 +104,7 @@ class PlanExtender
     PlanExtender(const Graph &g, const ExtendPlan &plan,
                  const sim::CostModel &cost,
                  KernelMode kernel_mode = KernelMode::Auto,
-                 RunnerHooks *hooks = nullptr)
-        : graph_(&g), plan_(&plan), cost_(&cost), hooks_(hooks),
-          dispatcher_(kernel_mode, &g)
-    {}
+                 RunnerHooks *hooks = nullptr);
 
     /**
      * Walk parent pointers to recover the embedding's vertices.
@@ -91,8 +149,9 @@ class PlanExtender
                          std::vector<VertexId> &out,
                          sim::NodeStats &stats);
 
-    /** Per-candidate filters (distinctness, restrictions, labels). */
-    bool accept(int t, VertexId candidate);
+    /** Position @p t's candidate filter for the current prefix
+     *  (valid while positions below @p t stay unchanged). */
+    CandidateFilter filter(int t) const;
 
     /**
      * IEP terminal block over the matched prefix (GraphPi, §IEP).
@@ -143,6 +202,12 @@ class PlanExtender
         return dispatcher_.counters();
     }
 
+    const CandidateMemoCounters &
+    memoCounters() const
+    {
+        return memoCounters_;
+    }
+
   private:
     /** Edge list of @p v, reported to the hooks first. */
     std::span<const VertexId>
@@ -152,6 +217,46 @@ class PlanExtender
             hooks_->onEdgeListAccess(v);
         return graph_->neighbors(v);
     }
+
+    /** Compute position @p t's candidate set into @p out.
+     *  @return the canonical work charged for it. */
+    WorkItems intersect(int t, std::span<const VertexId> stored,
+                        std::vector<VertexId> &out,
+                        sim::NodeStats &stats);
+
+    /** intersect() through the level's memo: a hit replays the
+     *  stored set, the miss's kernel tallies and edge-list reads,
+     *  and returns the miss's work. */
+    WorkItems memoized(int t, std::span<const VertexId> stored,
+                       std::vector<VertexId> &out,
+                       sim::NodeStats &stats);
+
+    /** @name Candidate memo sizes (constants, not options) */
+    /// @{
+    static constexpr int kMemoSlotBits = 12;
+    static constexpr std::size_t kMemoSlots = std::size_t{1}
+        << kMemoSlotBits;
+    /** Vertex ids all of one extender's stored sets may hold. */
+    static constexpr std::size_t kMemoArenaIds = std::size_t{1} << 16;
+    /// @}
+
+    struct MemoSlot
+    {
+        std::uint32_t offset = 0; ///< into memoArena_
+        std::uint32_t size = 0;
+        WorkItems work = 0;
+        KernelCallDelta calls{};
+        bool valid = false;
+    };
+
+    /** One memoized level's direct-mapped table: slots plus their
+     *  exact keys (kMemoSlots x key width); empty until the level's
+     *  first lookup. */
+    struct MemoTable
+    {
+        std::vector<MemoSlot> slots;
+        std::vector<VertexId> keys;
+    };
 
     const Graph *graph_;
     const ExtendPlan *plan_;
@@ -167,6 +272,11 @@ class PlanExtender
     double workNs_ = 0;
     int prefixLevel_ = -1;          ///< level of the cached prefix
     std::uint32_t prefixParent_ = kNoParent;
+
+    std::array<PositionMask, kMaxPatternSize> memoKeys_{};
+    std::array<MemoTable, kMaxPatternSize> memo_{};
+    std::vector<VertexId> memoArena_;
+    CandidateMemoCounters memoCounters_;
 };
 
 } // namespace core

@@ -123,6 +123,10 @@ struct KernelCounters
     }
 };
 
+/** Per-kind call counts of one short operation sequence (one
+ *  candidate set's worth: a handful of calls per kind). */
+using KernelCallDelta = std::array<std::uint8_t, kNumKernelKinds>;
+
 /**
  * A sorted list plus its provenance: when the span is exactly the
  * full neighbor list N(source) the dispatcher can substitute the
@@ -343,6 +347,16 @@ class KernelDispatcher
     KernelMode mode() const { return mode_; }
 
     const KernelCounters &counters() const { return counters_; }
+
+    /** Tally the calls of an operation sequence whose result is
+     *  replayed from a memo instead of recomputed, so the counters
+     *  read as if it had run again. */
+    void
+    replay(const KernelCallDelta &calls)
+    {
+        for (std::size_t k = 0; k < kNumKernelKinds; ++k)
+            counters_.calls[k] += calls[k];
+    }
 
     WorkItems intersectInto(const ListRef &a, const ListRef &b,
                             std::vector<VertexId> &out);

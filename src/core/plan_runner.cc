@@ -68,11 +68,13 @@ class DfsDriver
         const int t = level + 1;
         const bool terminal = t == plan_.pattern.size() - 1;
         extender_.buildCandidates(t, levels_[t - 1], levels_[t], stats_);
-        // Deeper levels only write higher slots, so levels_[t] stays
-        // intact while the loop recurses.
+        // Deeper levels only write higher slots, so levels_[t] and
+        // the prefix the filter was built from stay intact while the
+        // loop recurses.
+        const CandidateFilter accepts = extender_.filter(t);
         for (const VertexId candidate : levels_[t]) {
             ++result_.candidatesChecked;
-            if (!extender_.accept(t, candidate))
+            if (!accepts(candidate))
                 continue;
             extender_.vertices()[t] = candidate;
             if (!terminal) {

@@ -184,4 +184,10 @@ Pattern::diamond()
     return Pattern(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}});
 }
 
+Pattern
+Pattern::house()
+{
+    return Pattern(5, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}, {1, 4}});
+}
+
 } // namespace khuzdul

@@ -91,6 +91,8 @@ class Pattern
     static Pattern tailedTriangle();
     /** 4-cycle with one chord (the "diamond"). */
     static Pattern diamond();
+    /** 4-cycle with a triangle on one edge (the "house", 5 vertices). */
+    static Pattern house();
     /// @}
 
   private:

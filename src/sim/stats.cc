@@ -289,6 +289,8 @@ RunStats::accumulate(const RunStats &other)
     hostWallNs += other.hostWallNs;
     sharedCacheProbes += other.sharedCacheProbes;
     sharedCacheHits += other.sharedCacheHits;
+    candidateMemoLookups += other.candidateMemoLookups;
+    candidateMemoHits += other.candidateMemoHits;
     traceBufferPeak = std::max(traceBufferPeak, other.traceBufferPeak);
 }
 
@@ -373,6 +375,9 @@ RunStats::toJson(bool include_host) const
         if (sharedCacheProbes > 0)
             os << ", \"shared_cache_probes\": " << sharedCacheProbes
                << ", \"shared_cache_hits\": " << sharedCacheHits;
+        if (candidateMemoLookups > 0)
+            os << ", \"candidate_memo_lookups\": " << candidateMemoLookups
+               << ", \"candidate_memo_hits\": " << candidateMemoHits;
         os << "},\n";
     }
     os << "  \"nodes\": [";

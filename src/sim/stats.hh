@@ -169,6 +169,15 @@ struct RunStats
     std::uint64_t sharedCacheProbes = 0;
     std::uint64_t sharedCacheHits = 0;
 
+    /**
+     * Host-side candidate-set memo of the extenders (core/extender):
+     * lookups, and how many replayed a stored set instead of
+     * intersecting.  A hit replays every modeled charge, so these
+     * say how the host computed, not what the model charged.
+     */
+    std::uint64_t candidateMemoLookups = 0;
+    std::uint64_t candidateMemoHits = 0;
+
     /** Most trace records any one unit buffered during one run.
      *  Units buffer only while a user trace sink is installed, so
      *  this is 0 without one and O(chunks + fetch batches) with. */

@@ -124,6 +124,56 @@ TEST(Cli, PlanPrintsLevels)
     EXPECT_NE(out.find("divisor=1"), std::string::npos);
 }
 
+TEST(Cli, PlanWithGraphShowsThePlanCountRuns)
+{
+    // count on standin:lj compiles GraphPi's clique5 against the
+    // graph's degree profile, which folds the last position into IEP.
+    const auto [code, out] =
+        runCli("plan --graph standin:lj --pattern clique5");
+    EXPECT_EQ(code, 0);
+    EXPECT_NE(out.find("divisor=5"), std::string::npos) << out;
+    EXPECT_NE(out.find("IEP suffix=1"), std::string::npos) << out;
+    // Without a graph the default profile (100k vertices, degree 16)
+    // picks a plan with no IEP; the documented profile options can
+    // describe the graph instead.
+    EXPECT_EQ(runCli("plan --pattern clique5").second.find("IEP"),
+              std::string::npos);
+    const auto profiled = runCli("plan --pattern clique5 "
+                                 "--profile-vertices 16000 "
+                                 "--profile-degree 12.53");
+    EXPECT_EQ(profiled.first, 0);
+    EXPECT_NE(profiled.second.find("IEP suffix=1"), std::string::npos)
+        << profiled.second;
+    // A graph and explicit profile options contradict each other.
+    EXPECT_EQ(runCli("plan --graph standin:lj --pattern clique5 "
+                     "--profile-degree 4")
+                  .first,
+              1);
+}
+
+TEST(Cli, PlanListsMemoizedLevels)
+{
+    const auto [code, out] = runCli("plan --pattern house");
+    EXPECT_EQ(code, 0);
+    EXPECT_NE(out.find("  memo: L4 key={0,3}\n"), std::string::npos)
+        << out;
+    for (const char *spec : {"clique4", "cycle4", "house --induced"})
+        EXPECT_EQ(runCli(std::string("plan --pattern ") + spec)
+                      .second.find("memo"),
+                  std::string::npos)
+            << spec;
+}
+
+TEST(Cli, HelpDocumentsPlan)
+{
+    const auto [code, out] = runCli("help plan");
+    EXPECT_EQ(code, 0);
+    for (const char *flag :
+         {"--graph", "--profile-vertices", "--profile-degree",
+          "--system", "--induced", "memo"})
+        EXPECT_NE(out.find(flag), std::string::npos) << flag;
+}
+
 TEST(Cli, GenerateConvertInfoRoundTrip)
 {
     const std::string el = testing::TempDir() + "/cli_test.el";

@@ -56,6 +56,8 @@ TEST(Pattern, NamedConstructors)
     EXPECT_EQ(Pattern::starOf(5).numEdges(), 4);
     EXPECT_EQ(Pattern::tailedTriangle().numEdges(), 4);
     EXPECT_EQ(Pattern::diamond().numEdges(), 5);
+    EXPECT_EQ(Pattern::house().numEdges(), 6);
+    EXPECT_TRUE(Pattern::house().connected());
 }
 
 TEST(Pattern, PermutedPreservesStructure)
@@ -123,6 +125,7 @@ TEST(Isomorphism, AutomorphismGroupSizes)
     EXPECT_EQ(iso::automorphisms(Pattern::starOf(5)).size(), 24u);
     EXPECT_EQ(iso::automorphisms(Pattern::tailedTriangle()).size(), 2u);
     EXPECT_EQ(iso::automorphisms(Pattern::diamond()).size(), 4u);
+    EXPECT_EQ(iso::automorphisms(Pattern::house()).size(), 2u);
 }
 
 TEST(Isomorphism, LabeledAutomorphisms)

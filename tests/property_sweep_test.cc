@@ -116,7 +116,7 @@ class EngineZoo : public testing::TestWithParam<int>
                 Pattern::clique(5),        Pattern::pathOf(4),
                 Pattern::cycleOf(4),       Pattern::cycleOf(5),
                 Pattern::starOf(4),        Pattern::tailedTriangle(),
-                Pattern::diamond()};
+                Pattern::diamond(),        Pattern::house()};
     }
 };
 
@@ -162,7 +162,7 @@ TEST_P(EngineZoo, AllEnginesAgree)
 }
 
 INSTANTIATE_TEST_SUITE_P(PatternZoo, EngineZoo,
-                         testing::Range(0, 9));
+                         testing::Range(0, 10));
 
 /** Random-pattern plan-compiler invariants. */
 class RandomPatternPlans : public testing::TestWithParam<int>
@@ -281,7 +281,7 @@ TEST_P(KernelModeSweep, CountsAndModeledTimeAreModeInvariant)
 
     for (const Pattern &p :
          {Pattern::triangle(), Pattern::clique(4), Pattern::cycleOf(4),
-          Pattern::diamond()}) {
+          Pattern::diamond(), Pattern::house()}) {
         const auto plan = compileAutomine(p, {});
         core::Engine reference(g, reference_config);
         core::Engine engine(g, config);
@@ -347,7 +347,7 @@ TEST_P(HostThreadSweep, ModeledResultsAreThreadCountInvariant)
     core::Engine engine(g, config);
     for (const Pattern &p :
          {Pattern::triangle(), Pattern::clique(4), Pattern::cycleOf(4),
-          Pattern::diamond()}) {
+          Pattern::diamond(), Pattern::house()}) {
         const auto plan = compileAutomine(p, {});
         ASSERT_EQ(reference.run(plan), oracle(p)) << p.toString();
         EXPECT_EQ(engine.run(plan), oracle(p)) << p.toString();
@@ -357,6 +357,13 @@ TEST_P(HostThreadSweep, ModeledResultsAreThreadCountInvariant)
     // one string: any drifting double or counter shows up here.
     EXPECT_EQ(engine.stats().toJson(false),
               reference.stats().toJson(false));
+    // Each unit's candidate memo lives in its own extender, so even
+    // the host-side memo tallies are thread-count invariant.
+    EXPECT_GT(reference.stats().candidateMemoHits, 0u);
+    EXPECT_EQ(engine.stats().candidateMemoLookups,
+              reference.stats().candidateMemoLookups);
+    EXPECT_EQ(engine.stats().candidateMemoHits,
+              reference.stats().candidateMemoHits);
 
     // Per-link fabric ledger, byte for byte and message for message.
     const NodeId nodes = config.graph.cluster.numNodes;

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "core/engine.hh"
+#include "core/extender.hh"
 #include "core/plan_runner.hh"
 #include "graph/generators.hh"
 #include "pattern/bruteforce.hh"
@@ -193,17 +195,23 @@ pricedPlans(const Graph &g)
 {
     PlanOptions induced;
     induced.induced = true;
+    const GraphProfile profile = GraphProfile::fromGraph(g);
     // clique4 shares vertically, induced cycle4 subtracts anti-masks,
-    // and GraphPi's clique5 ends in an IEP block that reuses the
-    // last prefix level's stored candidates.
+    // GraphPi's clique5 ends in an IEP block that reuses the last
+    // prefix level's stored candidates, and house's terminal level is
+    // served from the candidate memo (both compilers pick the same
+    // matching order, hence the same numbers).
     return {
         {compileAutomine(Pattern::clique(4), {}), 5993, 352592, 40297,
          6342, 8143, 15306117130340373648ull},
         {compileAutomine(Pattern::cycleOf(4), induced), 20009, 2721454,
          129285, 30408, 88823, 2747547030078824189ull},
-        {compileGraphPi(Pattern::clique(5), GraphProfile::fromGraph(g),
-                        {}),
-         27675, 693385, 40297, 12335, 14136, 1629163333465086772ull},
+        {compileGraphPi(Pattern::clique(5), profile, {}), 27675, 693385,
+         40297, 12335, 14136, 1629163333465086772ull},
+        {compileAutomine(Pattern::house(), {}), 4822373, 40823261,
+         6102977, 551149, 1089275, 3047983397963589736ull},
+        {compileGraphPi(Pattern::house(), profile, {}), 4822373,
+         40823261, 6102977, 551149, 1089275, 3047983397963589736ull},
     };
 }
 
@@ -216,6 +224,8 @@ TEST(Runner, WorkCountersArePopulated)
     ASSERT_TRUE(std::find(graphpi.iep.maskReuse.begin(),
                           graphpi.iep.maskReuse.end(), true)
                 != graphpi.iep.maskReuse.end());
+    for (const std::size_t house : {3u, 4u})
+        ASSERT_NE(core::candidateMemoKey(plans[house].plan, 4), 0u);
     for (const PricedPlan &p : plans) {
         const auto result = core::runPlanDfs(g, p.plan, allRoots(g));
         EXPECT_EQ(result.rawCount, p.rawCount) << p.plan.toString();
@@ -264,7 +274,8 @@ TEST(Runner, AgreesWithEngineOnCountsAndWork)
     std::vector<ExtendPlan> plans;
     for (const Pattern &p :
          {Pattern::clique(4), Pattern::cycleOf(4), Pattern::diamond(),
-          Pattern::tailedTriangle(), Pattern::starOf(4)}) {
+          Pattern::tailedTriangle(), Pattern::starOf(4),
+          Pattern::house()}) {
         plans.push_back(compileAutomine(p, {}));
         plans.push_back(compileAutomine(p, induced));
         plans.push_back(compileGraphPi(p, profile, {}));
@@ -287,6 +298,197 @@ TEST(Runner, AgreesWithEngineOnCountsAndWork)
                 << nodes << " nodes\n" << plan.toString();
         }
     }
+}
+
+/** Plans whose levels the candidate memo must leave alone. */
+std::vector<ExtendPlan>
+unmemoizedPlans(const Graph &g)
+{
+    const GraphProfile profile = GraphProfile::fromGraph(g);
+    PlanOptions induced;
+    induced.induced = true;
+    return {compileAutomine(Pattern::cycleOf(4), {}),
+            compileGraphPi(Pattern::cycleOf(5), profile, {}),
+            compileAutomine(Pattern::clique(5), {}),
+            compileGraphPi(Pattern::clique(5), profile, {}),
+            compileAutomine(Pattern::house(), induced)};
+}
+
+TEST(CandidateMemo, OnlyLevelsWithRepeatingKeysAreMemoized)
+{
+    // House's terminal intersects N(v0) and N(v3); level 3 reads only
+    // v1, so every v2 sibling repeats the same (v0, v3) keys.
+    const ExtendPlan house = compileAutomine(Pattern::house(), {});
+    for (int t = 0; t < house.pattern.size(); ++t)
+        EXPECT_EQ(core::candidateMemoKey(house, t), t == 4 ? 0x9u : 0u)
+            << t;
+    // cycle4 omits only the root; GraphPi's cycle5 terminal omits v1,
+    // which level 3 reads; cliques, IEP suffixes, reuse levels and
+    // induced plans key on every earlier position.
+    for (const ExtendPlan &plan : unmemoizedPlans(pricedGraph()))
+        for (int t = 0; t < plan.pattern.size(); ++t)
+            EXPECT_EQ(core::candidateMemoKey(plan, t), 0u)
+                << t << "\n" << plan.toString();
+}
+
+/** Records every edge-list read of one step, in order. */
+class RecordReads : public core::RunnerHooks
+{
+  public:
+    std::vector<VertexId> reads;
+
+    void
+    onEdgeListAccess(VertexId v) override
+    {
+        reads.push_back(v);
+    }
+};
+
+TEST(CandidateMemo, HitReplaysTheMissExactly)
+{
+    const Graph g = pricedGraph();
+    const ExtendPlan plan = compileAutomine(Pattern::house(), {});
+    const sim::CostModel cost;
+    RecordReads hooks;
+    core::PlanExtender extender(g, plan, cost, core::KernelMode::Auto,
+                                &hooks);
+    struct Step
+    {
+        std::vector<VertexId> out;
+        core::WorkItems items = 0;
+        double ns = 0;
+        std::array<std::uint64_t, core::kNumKernelKinds> calls{};
+        std::vector<VertexId> reads;
+    };
+    const auto step = [&](VertexId v2, VertexId v3) {
+        extender.vertices()[2] = v2;
+        extender.vertices()[3] = v3;
+        hooks.reads.clear();
+        const core::KernelCounters before = extender.kernelCounters();
+        extender.exchangeWork(0);
+        Step s;
+        sim::NodeStats stats;
+        extender.buildCandidates(4, {}, s.out, stats);
+        s.items = stats.intersectionItems;
+        s.ns = extender.workNs();
+        for (std::size_t k = 0; k < core::kNumKernelKinds; ++k)
+            s.calls[k] = extender.kernelCounters().calls[k]
+                - before.calls[k];
+        s.reads = hooks.reads;
+        return s;
+    };
+    extender.vertices()[0] = 0;
+    extender.vertices()[1] = 2;
+    const Step miss = step(3, 1);
+    // v2 is outside the key: the same (v0, v3) hits.
+    const Step hit = step(4, 1);
+    EXPECT_EQ(extender.memoCounters().lookups, 2u);
+    EXPECT_EQ(extender.memoCounters().hits, 1u);
+    EXPECT_EQ(extender.memoCounters().tables, 1u);
+
+    std::vector<VertexId> expected;
+    const core::WorkItems work =
+        core::intersectInto(g.neighbors(0), g.neighbors(1), expected);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(miss.out, expected);
+    EXPECT_EQ(miss.items, work);
+    EXPECT_EQ(miss.reads, (std::vector<VertexId>{0, 1}));
+    EXPECT_GT(std::accumulate(miss.calls.begin(), miss.calls.end(),
+                              std::uint64_t{0}),
+              0u);
+    EXPECT_EQ(hit.out, miss.out);
+    EXPECT_EQ(hit.items, miss.items);
+    EXPECT_EQ(hit.ns, miss.ns);
+    EXPECT_EQ(hit.calls, miss.calls);
+    EXPECT_EQ(hit.reads, miss.reads);
+
+    // Another v3 is another key.
+    step(3, 5);
+    EXPECT_EQ(extender.memoCounters().lookups, 3u);
+    EXPECT_EQ(extender.memoCounters().hits, 1u);
+}
+
+TEST(CandidateMemo, StaysExactAcrossArenaOverflow)
+{
+    // On K400 every N(v0) ∩ N(v3) holds 398 ids, so 900 keys store
+    // several arenas' worth and force repeated invalidation.
+    const Graph g = gen::complete(400);
+    const ExtendPlan plan = compileAutomine(Pattern::house(), {});
+    const sim::CostModel cost;
+    core::PlanExtender extender(g, plan, cost);
+    std::vector<VertexId> out;
+    std::vector<VertexId> expected;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (VertexId a = 0; a < 30; ++a) {
+            for (VertexId b = 30; b < 60; ++b) {
+                extender.vertices()[0] = a;
+                extender.vertices()[3] = b;
+                expected.clear();
+                const core::WorkItems work = core::intersectInto(
+                    g.neighbors(a), g.neighbors(b), expected);
+                // The second lookup of each key always hits.
+                for (int repeat = 0; repeat < 2; ++repeat) {
+                    sim::NodeStats stats;
+                    extender.buildCandidates(4, {}, out, stats);
+                    ASSERT_EQ(out, expected) << a << "," << b;
+                    ASSERT_EQ(stats.intersectionItems, work);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(extender.memoCounters().lookups, 3600u);
+    EXPECT_GE(extender.memoCounters().hits, 1800u);
+    EXPECT_EQ(extender.memoCounters().tables, 1u);
+}
+
+TEST(CandidateMemo, UnmemoizedPlansNeverLookUpOrAllocate)
+{
+    const Graph g = pricedGraph();
+    const sim::CostModel cost;
+    for (const ExtendPlan &plan : unmemoizedPlans(g)) {
+        core::PlanExtender extender(g, plan, cost);
+        for (int j = 0; j < plan.pattern.size(); ++j)
+            extender.vertices()[j] = static_cast<VertexId>(j);
+        std::array<std::vector<VertexId>, kMaxPatternSize> levels;
+        sim::NodeStats stats;
+        const int prefix_len = plan.numMaterializedLevels();
+        for (int t = 1; t < prefix_len; ++t)
+            extender.buildCandidates(t, levels[t - 1], levels[t], stats);
+        if (plan.hasIep)
+            extender.iepTerminal(prefix_len, levels[prefix_len - 1],
+                                 stats);
+        EXPECT_EQ(extender.memoCounters().lookups, 0u)
+            << plan.toString();
+        EXPECT_EQ(extender.memoCounters().tables, 0u)
+            << plan.toString();
+
+        core::Engine engine(g, core::EngineConfig{});
+        engine.run(plan);
+        EXPECT_EQ(engine.stats().candidateMemoLookups, 0u)
+            << plan.toString();
+        EXPECT_EQ(engine.stats().toJson().find("candidate_memo"),
+                  std::string::npos)
+            << plan.toString();
+    }
+}
+
+TEST(CandidateMemo, HostBlockReportsHouseHits)
+{
+    const Graph g = pricedGraph();
+    core::Engine engine(g, core::EngineConfig{});
+    engine.run(compileAutomine(Pattern::house(), {}));
+    const sim::RunStats &stats = engine.stats();
+    EXPECT_GT(stats.candidateMemoHits, 0u);
+    EXPECT_LE(stats.candidateMemoHits, stats.candidateMemoLookups);
+    EXPECT_NE(stats.toJson().find("\"candidate_memo_lookups\": "
+                                  + std::to_string(
+                                      stats.candidateMemoLookups)
+                                  + ", \"candidate_memo_hits\": "
+                                  + std::to_string(
+                                      stats.candidateMemoHits)),
+              std::string::npos);
+    EXPECT_EQ(stats.toJson(false).find("candidate_memo"),
+              std::string::npos);
 }
 
 TEST(Runner, PartialRootsCoverSubsetOfTrees)

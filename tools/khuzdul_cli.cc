@@ -28,6 +28,7 @@
 
 #include "apps/fsm.hh"
 #include "apps/gpm_apps.hh"
+#include "core/extender.hh"
 #include "core/kernels/kernels.hh"
 #include "engines/khuzdul_system.hh"
 #include "graph/datasets.hh"
@@ -132,10 +133,8 @@ parsePattern(const std::string &spec)
         return Pattern::diamond();
     if (spec == "tailed")
         return Pattern::tailedTriangle();
-    if (spec == "house") {
-        return Pattern(5, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4},
-                           {1, 4}});
-    }
+    if (spec == "house")
+        return Pattern::house();
     if (int k = sized("clique"); k > 0)
         return Pattern::clique(k);
     if (int k = sized("path"); k > 0)
@@ -409,15 +408,31 @@ cmdPlan(const Args &args)
     const Pattern p = parsePattern(args.get("pattern", "triangle"));
     PlanOptions options;
     options.induced = args.has("induced");
-    const GraphProfile profile{
-        args.getDouble("profile-vertices", 100000.0),
-        args.getDouble("profile-degree", 16.0)};
-    if (args.get("system", "graphpi") == "automine") {
-        std::printf("%s", compileAutomine(p, options).toString().c_str());
-    } else {
-        std::printf("%s",
-                    compileGraphPi(p, profile, options)
-                        .toString().c_str());
+    // With a graph, compile against its degree profile exactly as
+    // `count` does, so this is the plan `count` runs.
+    GraphProfile profile{args.getDouble("profile-vertices", 100000.0),
+                         args.getDouble("profile-degree", 16.0)};
+    if (args.has("graph")) {
+        KHUZDUL_REQUIRE(!args.has("profile-vertices")
+                            && !args.has("profile-degree"),
+                        "--profile-vertices and --profile-degree "
+                        "apply only without --graph");
+        profile = GraphProfile::fromGraph(loadGraph(args.get("graph")));
+    }
+    const ExtendPlan plan = args.get("system", "graphpi") == "automine"
+        ? compileAutomine(p, options)
+        : compileGraphPi(p, profile, options);
+    std::printf("%s", plan.toString().c_str());
+    for (int t = 1; t < plan.pattern.size(); ++t) {
+        const PositionMask key = core::candidateMemoKey(plan, t);
+        if (key == 0)
+            continue;
+        std::string positions;
+        for (int j = 0; j < t; ++j)
+            if ((key >> j) & 1u)
+                positions += (positions.empty() ? "" : ",")
+                    + std::to_string(j);
+        std::printf("  memo: L%d key={%s}\n", t, positions.c_str());
     }
     return 0;
 }
@@ -566,6 +581,23 @@ cmdHelp(const std::string &topic)
     if (topic == "generate") {
         std::puts("khuzdul generate --spec <graph-spec> --out FILE "
                   "[--format text|binary]");
+    } else if (topic == "plan") {
+        std::puts("khuzdul plan --pattern SPEC [--system "
+                  "automine|graphpi] [--induced]\n"
+                  "  [--graph <graph-spec>]  compile against this "
+                  "graph's degree profile,\n"
+                  "      as `count` does: the plan `count` runs on "
+                  "that graph\n"
+                  "  [--profile-vertices N] [--profile-degree D]  the "
+                  "profile to compile\n"
+                  "      against without --graph (default 100000 "
+                  "vertices, degree 16)\n"
+                  "Prints one line per level (dep/anti/gt/active "
+                  "position masks in hex),\n"
+                  "the IEP block when GraphPi folds the suffix, and "
+                  "one \"memo:\" line per\n"
+                  "level served from the host-side candidate memo, "
+                  "with its key positions.");
     } else if (topic == "count") {
         std::puts("khuzdul count --graph <graph-spec> --pattern SPEC\n"
                   "  [--system automine|graphpi] [--induced]\n"
