@@ -2,7 +2,7 @@
  * @file
  * Set-kernel benchmark harness (BENCH_kernels.json).
  *
- * Four sections:
+ * Five sections:
  *   1. Pair sweeps — one small list against larger lists across a
  *      size-ratio sweep, wall-clocking every kernel (merge, blocked,
  *      gallop, SIMD merge, SIMD gallop, adaptive dispatcher) on
@@ -16,6 +16,9 @@
  *   4. Engine A/B — full `count` runs per --kernel mode, asserting
  *      counts and modeled makespans are mode-invariant while
  *      reporting host wall-clock per mode.
+ *   5. Membership probes — contains() against its linear and binary
+ *      variants at list sizes 8-128, the sweep kContainsLinearCutoff
+ *      is read from.  Ungated on speed; the three must agree.
  *
  * `--check` turns the harness into a CI perf-smoke gate.  It fails
  * (exit 1) if any invariance check fails, if the adaptive dispatcher
@@ -179,6 +182,48 @@ racePair(std::span<const VertexId> small, std::span<const VertexId> large,
         dispatcher.intersectInto(core::ListRef(small),
                                  core::ListRef(large, hub_source), out);
     });
+    return row;
+}
+
+/** Host time per membership probe at one list size. */
+struct ContainsRow
+{
+    std::size_t size = 0;
+    double linearNs = 0;
+    double binaryNs = 0;
+    double dispatchNs = 0;
+};
+
+/** Keeps timed probe loops from being optimized away. */
+volatile std::size_t probeSink = 0;
+
+/** Race containsLinear / containsBinary / contains over @p probes. */
+ContainsRow
+raceContains(std::span<const VertexId> list,
+             std::span<const VertexId> probes)
+{
+    for (const VertexId v : probes) {
+        const bool linear = core::containsLinear(list, v);
+        if (core::containsBinary(list, v) != linear
+            || core::contains(list, v) != linear)
+            fail("contains variants disagree at size "
+                 + std::to_string(list.size()));
+    }
+    const auto perProbe = [&](bool (*probe)(std::span<const VertexId>,
+                                            VertexId)) {
+        return timeKernel([&] {
+                   std::size_t found = 0;
+                   for (const VertexId v : probes)
+                       found += probe(list, v);
+                   probeSink = found;
+               })
+            / static_cast<double>(probes.size());
+    };
+    ContainsRow row;
+    row.size = list.size();
+    row.linearNs = perProbe(core::containsLinear);
+    row.binaryNs = perProbe(core::containsBinary);
+    row.dispatchNs = perProbe(core::contains);
     return row;
 }
 
@@ -367,6 +412,27 @@ main(int argc, char **argv)
             fail("modeled makespan differs across kernel modes");
     }
 
+    // --- 5. contains() linear/binary crossover -------------------
+    // Half the probes are members, half uniform (almost all misses).
+    std::vector<ContainsRow> contains_rows;
+    std::printf("\ncontains() per probe (linear up to %zu):\n",
+                core::kContainsLinearCutoff);
+    for (const std::size_t size : {8u, 16u, 32u, 64u, 128u}) {
+        const auto list = sortedRandomList(size, kUniverse, 31 + size);
+        Rng rng(32);
+        std::vector<VertexId> probes(256);
+        for (std::size_t i = 0; i < probes.size(); ++i)
+            probes[i] = i % 2 == 0
+                ? list[rng.nextBounded(list.size())]
+                : static_cast<VertexId>(rng.nextBounded(kUniverse));
+        contains_rows.push_back(raceContains(list, probes));
+        const ContainsRow &r = contains_rows.back();
+        std::printf("  size %-4zu linear %-10s binary %-10s contains %s\n",
+                    r.size, bench::fmtTime(r.linearNs).c_str(),
+                    bench::fmtTime(r.binaryNs).c_str(),
+                    bench::fmtTime(r.dispatchNs).c_str());
+    }
+
     // --- Gates + JSON --------------------------------------------
     const auto raceCase = [](const PairCase &c) {
         return racePair(c.small, c.large, c.graph, c.hub);
@@ -466,6 +532,14 @@ main(int argc, char **argv)
                        static_cast<core::KernelKind>(k))
                 << "\": " << r.kernelCalls[k];
         out << "}}";
+    }
+    out << "\n  ],\n  \"contains_sweep\": [\n";
+    for (std::size_t i = 0; i < contains_rows.size(); ++i) {
+        const ContainsRow &r = contains_rows[i];
+        out << (i == 0 ? "" : ",\n") << "    {\"size\": " << r.size
+            << ", \"linear_ns\": " << r.linearNs
+            << ", \"binary_ns\": " << r.binaryNs
+            << ", \"contains_ns\": " << r.dispatchNs << "}";
     }
     out << "\n  ],\n  \"best_skewed_speedup\": " << best_skewed_speedup
         << ",\n  \"worst_auto_vs_best\": " << worst_auto_vs_best

@@ -46,12 +46,9 @@ singleMachineFsmNs(const Graph &g, const apps::FsmConfig &config,
     const auto result = apps::mineFrequentSubgraphs(backend, g, config);
     frequent = result.frequent.size();
     sim::CostModel cost;
-    const double work =
-        static_cast<double>(backend.workItems()) * cost.intersectPerItemNs
-        + static_cast<double>(backend.candidatesChecked())
-            * cost.candidateCheckNs
-        + static_cast<double>(backend.embeddingsVisited())
-            * cost.embeddingCreateNs;
+    const double work = cost.dfsWorkNs(backend.workItems(),
+                                       backend.candidatesChecked(),
+                                       backend.embeddingsVisited());
     const unsigned cores = 16;
     return work * per_op_factor / cores
         + cost.engineStartupNs * 0.1

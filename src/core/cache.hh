@@ -74,7 +74,6 @@ class DataCache
     bool insert(VertexId v);
 
     std::uint64_t usedBytes() const { return usedBytes_; }
-    std::uint64_t capacityBytes() const { return capacityBytes_; }
     bool fullForever() const { return fullForever_; }
 
     std::uint64_t hits() const { return hits_; }

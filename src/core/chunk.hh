@@ -68,7 +68,6 @@ class Chunk
     /** Whether the modeled budget is exhausted. */
     bool full() const { return modeledBytes_ >= capacityBytes_; }
 
-    std::uint64_t capacityBytes() const { return capacityBytes_; }
     std::uint64_t modeledBytes() const { return modeledBytes_; }
 
     /**

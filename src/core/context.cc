@@ -1,6 +1,5 @@
 #include "core/context.hh"
 
-#include "graph/orientation.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -49,8 +48,7 @@ GraphContext::GraphContext(const Graph &g, const GraphSetup &setup)
                  setup.cachePolicy == CachePolicy::None
                      ? 0
                      : perUnitCacheBytes(g, setup, partition_),
-                 setup.cacheDegreeThreshold),
-      sharedFabric_(partition_, setup_.cost)
+                 setup.cacheDegreeThreshold)
 {
 }
 
@@ -95,22 +93,12 @@ GraphContext::profile()
     return *profile_;
 }
 
-const Graph &
-GraphContext::orientedGraph()
-{
-    // khuzdul-lint: allow(thread-primitive) build-once guard for the shared oriented DAG; host-side only
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!oriented_)
-        oriented_ = std::make_unique<Graph>(graph::orient(*graph_));
-    return *oriented_;
-}
-
 void
 GraphContext::absorbTraffic(const sim::Fabric &query_ledger)
 {
-    // khuzdul-lint: allow(thread-primitive) cumulative ledger fold; per-link uint64 sums are admission-order independent
+    // khuzdul-lint: allow(thread-primitive) cumulative ledger fold; a uint64 sum is admission-order independent
     std::lock_guard<std::mutex> lock(mutex_);
-    sharedFabric_.absorb(query_ledger);
+    sharedBytes_ += query_ledger.totalBytes();
 }
 
 std::uint64_t
@@ -118,48 +106,7 @@ GraphContext::sharedTotalBytes() const
 {
     // khuzdul-lint: allow(thread-primitive) observability read of the cumulative ledger
     std::lock_guard<std::mutex> lock(mutex_);
-    return sharedFabric_.totalBytes();
-}
-
-std::uint64_t
-GraphContext::sharedLinkBytes(NodeId src, NodeId dst) const
-{
-    // khuzdul-lint: allow(thread-primitive) observability read of the cumulative ledger
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sharedFabric_.linkBytes(src, dst);
-}
-
-std::uint64_t
-GraphContext::sharedLinkMessages(NodeId src, NodeId dst) const
-{
-    // khuzdul-lint: allow(thread-primitive) observability read of the cumulative ledger
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sharedFabric_.linkMessages(src, dst);
-}
-
-void
-GraphContext::absorbSteals(std::uint64_t chunks, std::uint64_t bytes)
-{
-    // khuzdul-lint: allow(thread-primitive) cumulative registry fold; uint64 sums are admission-order independent
-    std::lock_guard<std::mutex> lock(mutex_);
-    sharedStealChunks_ += chunks;
-    sharedStealBytes_ += bytes;
-}
-
-std::uint64_t
-GraphContext::sharedStealCount() const
-{
-    // khuzdul-lint: allow(thread-primitive) observability read of the cumulative steal registry
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sharedStealChunks_;
-}
-
-std::uint64_t
-GraphContext::sharedStealBytes() const
-{
-    // khuzdul-lint: allow(thread-primitive) observability read of the cumulative steal registry
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sharedStealBytes_;
+    return sharedBytes_;
 }
 
 void
@@ -168,9 +115,7 @@ GraphContext::clearCaches()
     residency_.clear();
     // khuzdul-lint: allow(thread-primitive) cumulative ledger wipe alongside the residency directory
     std::lock_guard<std::mutex> lock(mutex_);
-    sharedFabric_.reset();
-    sharedStealChunks_ = 0;
-    sharedStealBytes_ = 0;
+    sharedBytes_ = 0;
 }
 
 } // namespace core

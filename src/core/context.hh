@@ -5,7 +5,6 @@
  * Khuzdul's cacheable data structures are properties of the *graph*,
  * not of any one query: the 1-D hash partition, the hub bitmaps
  * backing the bitmap kernel, the planner's degree profile, the
- * degree-oriented DAG of the Pangolin-style baseline, the
  * cross-query residency directory and the cumulative traffic
  * ledger.  Before this type existed each `Engine` owned all of it,
  * so concurrent queries could not amortize anything.  Now one
@@ -17,8 +16,8 @@
  * (cache probe time, fetch bytes, its fabric ledger) runs against
  * per-session deterministic state.  The context only holds state
  * whose contents may legitimately depend on co-runners — the
- * residency directory, the cumulative fabric, lazy build flags —
- * and nothing modeled ever reads it.
+ * residency directory, the cumulative traffic total, lazy build
+ * flags — and nothing modeled ever reads it.
  */
 
 #ifndef KHUZDUL_CORE_CONTEXT_HH
@@ -112,38 +111,19 @@ class GraphContext
     /** Planner degree profile, computed once and shared. */
     const GraphProfile &profile();
 
-    /** Degree-oriented DAG (Pangolin-style orientation, §7.2),
-     *  built once and shared by single-machine baselines. */
-    const Graph &orientedGraph();
-
     /** Cross-query residency directory (host observability). */
     SharedResidency &residency() { return residency_; }
 
     /** @name Cumulative traffic ledger
      *
-     * Every session folds its per-query fabric ledger in after each
-     * run.  Pure per-link sums, so the cumulative state is
-     * independent of admission order; per-query attribution lives in
-     * the sessions' own ledgers.
+     * Every session folds its per-query fabric ledger's cross-node
+     * byte total in after each run.  A plain uint64 sum, so the
+     * cumulative total is independent of admission order; per-link
+     * and per-query attribution live in the sessions' own ledgers.
      */
     /// @{
     void absorbTraffic(const sim::Fabric &query_ledger);
     std::uint64_t sharedTotalBytes() const;
-    std::uint64_t sharedLinkBytes(NodeId src, NodeId dst) const;
-    std::uint64_t sharedLinkMessages(NodeId src, NodeId dst) const;
-    /// @}
-
-    /** @name Cumulative steal registry (DESIGN.md §11)
-     *
-     * Every session folds its steal pass's outcome in after each
-     * run, mirroring the traffic ledger: pure uint64 sums, so the
-     * cumulative tallies are independent of admission order.
-     * Per-query attribution lives in the sessions' RunStats.
-     */
-    /// @{
-    void absorbSteals(std::uint64_t chunks, std::uint64_t bytes);
-    std::uint64_t sharedStealCount() const;
-    std::uint64_t sharedStealBytes() const;
     /// @}
 
     /** @name Cross-query reuse counters (host observability) */
@@ -172,12 +152,9 @@ class GraphContext
     /** Guards the lazy artifacts and the cumulative ledger. */
     // khuzdul-lint: allow(thread-primitive) host-side guard; protects observability and build-once state only
     mutable std::mutex mutex_;
-    sim::Fabric sharedFabric_;
-    std::uint64_t sharedStealChunks_ = 0;
-    std::uint64_t sharedStealBytes_ = 0;
+    std::uint64_t sharedBytes_ = 0;
     bool hubBitmapsBuilt_ = false;
     std::unique_ptr<GraphProfile> profile_;
-    std::unique_ptr<Graph> oriented_;
 };
 
 } // namespace core

@@ -695,7 +695,6 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         const auto decisions =
             planner.plan(std::move(stealLedgers), std::move(finish));
         const double handshake = cost.stealHandshakeNs;
-        std::uint64_t steal_bytes = 0;
         for (const StealDecision &d : decisions) {
             const ChunkRecord &rec = d.chunk;
             tracer_.emit({sim::PhaseEvent::StealIssued, d.thief,
@@ -719,12 +718,9 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             victim.chunksDonated += 1;
             victim.stealBytesOut += rec.columnBytes;
             victim.stealOverheadNs += handshake;
-            steal_bytes += rec.columnBytes;
             tracer_.emit({sim::PhaseEvent::StealCompleted, d.thief,
                           rec.level, rec.embeddings, d.victim});
         }
-        if (!decisions.empty())
-            context_->absorbSteals(decisions.size(), steal_bytes);
     }
 
     // Cross-query residency observations (host block of the stats;

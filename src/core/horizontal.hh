@@ -62,8 +62,6 @@ class HorizontalTable
         std::fill(slots_.begin(), slots_.end(), kInvalidVertex);
     }
 
-    std::size_t numSlots() const { return slots_.size(); }
-
   private:
     std::vector<VertexId> slots_;
 };

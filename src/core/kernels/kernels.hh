@@ -204,7 +204,7 @@ WorkItems intersectManyCount(
  *
  * Linear scan below kContainsLinearCutoff (branch-predictable, no
  * pipeline flush from the halving loop), binary search above; the
- * cutoff is benchmarked in micro_core (BM_Contains*).
+ * cutoff is benchmarked in bench_kernels (contains sweep).
  */
 /// @{
 inline constexpr std::size_t kContainsLinearCutoff = 32;

@@ -1,29 +1,9 @@
 #include "core/provider.hh"
 
-#include "support/check.hh"
-
 namespace khuzdul
 {
 namespace core
 {
-
-const char *
-resolutionKindName(ResolutionKind kind)
-{
-    switch (kind) {
-      case ResolutionKind::Local:
-        return "local";
-      case ResolutionKind::CacheHit:
-        return "cache";
-      case ResolutionKind::Shared:
-        return "shared";
-      case ResolutionKind::Remote:
-        return "remote";
-      case ResolutionKind::Reconstructed:
-        return "reconstructed";
-    }
-    KHUZDUL_PANIC("unreachable resolution kind");
-}
 
 EdgeListProvider::EdgeListProvider(const Graph &g,
                                    const Partition &partition,

@@ -50,8 +50,6 @@ enum class ResolutionKind : std::uint8_t
     Reconstructed,
 };
 
-const char *resolutionKindName(ResolutionKind kind);
-
 /** Outcome of one resolution-chain walk. */
 struct Resolution
 {

@@ -34,7 +34,6 @@ SharedResidency::noteFetch(unsigned unit, VertexId v)
         && dir.usedBytes + bytes <= capacityBytes_) {
         dir.resident.insert(v);
         dir.usedBytes += bytes;
-        ++dir.insertions;
     }
     return false;
 }
@@ -63,18 +62,6 @@ SharedResidency::probes() const
     return total;
 }
 
-std::uint64_t
-SharedResidency::insertions() const
-{
-    std::uint64_t total = 0;
-    for (const auto &dir : units_) {
-        // khuzdul-lint: allow(thread-primitive) host-side counter read under the unit lock
-        std::lock_guard<std::mutex> lock(dir->mutex);
-        total += dir->insertions;
-    }
-    return total;
-}
-
 void
 SharedResidency::clear()
 {
@@ -83,7 +70,7 @@ SharedResidency::clear()
         std::lock_guard<std::mutex> lock(dir->mutex);
         dir->resident.clear();
         dir->usedBytes = 0;
-        dir->hits = dir->probes = dir->insertions = 0;
+        dir->hits = dir->probes = 0;
     }
 }
 

@@ -72,9 +72,6 @@ class SharedResidency
     /** Cumulative fetch probes over all units and queries. */
     std::uint64_t probes() const;
 
-    /** Lists admitted (resident) over all units. */
-    std::uint64_t insertions() const;
-
     /** Drop all residency state and counters (GraphContext::
      *  clearCaches). */
     void clear();
@@ -89,7 +86,6 @@ class SharedResidency
         std::uint64_t usedBytes = 0;
         std::uint64_t hits = 0;
         std::uint64_t probes = 0;
-        std::uint64_t insertions = 0;
     };
 
     const Graph *graph_;

@@ -9,18 +9,23 @@ namespace khuzdul
 namespace engines
 {
 
+namespace
+{
+
+/**
+ * Fixed cost of GraphPi's task partitioning / distribution machinery
+ * per run (§7.2 attributes its slowness on small inputs to this).
+ */
+constexpr double kTaskPartitionOverheadNs = 2.0e6;
+
+/** Coarse task chunks per node (first-loop granularity). */
+constexpr unsigned kTaskChunksPerNode = 16;
+
+} // namespace
+
 GraphPiRepEngine::GraphPiRepEngine(const Graph &g,
                                    const GraphPiRepConfig &config)
-    : graph_(&g), config_(config),
-      ownedProfile_(std::make_unique<GraphProfile>(
-          GraphProfile::fromGraph(g))),
-      profile_(ownedProfile_.get())
-{}
-
-GraphPiRepEngine::GraphPiRepEngine(core::GraphContext &context,
-                                   const GraphPiRepConfig &config)
-    : graph_(&context.graph()), config_(config),
-      profile_(&context.profile())
+    : graph_(&g), config_(config), profile_(GraphProfile::fromGraph(g))
 {}
 
 GraphPiRepResult
@@ -32,10 +37,9 @@ GraphPiRepEngine::count(const Pattern &p, const PlanOptions &options)
         << "B) exceeds per-node memory ("
         << config_.cluster.memoryBytesPerNode << "B)");
 
-    const ExtendPlan plan = compileGraphPi(p, *profile_, options);
+    const ExtendPlan plan = compileGraphPi(p, profile_, options);
     const NodeId nodes = config_.cluster.numNodes;
-    const unsigned chunks_per_node = config_.taskChunksPerNode;
-    const unsigned total_chunks = nodes * chunks_per_node;
+    const unsigned total_chunks = nodes * kTaskChunksPerNode;
 
     // Coarse static first-loop split: strided vertex assignment
     // (GraphPi interleaves tasks so hubs spread across chunks).
@@ -61,12 +65,9 @@ GraphPiRepEngine::count(const Pattern &p, const PlanOptions &options)
             *graph_, plan,
             {chunk_roots.data(), chunk_roots.size()});
         raw += work.rawCount;
-        const double work_ns =
-            static_cast<double>(work.workItems) * cost.intersectPerItemNs
-            + static_cast<double>(work.candidatesChecked)
-                * cost.candidateCheckNs
-            + static_cast<double>(work.embeddingsVisited)
-                * cost.embeddingCreateNs;
+        const double work_ns = cost.dfsWorkNs(work.workItems,
+                                              work.candidatesChecked,
+                                              work.embeddingsVisited);
         const NodeId node = c % nodes;
         node_work[node] += work_ns;
         node_max_chunk[node] = std::max(node_max_chunk[node], work_ns);
@@ -85,7 +86,7 @@ GraphPiRepEngine::count(const Pattern &p, const PlanOptions &options)
     for (NodeId n = 0; n < nodes; ++n)
         result.stats.nodes[n].computeNs =
             node_work[n] / cores + 0.3 * node_max_chunk[n];
-    result.stats.startupNs = config_.taskPartitionOverheadNs
+    result.stats.startupNs = kTaskPartitionOverheadNs
         + cost.engineStartupNs;
     result.makespanNs = result.stats.makespanNs();
     return result;

@@ -14,9 +14,6 @@
 #ifndef KHUZDUL_ENGINES_GRAPHPI_REP_HH
 #define KHUZDUL_ENGINES_GRAPHPI_REP_HH
 
-#include <memory>
-
-#include "core/context.hh"
 #include "core/plan_runner.hh"
 #include "graph/graph.hh"
 #include "pattern/planner.hh"
@@ -34,16 +31,6 @@ struct GraphPiRepConfig
 {
     sim::ClusterConfig cluster;
     sim::CostModel cost;
-
-    /**
-     * Fixed cost of GraphPi's task partitioning / distribution
-     * machinery per run (§7.2 attributes its slowness on small
-     * inputs to this).
-     */
-    double taskPartitionOverheadNs = 2.0e6;
-
-    /** Coarse task chunks per node (first-loop granularity). */
-    unsigned taskChunksPerNode = 16;
 };
 
 /** Result of a replicated-GraphPi run. */
@@ -60,11 +47,6 @@ class GraphPiRepEngine
   public:
     GraphPiRepEngine(const Graph &g, const GraphPiRepConfig &config);
 
-    /** Re-seated form: shares the context's planner profile
-     *  (computed once per graph) instead of recomputing it. */
-    GraphPiRepEngine(core::GraphContext &context,
-                     const GraphPiRepConfig &config);
-
     /**
      * Count embeddings of @p p.  Throws FatalError when the
      * replicated graph exceeds per-node memory.
@@ -76,9 +58,8 @@ class GraphPiRepEngine
     const Graph *graph_;
     GraphPiRepConfig config_;
 
-    /** Set iff this engine computed its own profile (legacy ctor). */
-    std::unique_ptr<GraphProfile> ownedProfile_;
-    const GraphProfile *profile_;
+    /** Planner degree profile of the graph. */
+    GraphProfile profile_;
 };
 
 } // namespace engines

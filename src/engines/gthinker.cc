@@ -46,30 +46,31 @@ class AccessCollector : public core::RunnerHooks
     std::vector<VertexId> accessed_;
 };
 
+/** Software cache capacity per node (bytes). */
+constexpr std::uint64_t kCacheBytes = 512 << 10;
+
+/**
+ * Memory budget for in-flight tasks per node; with the k-hop
+ * subgraph footprint this caps concurrency at a few hundred tasks
+ * (the paper measures 150-300 for TC on Patents).
+ */
+constexpr std::uint64_t kTaskMemoryBytes = 4 << 20;
+
+/**
+ * Contention multiplier on cache/scheduler costs on a multi-socket
+ * node: G-thinker has no NUMA support and its shared structures
+ * degrade badly on two sockets (Table 2 runs it single-socket for
+ * this reason).
+ */
+constexpr double kSocketContentionFactor = 4.0;
+
 } // namespace
 
 GThinkerEngine::GThinkerEngine(const Graph &g,
                                const GThinkerConfig &config)
     : graph_(&g), config_(config),
-      ownedPartition_(std::make_unique<Partition>(
-          g, config.cluster.numNodes, 1)),
-      partition_(ownedPartition_.get())
+      partition_(g, config.cluster.numNodes, 1)
 {}
-
-GThinkerEngine::GThinkerEngine(core::GraphContext &context,
-                               const GThinkerConfig &config)
-    : graph_(&context.graph()), config_(config)
-{
-    const Partition &shared = context.partition();
-    if (shared.numNodes() == config.cluster.numNodes
-        && shared.socketsPerNode() == 1) {
-        partition_ = &shared;
-    } else {
-        ownedPartition_ = std::make_unique<Partition>(
-            *graph_, config.cluster.numNodes, 1);
-        partition_ = ownedPartition_.get();
-    }
-}
 
 GThinkerResult
 GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
@@ -88,18 +89,18 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
     std::int64_t raw = 0;
 
     const double contention = config_.cluster.socketsPerNode >= 2
-        ? config_.socketContentionFactor : 1.0;
+        ? kSocketContentionFactor : 1.0;
     const unsigned cores = config_.cluster.computeCoresPerNode();
 
     for (NodeId n = 0; n < nodes; ++n) {
         sim::NodeStats &st = result.stats.nodes[n];
         core::DataCache cache(*graph_, core::CachePolicy::Lru,
-                              config_.cacheBytes, 0);
+                              kCacheBytes, 0);
         // G-thinker resolves through the same chain as the engine,
         // minus horizontal sharing; its task<->data map update is
         // the (expensive) per-probe cost.
         core::EdgeListProvider provider(
-            *graph_, *partition_, &cache, /*horizontal_sharing=*/false,
+            *graph_, partition_, &cache, /*horizontal_sharing=*/false,
             {.cacheProbeNs = cost.gthinkerMapUpdateNs * contention,
              .cacheAdmitNs = 0, .hashProbeNs = 0});
         double compute_ns = 0;
@@ -107,7 +108,7 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
         std::uint64_t subgraph_bytes_total = 0;
         std::uint64_t tasks = 0;
 
-        for (const VertexId root : partition_->ownedVertices(n)) {
+        for (const VertexId root : partition_.ownedVertices(n)) {
             AccessCollector collector;
             const VertexId roots[1] = {root};
             const auto work = core::runPlanDfs(*graph_, plan,
@@ -116,13 +117,9 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
             raw += work.rawCount;
             ++tasks;
 
-            compute_ns +=
-                static_cast<double>(work.workItems)
-                    * cost.intersectPerItemNs
-                + static_cast<double>(work.candidatesChecked)
-                    * cost.candidateCheckNs
-                + static_cast<double>(work.embeddingsVisited)
-                    * cost.embeddingCreateNs;
+            compute_ns += cost.dfsWorkNs(work.workItems,
+                                         work.candidatesChecked,
+                                         work.embeddingsVisited);
             st.intersectionItems += work.workItems;
             st.embeddingsCreated += work.embeddingsVisited;
 
@@ -166,7 +163,7 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
         // The paper measures 150-300 concurrent tasks; the k-hop
         // footprint caps it well below what overlap would need.
         const double concurrency = std::clamp(
-            static_cast<double>(config_.taskMemoryBytes)
+            static_cast<double>(kTaskMemoryBytes)
                 / std::max(1.0, avg_subgraph),
             1.0, 300.0);
         const double scans_per_task = 10.0;

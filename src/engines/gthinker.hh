@@ -15,9 +15,6 @@
 #ifndef KHUZDUL_ENGINES_GTHINKER_HH
 #define KHUZDUL_ENGINES_GTHINKER_HH
 
-#include <memory>
-
-#include "core/context.hh"
 #include "core/plan_runner.hh"
 #include "graph/graph.hh"
 #include "graph/partition.hh"
@@ -36,24 +33,6 @@ struct GThinkerConfig
 {
     sim::ClusterConfig cluster;
     sim::CostModel cost;
-
-    /** Software cache capacity per node (bytes). */
-    std::uint64_t cacheBytes = 512 << 10;
-
-    /**
-     * Memory budget for in-flight tasks per node; with the k-hop
-     * subgraph footprint this caps concurrency at a few hundred
-     * tasks (the paper measures 150-300 for TC on Patents).
-     */
-    std::uint64_t taskMemoryBytes = 4 << 20;
-
-    /**
-     * Contention multiplier on cache/scheduler costs per extra
-     * socket: G-thinker has no NUMA support and its shared
-     * structures degrade badly on two sockets (Table 2 runs it
-     * single-socket for this reason).
-     */
-    double socketContentionFactor = 4.0;
 };
 
 /** Result of one G-thinker run. */
@@ -70,17 +49,6 @@ class GThinkerEngine
   public:
     GThinkerEngine(const Graph &g, const GThinkerConfig &config);
 
-    /**
-     * Re-seated form: run over a GraphContext's graph, sharing its
-     * partition when the geometry matches G-thinker's single-socket
-     * deployment (same node count, one sub-partition per node);
-     * otherwise a private single-socket partition is built — the
-     * baseline has no NUMA support, so it can never reuse a
-     * NUMA-split partition.
-     */
-    GThinkerEngine(core::GraphContext &context,
-                   const GThinkerConfig &config);
-
     /** Count embeddings of @p p on the partitioned graph. */
     GThinkerResult count(const Pattern &p,
                          const PlanOptions &options = {});
@@ -89,9 +57,8 @@ class GThinkerEngine
     const Graph *graph_;
     GThinkerConfig config_;
 
-    /** Set iff the context's partition could not be shared. */
-    std::unique_ptr<Partition> ownedPartition_;
-    const Partition *partition_;
+    /** One sub-partition per node: G-thinker has no NUMA support. */
+    Partition partition_;
 };
 
 } // namespace engines

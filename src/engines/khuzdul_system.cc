@@ -12,13 +12,6 @@ KhuzdulSystem::KhuzdulSystem(const Graph &g,
       profile_(&engine_->context().profile())
 {}
 
-KhuzdulSystem::KhuzdulSystem(core::GraphContext &context,
-                             const core::SessionConfig &session,
-                             CompilerStyle style)
-    : engine_(std::make_unique<core::Engine>(context, session)),
-      style_(style), profile_(&context.profile())
-{}
-
 ExtendPlan
 KhuzdulSystem::compile(const Pattern &p, const PlanOptions &options) const
 {

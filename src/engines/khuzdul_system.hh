@@ -32,13 +32,6 @@ class KhuzdulSystem
     KhuzdulSystem(const Graph &g, const core::EngineConfig &config,
                   CompilerStyle style);
 
-    /** Session form: run over a shared GraphContext (the planner
-     *  profile is the context's shared one, computed once per
-     *  graph rather than per system). */
-    KhuzdulSystem(core::GraphContext &context,
-                  const core::SessionConfig &session,
-                  CompilerStyle style);
-
     /** Compile @p p in this system's style. */
     ExtendPlan compile(const Pattern &p,
                        const PlanOptions &options = {}) const;

@@ -13,6 +13,16 @@ namespace engines
 namespace
 {
 
+/** Embeddings shipped per message (aDFS batches its queues). */
+constexpr unsigned kShipBatch = 32;
+
+/**
+ * Fraction of shipping time hidden by the almost-DFS pipeline;
+ * GPM's intersections need whole edge lists attached, so overlap is
+ * poor.
+ */
+constexpr double kOverlapFraction = 0.25;
+
 /**
  * Tracks embedding migrations: each edge-list access happens at the
  * data's owner; when the provider chain resolves an access Remote
@@ -56,30 +66,11 @@ class MigrationTracker : public core::RunnerHooks
 MoveComputationEngine::MoveComputationEngine(
     const Graph &g, const MoveComputationConfig &config)
     : graph_(&g), config_(config),
-      ownedPartition_(std::make_unique<Partition>(
-          g, config.cluster.numNodes, 1)),
-      partition_(ownedPartition_.get())
+      partition_(g, config.cluster.numNodes, 1)
 {}
 
-MoveComputationEngine::MoveComputationEngine(
-    core::GraphContext &context, const MoveComputationConfig &config)
-    : graph_(&context.graph()), config_(config)
-{
-    const Partition &shared = context.partition();
-    if (shared.numNodes() == config.cluster.numNodes
-        && shared.socketsPerNode() == 1) {
-        partition_ = &shared;
-    } else {
-        ownedPartition_ = std::make_unique<Partition>(
-            *graph_, config.cluster.numNodes, 1);
-        partition_ = ownedPartition_.get();
-    }
-}
-
-Count
-MoveComputationEngine::run(const Pattern &p,
-                           MoveComputationResult &result,
-                           const PlanOptions &options)
+MoveComputationResult
+MoveComputationEngine::count(const Pattern &p, const PlanOptions &options)
 {
     PlanOptions opts = options;
     opts.useIep = false;
@@ -88,29 +79,27 @@ MoveComputationEngine::run(const Pattern &p,
     const NodeId nodes = config_.cluster.numNodes;
     const unsigned cores = config_.cluster.computeCoresPerNode();
 
+    MoveComputationResult result;
     result.stats.nodes.resize(nodes);
     // Owner classification without cache or horizontal steps: a
     // moving-computation engine fetches nothing, it relocates.
-    core::EdgeListProvider provider(*graph_, *partition_, nullptr,
+    core::EdgeListProvider provider(*graph_, partition_, nullptr,
                                     false, {});
     std::int64_t raw = 0;
     for (NodeId n = 0; n < nodes; ++n) {
         sim::NodeStats &st = result.stats.nodes[n];
         MigrationTracker tracker(provider, st, n);
-        const auto &roots = partition_->ownedVertices(n);
+        const auto &roots = partition_.ownedVertices(n);
         const auto work = core::runPlanDfs(
             *graph_, plan, {roots.data(), roots.size()}, nullptr,
             &tracker);
         raw += work.rawCount;
 
-        const double compute_ns =
-            static_cast<double>(work.workItems) * cost.intersectPerItemNs
-            + static_cast<double>(work.candidatesChecked)
-                * cost.candidateCheckNs
-            + static_cast<double>(work.embeddingsVisited)
-                * cost.embeddingCreateNs;
+        const double compute_ns = cost.dfsWorkNs(
+            work.workItems, work.candidatesChecked,
+            work.embeddingsVisited);
         const double messages = static_cast<double>(tracker.migrations)
-            / config_.shipBatch;
+            / kShipBatch;
         const double comm_ns = messages * cost.netLatencyNs
             + static_cast<double>(tracker.bytesShipped)
                 / cost.netBytesPerNs
@@ -119,7 +108,7 @@ MoveComputationEngine::run(const Pattern &p,
 
         st.computeNs = compute_ns / cores;
         st.commTotalNs = comm_ns;
-        st.commExposedNs = comm_ns * (1.0 - config_.overlapFraction);
+        st.commExposedNs = comm_ns * (1.0 - kOverlapFraction);
         st.bytesSent = tracker.bytesShipped;
         st.bytesReceived = tracker.bytesShipped;
         st.messagesSent = static_cast<std::uint64_t>(messages) + 1;
@@ -131,14 +120,6 @@ MoveComputationEngine::run(const Pattern &p,
     result.stats.startupNs = cost.engineStartupNs;
     result.makespanNs = result.stats.makespanNs();
     result.count = static_cast<Count>(raw / plan.countDivisor);
-    return result.count;
-}
-
-MoveComputationResult
-MoveComputationEngine::count(const Pattern &p, const PlanOptions &options)
-{
-    MoveComputationResult result;
-    run(p, result, options);
     return result;
 }
 

@@ -13,9 +13,6 @@
 #ifndef KHUZDUL_ENGINES_MOVE_COMPUTATION_HH
 #define KHUZDUL_ENGINES_MOVE_COMPUTATION_HH
 
-#include <memory>
-
-#include "core/context.hh"
 #include "core/plan_runner.hh"
 #include "graph/graph.hh"
 #include "graph/partition.hh"
@@ -34,16 +31,6 @@ struct MoveComputationConfig
 {
     sim::ClusterConfig cluster;
     sim::CostModel cost;
-
-    /** Embeddings shipped per message (aDFS batches its queues). */
-    unsigned shipBatch = 32;
-
-    /**
-     * Fraction of shipping time hidden by its almost-DFS pipeline;
-     * GPM's intersections need whole edge lists attached, so
-     * overlap is poor.
-     */
-    double overlapFraction = 0.25;
 };
 
 /** Result of one run. */
@@ -61,16 +48,7 @@ class MoveComputationEngine
     MoveComputationEngine(const Graph &g,
                           const MoveComputationConfig &config);
 
-    /** Re-seated form: shares the context's partition when its
-     *  geometry matches this single-socket deployment, else builds
-     *  a private one over the context's graph. */
-    MoveComputationEngine(core::GraphContext &context,
-                          const MoveComputationConfig &config);
-
-    Count run(const Pattern &p, MoveComputationResult &result,
-              const PlanOptions &options = {});
-
-    /** Convenience wrapper returning the full result. */
+    /** Count embeddings of @p p, shipping embeddings to their data. */
     MoveComputationResult count(const Pattern &p,
                                 const PlanOptions &options = {});
 
@@ -78,9 +56,8 @@ class MoveComputationEngine
     const Graph *graph_;
     MoveComputationConfig config_;
 
-    /** Set iff the context's partition could not be shared. */
-    std::unique_ptr<Partition> ownedPartition_;
-    const Partition *partition_;
+    /** One sub-partition per node (single-socket deployment). */
+    Partition partition_;
 };
 
 } // namespace engines

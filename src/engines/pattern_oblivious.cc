@@ -15,6 +15,9 @@ namespace engines
 namespace
 {
 
+/** Modeled canonicalization cost per enumerated instance. */
+constexpr double kCanonicalizeNs = 450.0;
+
 /** One undirected edge of the input graph, id = index. */
 struct EdgeRec
 {
@@ -292,7 +295,7 @@ PatternObliviousEngine::mineFrequent(int max_edges, Count min_support)
     for (NodeId n = 0; n < nodes; ++n) {
         result.stats.nodes[n].computeNs =
             static_cast<double>(node_instances[n])
-            * (config_.canonicalizeNs + 80.0) / cores;
+            * (kCanonicalizeNs + 80.0) / cores;
         result.stats.nodes[n].embeddingsCreated = node_instances[n];
     }
     result.stats.startupNs = config_.cost.engineStartupNs;

@@ -31,9 +31,6 @@ struct PatternObliviousConfig
 {
     sim::ClusterConfig cluster;
     sim::CostModel cost;
-
-    /** Modeled canonicalization cost per enumerated instance. */
-    double canonicalizeNs = 450.0;
 };
 
 /** Support of one discovered labeled pattern. */

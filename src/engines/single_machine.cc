@@ -8,32 +8,27 @@ namespace khuzdul
 namespace engines
 {
 
+namespace
+{
+
+/** True when @p p is a complete graph (clique) pattern. */
 bool
 isCliquePattern(const Pattern &p)
 {
     return p.numEdges() == p.size() * (p.size() - 1) / 2 && p.size() >= 2;
 }
 
+} // namespace
+
 SingleMachineEngine::SingleMachineEngine(const Graph &g,
                                          SingleMachineStyle style,
                                          const SingleMachineConfig &config)
-    : graph_(&g), style_(style), config_(config)
+    : graph_(&g), style_(style), config_(config),
+      oriented_(style == SingleMachineStyle::PangolinLike
+                    ? graph::orient(g)
+                    : Graph())
 {
     KHUZDUL_REQUIRE(config.cores >= 1, "need at least one core");
-    if (style_ == SingleMachineStyle::PangolinLike) {
-        ownedOriented_ = std::make_unique<Graph>(graph::orient(g));
-        oriented_ = ownedOriented_.get();
-    }
-}
-
-SingleMachineEngine::SingleMachineEngine(
-    core::GraphContext &context, SingleMachineStyle style,
-    const SingleMachineConfig &config)
-    : graph_(&context.graph()), style_(style), config_(config)
-{
-    KHUZDUL_REQUIRE(config.cores >= 1, "need at least one core");
-    if (style_ == SingleMachineStyle::PangolinLike)
-        oriented_ = &context.orientedGraph();
 }
 
 bool
@@ -57,7 +52,7 @@ SingleMachineEngine::count(const Pattern &p, const PlanOptions &options)
         // Orientation (Pangolin, §7.2): on the degree-oriented DAG
         // every clique matches exactly once in ascending order, so
         // no symmetry-breaking filters are needed at all.
-        g = oriented_;
+        g = &oriented_;
         PlanOptions opts = options;
         opts.symmetryBreaking = false;
         opts.useIep = false;
@@ -90,13 +85,9 @@ SingleMachineEngine::count(const Pattern &p, const PlanOptions &options)
     // Modeled runtime: measured work on one core, divided over the
     // machine's cores, plus per-system constants.
     const sim::CostModel &cost = config_.cost;
-    double work_ns =
-        static_cast<double>(result.work.workItems)
-            * cost.intersectPerItemNs
-        + static_cast<double>(result.work.candidatesChecked)
-            * cost.candidateCheckNs
-        + static_cast<double>(result.work.embeddingsVisited)
-            * cost.embeddingCreateNs;
+    double work_ns = cost.dfsWorkNs(result.work.workItems,
+                                    result.work.candidatesChecked,
+                                    result.work.embeddingsVisited);
     // Peregrine interprets the pattern at runtime instead of
     // compiling it; a modest per-operation tax models that.
     if (style_ == SingleMachineStyle::PeregrineLike)

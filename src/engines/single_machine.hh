@@ -11,9 +11,6 @@
 #ifndef KHUZDUL_ENGINES_SINGLE_MACHINE_HH
 #define KHUZDUL_ENGINES_SINGLE_MACHINE_HH
 
-#include <memory>
-
-#include "core/context.hh"
 #include "core/plan_runner.hh"
 #include "graph/graph.hh"
 #include "pattern/planner.hh"
@@ -62,13 +59,6 @@ class SingleMachineEngine
     SingleMachineEngine(const Graph &g, SingleMachineStyle style,
                         const SingleMachineConfig &config);
 
-    /** Re-seated form: a Pangolin-style engine borrows the
-     *  context's shared degree-oriented DAG (built once per graph)
-     *  instead of orienting a private copy. */
-    SingleMachineEngine(core::GraphContext &context,
-                        SingleMachineStyle style,
-                        const SingleMachineConfig &config);
-
     /** Count embeddings of @p p (non-induced by default). */
     SingleMachineResult count(const Pattern &p,
                               const PlanOptions &options = {});
@@ -83,15 +73,10 @@ class SingleMachineEngine
     SingleMachineStyle style_;
     SingleMachineConfig config_;
 
-    /** Owned orientation (legacy ctor only). */
-    std::unique_ptr<Graph> ownedOriented_;
-
-    /** The DAG count() matches cliques on (owned or shared). */
-    const Graph *oriented_ = nullptr;
+    /** The degree-oriented DAG count() matches cliques on; built
+     *  only for the Pangolin-like style (empty otherwise). */
+    Graph oriented_;
 };
-
-/** True when @p p is a complete graph (clique) pattern. */
-bool isCliquePattern(const Pattern &p);
 
 } // namespace engines
 } // namespace khuzdul

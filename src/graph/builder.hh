@@ -32,9 +32,6 @@ class GraphBuilder
     /** Record an undirected edge {u, v}; self loops are dropped. */
     void addEdge(VertexId u, VertexId v);
 
-    /** Number of raw (pre-dedup) edge records accepted so far. */
-    std::size_t rawEdgeCount() const { return edges_.size(); }
-
     /**
      * Produce the graph.  The builder is consumed (edge storage is
      * released).  @param labels optional per-vertex labels.

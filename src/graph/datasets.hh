@@ -12,7 +12,6 @@
 #define KHUZDUL_GRAPH_DATASETS_HH
 
 #include <string>
-#include <vector>
 
 #include "graph/graph.hh"
 
@@ -44,9 +43,6 @@ struct Dataset
  * uk14, wdc, skitter, orkut.  Throws FatalError for unknown names.
  */
 const Dataset &byName(const std::string &abbr);
-
-/** All known abbreviations in the paper's Table 1 order. */
-std::vector<std::string> allNames();
 
 } // namespace datasets
 } // namespace khuzdul

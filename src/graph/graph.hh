@@ -138,8 +138,6 @@ class Graph
     void buildHubBitmaps(EdgeId degree_threshold,
                          std::uint64_t max_bytes) const;
 
-    bool hubBitmapsBuilt() const { return hubBitmapsBuilt_; }
-
     /** Admission degree threshold of the last build. */
     EdgeId hubBitmapDegreeThreshold() const { return hubThreshold_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -88,14 +87,6 @@ readEdgeList(std::istream &in)
     for (const auto &[u, v] : edges)
         builder.addEdge(u, v);
     return builder.build();
-}
-
-Graph
-readEdgeListFile(const std::string &path)
-{
-    std::ifstream in(path);
-    KHUZDUL_REQUIRE(in.is_open(), "cannot open graph file: " << path);
-    return readEdgeList(in);
 }
 
 void

@@ -8,7 +8,6 @@
 #define KHUZDUL_GRAPH_IO_HH
 
 #include <iosfwd>
-#include <string>
 
 #include "graph/graph.hh"
 
@@ -24,9 +23,6 @@ namespace io
  * symmetrization) is applied.
  */
 Graph readEdgeList(std::istream &in);
-
-/** Convenience wrapper opening @p path. */
-Graph readEdgeListFile(const std::string &path);
 
 /** Write "u v" lines, one per undirected edge (u < v). */
 void writeEdgeList(const Graph &g, std::ostream &out);

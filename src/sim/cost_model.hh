@@ -118,6 +118,20 @@ struct CostModel
     double gthinkerGcCheckNs = 120.0;
     /// @}
 
+    /**
+     * Compute time of a plain DFS run (no chunks, no fetches): the
+     * elements its set kernels consumed, the candidates it checked
+     * and the partial embeddings it visited.
+     */
+    double
+    dfsWorkNs(std::uint64_t items, std::uint64_t checks,
+              std::uint64_t visits) const
+    {
+        return static_cast<double>(items) * intersectPerItemNs
+            + static_cast<double>(checks) * candidateCheckNs
+            + static_cast<double>(visits) * embeddingCreateNs;
+    }
+
     /** Transfer time of one batched request of @p bytes. */
     double
     transferNs(std::uint64_t bytes, std::uint64_t lists) const

@@ -51,18 +51,6 @@ Fabric::apply(FabricDelta &delta)
     delta.clear();
 }
 
-void
-Fabric::absorb(const Fabric &other)
-{
-    KHUZDUL_CHECK(bytes_.size() == other.bytes_.size(),
-                  "absorbing a ledger of a different cluster size");
-    for (std::size_t i = 0; i < bytes_.size(); ++i) {
-        bytes_[i] += other.bytes_[i];
-        messages_[i] += other.messages_[i];
-    }
-    crossNodeBytes_ += other.crossNodeBytes_;
-}
-
 std::uint64_t
 Fabric::linkBytes(NodeId src, NodeId dst) const
 {

@@ -100,18 +100,6 @@ class Fabric : public TransferRecorder
      */
     void apply(FabricDelta &delta);
 
-    /**
-     * Fold another ledger's totals into this one (per-link byte and
-     * message sums plus the cross-node total).  Pure uint64
-     * addition, so absorbing N per-query ledgers yields the same
-     * cumulative state in any order — which is what lets a
-     * GraphContext accumulate traffic across concurrently admitted
-     * queries without an ordering contract.  The byte cap is NOT
-     * consulted: caps are a per-query property of the source
-     * ledgers.  Both fabrics must span the same number of nodes.
-     */
-    void absorb(const Fabric &other);
-
     /** Bytes moved from @p dst to @p src so far. */
     std::uint64_t linkBytes(NodeId src, NodeId dst) const;
 

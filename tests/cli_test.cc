@@ -626,6 +626,29 @@ TEST(Cli, BadInputsReportErrors)
         << bad_fault.second;
     EXPECT_NE(bad_fault.second.find("out of range"), std::string::npos)
         << bad_fault.second;
+
+    // Integer flags and graph-spec integers are range-checked against
+    // their destination type: no wrap-around, no partial parse, no
+    // sign, and the message names the flag or field.
+    const std::pair<const char *, const char *> bad_integers[] = {
+        {"--graph rmat:100:400 --nodes 4294967297", "--nodes"},
+        {"--graph rmat:100:400 --nodes 8x", "--nodes"},
+        {"--graph rmat:100:400 --nodes -1", "--nodes"},
+        {"--graph rmat:100:400 --sockets 4294967298", "--sockets"},
+        {"--graph rmat:100:400 --fault-retries 4294967296",
+         "--fault-retries"},
+        {"--graph rmat:100:400 --threads -1", "--threads"},
+        {"--graph rmat:100:4x0", "rmat E"},
+        {"--graph er:1e3:400", "er V"},
+        {"--graph sw:100:k:0.1", "sw k"},
+    };
+    for (const auto &[flags, name] : bad_integers) {
+        const auto bad = runCli(std::string("count --pattern triangle ")
+                                + flags);
+        EXPECT_EQ(bad.first, 1) << flags;
+        EXPECT_NE(bad.second.find(name), std::string::npos)
+            << flags << ": " << bad.second;
+    }
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "engines/graphpi_rep.hh"
 #include "engines/gthinker.hh"
 #include "engines/khuzdul_system.hh"
@@ -314,6 +316,153 @@ TEST(PatternOblivious, SupportsMatchLabeledExpectations)
     ASSERT_EQ(result.patterns.size(), 1u);
     EXPECT_EQ(result.patterns[0].support, 2u);
     EXPECT_EQ(result.patterns[0].instances, 4u);
+}
+
+/** One baseline run's modeled output, as pinned below. */
+struct Pinned
+{
+    Count count;
+    /** Makespan, the compute, exposed-comm, scheduler and cache
+     *  totals, and the startup charge (ns). */
+    std::array<double, 6> times;
+    /** Summed over nodes: bytes sent, bytes received, messages,
+     *  remote lists, local lists, cache hits, cache misses, cache
+     *  insertions, embeddings created, intersection items. */
+    std::array<std::uint64_t, 10> totals;
+};
+
+void
+expectPinned(Count count, const sim::RunStats &stats,
+             const Pinned &pinned)
+{
+    EXPECT_EQ(count, pinned.count);
+    const std::array<double, 6> times = {
+        stats.makespanNs(),       stats.totalComputeNs(),
+        stats.totalCommExposedNs(), stats.totalSchedulerNs(),
+        stats.totalCacheNs(),     stats.startupNs};
+    for (std::size_t i = 0; i < times.size(); ++i)
+        EXPECT_DOUBLE_EQ(times[i], pinned.times[i]) << "time " << i;
+    std::array<std::uint64_t, 10> totals{};
+    for (const sim::NodeStats &n : stats.nodes) {
+        totals[0] += n.bytesSent;
+        totals[1] += n.bytesReceived;
+        totals[2] += n.messagesSent;
+        totals[3] += n.listsFetchedRemote;
+        totals[4] += n.listsServedLocal;
+        totals[5] += n.staticCacheHits;
+        totals[6] += n.staticCacheMisses;
+        totals[7] += n.staticCacheInsertions;
+        totals[8] += n.embeddingsCreated;
+        totals[9] += n.intersectionItems;
+    }
+    EXPECT_EQ(totals, pinned.totals);
+}
+
+TEST(Baselines, ModeledOutputIsPinned)
+{
+    // Every baseline deployment constant and cost-model charge feeds
+    // these numbers, so a change that moves any of them shows here.
+    const Graph g = gen::rmat(300, 2400, 0.55, 0.2, 0.2, 4);
+    const sim::ClusterConfig dual_socket =
+        sim::ClusterConfig::paperDefault(4);
+
+    {
+        SCOPED_TRACE("G-thinker");
+        engines::GThinkerConfig config;
+        config.cluster = dual_socket;
+        const auto r =
+            engines::GThinkerEngine(g, config).count(Pattern::diamond());
+        EXPECT_DOUBLE_EQ(r.makespanNs, 2399645.3833333333);
+        expectPinned(r.count, r.stats,
+                     {88949,
+                      {2399645.3833333333, 33714.133333333331,
+                       160215.71999999997, 4320000, 4477280, 30000},
+                      {34776, 34776, 102, 469, 746, 886, 469, 469,
+                       14824, 115273}});
+    }
+    {
+        SCOPED_TRACE("aDFS-like mover");
+        engines::MoveComputationConfig config;
+        config.cluster = dual_socket;
+        const auto r = engines::MoveComputationEngine(g, config).count(
+            Pattern::diamond());
+        EXPECT_DOUBLE_EQ(r.makespanNs, 143709.7761904762);
+        expectPinned(r.count, r.stats,
+                     {88949,
+                      {143709.7761904762, 33714.133333333331,
+                       285551.13214285718, 0, 0, 30000},
+                      {463212, 463212, 87, 0, 1192, 0, 0, 0, 14824,
+                       115273}});
+    }
+    {
+        SCOPED_TRACE("replicated GraphPi");
+        engines::GraphPiRepConfig config;
+        config.cluster = dual_socket;
+        const auto r =
+            engines::GraphPiRepEngine(g, config).count(Pattern::house());
+        EXPECT_DOUBLE_EQ(r.makespanNs, 8222272.3833333328);
+        expectPinned(r.count, r.stats,
+                     {4822373,
+                      {8222272.3833333328, 12677114.349999998, 0, 0, 0,
+                       2030000},
+                      {0, 0, 0, 0, 0, 0, 0, 0, 551149, 40823261}});
+    }
+    {
+        SCOPED_TRACE("single machine");
+        struct SingleRun
+        {
+            engines::SingleMachineStyle style;
+            Pattern pattern;
+            Count count;
+            double runtimeNs;
+            std::array<std::uint64_t, 3> work; ///< items, checks, visits
+        };
+        using engines::SingleMachineStyle;
+        const SingleRun runs[] = {
+            {SingleMachineStyle::AutomineIH, Pattern::triangle(), 4241,
+             40191.037499999999, {115273, 16325, 2101}},
+            {SingleMachineStyle::AutomineIH, Pattern::diamond(), 88949,
+             55285.599999999999, {115273, 206946, 14824}},
+            {SingleMachineStyle::PeregrineLike, Pattern::triangle(), 4241,
+             42229.245000000003, {115273, 16325, 2101}},
+            {SingleMachineStyle::PeregrineLike, Pattern::diamond(), 88949,
+             60342.720000000001, {115273, 206946, 14824}},
+            {SingleMachineStyle::PangolinLike, Pattern::triangle(), 4241,
+             35572.824999999997, {26246, 6042, 2101}},
+            {SingleMachineStyle::PangolinLike, Pattern::diamond(), 88949,
+             55285.599999999999, {115273, 206946, 14824}},
+        };
+        for (const SingleRun &run : runs) {
+            const auto r =
+                engines::SingleMachineEngine(g, run.style, {})
+                    .count(run.pattern);
+            SCOPED_TRACE(run.pattern.toString());
+            EXPECT_EQ(r.count, run.count);
+            EXPECT_DOUBLE_EQ(r.runtimeNs, run.runtimeNs);
+            EXPECT_EQ((std::array<std::uint64_t, 3>{
+                          r.work.workItems, r.work.candidatesChecked,
+                          r.work.embeddingsVisited}),
+                      run.work);
+        }
+    }
+    {
+        SCOPED_TRACE("pattern-oblivious census");
+        engines::PatternObliviousConfig config;
+        config.cluster = dual_socket;
+        const auto r =
+            engines::PatternObliviousEngine(g, config).mineFrequent(2, 0);
+        ASSERT_EQ(r.patterns.size(), 2u);
+        EXPECT_EQ(r.patterns[0].support, 275u);
+        EXPECT_EQ(r.patterns[0].instances, 1801u);
+        EXPECT_EQ(r.patterns[1].support, 239u);
+        EXPECT_EQ(r.patterns[1].instances, 61185u);
+        EXPECT_DOUBLE_EQ(r.makespanNs, 745941.66666666663);
+        expectPinned(r.totalInstances, r.stats,
+                     {62986,
+                      {745941.66666666663, 2781881.6666666665, 0, 0, 0,
+                       30000},
+                      {0, 0, 0, 0, 0, 0, 0, 0, 62986, 0}});
+    }
 }
 
 } // namespace

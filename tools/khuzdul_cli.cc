@@ -18,12 +18,15 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/fsm.hh"
@@ -46,6 +49,30 @@ namespace
 {
 
 using namespace khuzdul;
+
+/**
+ * Parse @p text as a non-negative decimal integer that fits in @p T.
+ * A sign, surrounding characters and out-of-range values are fatal;
+ * @p what names the flag or spec field in the message.
+ */
+template <typename T>
+T
+parseInteger(const std::string &text, const std::string &what)
+{
+    static_assert(std::is_integral_v<T>);
+    constexpr auto max = static_cast<std::uint64_t>(
+        std::numeric_limits<T>::max());
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error == std::errc::invalid_argument || stop != end)
+        KHUZDUL_FATAL(what << " must be a non-negative integer, got '"
+                      << text << "'");
+    if (error == std::errc::result_out_of_range || value > max)
+        KHUZDUL_FATAL(what << " must be at most " << max << ", got '"
+                      << text << "'");
+    return static_cast<T>(value);
+}
 
 /** Minimal --key value / --flag argument map. */
 class Args
@@ -85,12 +112,14 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
-    std::uint64_t
-    getU64(const std::string &key, std::uint64_t fallback) const
+    /** Integer option, range-checked against @p T. */
+    template <typename T>
+    T
+    getInteger(const std::string &key, T fallback) const
     {
         auto it = values_.find(key);
         return it == values_.end()
-            ? fallback : std::stoull(it->second);
+            ? fallback : parseInteger<T>(it->second, "--" + key);
     }
 
     double
@@ -193,28 +222,29 @@ loadGraph(const std::string &spec)
     }
     if (kind == "rmat") {
         KHUZDUL_REQUIRE(parts.size() >= 3, "rmat:V:E[:a[:seed]]");
-        const auto v = std::stoull(parts[1]);
-        const auto e = std::stoull(parts[2]);
+        const auto v = parseInteger<VertexId>(parts[1], "rmat V");
+        const auto e = parseInteger<EdgeId>(parts[2], "rmat E");
         const double a = parts.size() > 3 ? std::stod(parts[3]) : 0.55;
-        const auto seed = parts.size() > 4 ? std::stoull(parts[4]) : 1;
+        const auto seed = parts.size() > 4
+            ? parseInteger<std::uint64_t>(parts[4], "rmat seed") : 1;
         const double rest = (1.0 - a) / 3.0;
-        return gen::rmat(static_cast<VertexId>(v), e, a, rest, rest,
-                         seed);
+        return gen::rmat(v, e, a, rest, rest, seed);
     }
     if (kind == "er") {
         KHUZDUL_REQUIRE(parts.size() >= 3, "er:V:E[:seed]");
         return gen::erdosRenyi(
-            static_cast<VertexId>(std::stoull(parts[1])),
-            std::stoull(parts[2]),
-            parts.size() > 3 ? std::stoull(parts[3]) : 1);
+            parseInteger<VertexId>(parts[1], "er V"),
+            parseInteger<EdgeId>(parts[2], "er E"),
+            parts.size() > 3
+                ? parseInteger<std::uint64_t>(parts[3], "er seed") : 1);
     }
     if (kind == "sw") {
         KHUZDUL_REQUIRE(parts.size() >= 4, "sw:V:k:beta[:seed]");
         return gen::smallWorld(
-            static_cast<VertexId>(std::stoull(parts[1])),
-            static_cast<unsigned>(std::stoull(parts[2])),
-            std::stod(parts[3]),
-            parts.size() > 4 ? std::stoull(parts[4]) : 1);
+            parseInteger<VertexId>(parts[1], "sw V"),
+            parseInteger<unsigned>(parts[2], "sw k"), std::stod(parts[3]),
+            parts.size() > 4
+                ? parseInteger<std::uint64_t>(parts[4], "sw seed") : 1);
     }
     // A file: sniff the binary magic.
     std::ifstream in(spec, std::ios::binary);
@@ -235,10 +265,11 @@ engineConfigFromArgs(const Args &args)
 {
     core::EngineConfig config;
     config.graph.cluster = sim::ClusterConfig::paperDefault(
-        static_cast<NodeId>(args.getU64("nodes", 8)));
+        args.getInteger<NodeId>("nodes", 8));
     config.graph.cluster.socketsPerNode =
-        static_cast<unsigned>(args.getU64("sockets", 2));
-    config.session.chunkBytes = args.getU64("chunk-bytes", 1 << 20);
+        args.getInteger<unsigned>("sockets", 2);
+    config.session.chunkBytes =
+        args.getInteger<std::uint64_t>("chunk-bytes", 1 << 20);
     config.graph.cacheFraction = args.getDouble("cache-fraction", 0.15);
     if (args.has("no-cache"))
         config.graph.cachePolicy = core::CachePolicy::None;
@@ -249,13 +280,12 @@ engineConfigFromArgs(const Args &args)
     config.session.kernelMode = core::parseKernelMode(
         args.get("kernel", "auto"));
     // Host-side only: results are bit-identical for every value.
-    config.session.hostThreads =
-        static_cast<unsigned>(args.getU64("threads", 0));
+    config.session.hostThreads = args.getInteger<unsigned>("threads", 0);
     // Deterministic fault schedule (repeatable --fault, §9).
     for (const std::string &spec : args.getList("fault"))
         config.session.faults.add(spec);
     config.session.faults.maxRetries =
-        static_cast<unsigned>(args.getU64("fault-retries", 3));
+        args.getInteger<unsigned>("fault-retries", 3);
     // Deterministic post-barrier work stealing (DESIGN.md §11).
     const std::string steal = args.get("steal", "off");
     KHUZDUL_REQUIRE(steal == "on" || steal == "off",
@@ -268,7 +298,7 @@ engineConfigFromArgs(const Args &args)
     config.session.checkpointEnabled = args.has("checkpoint");
     config.session.deadlineNs = args.getDouble("deadline", 0.0);
     config.session.maxQueryRetries =
-        static_cast<unsigned>(args.getU64("query-retries", 0));
+        args.getInteger<unsigned>("query-retries", 0);
     return config;
 }
 
@@ -463,7 +493,7 @@ cmdMotifs(const Args &args)
     const Graph g = loadGraph(args.get("graph", ""));
     auto system = systemFromArgs(g, args);
     const TraceOutput trace = attachTrace(*system, args);
-    const int k = static_cast<int>(args.getU64("size", 3));
+    const int k = args.getInteger<int>("size", 3);
     const auto census = apps::motifCount(*system, k);
     for (const auto &motif : census)
         std::printf("%-28s %16s\n", motif.pattern.toString().c_str(),
@@ -479,14 +509,14 @@ cmdFsm(const Args &args)
     Graph g = loadGraph(args.get("graph", ""));
     if (!g.labeled())
         gen::randomizeLabels(
-            g, static_cast<Label>(args.getU64("labels", 3)),
-            args.getU64("label-seed", 1));
+            g, args.getInteger<Label>("labels", 3),
+            args.getInteger<std::uint64_t>("label-seed", 1));
     auto system = systemFromArgs(g, args);
     const TraceOutput trace = attachTrace(*system, args);
     apps::KhuzdulFsmBackend backend(*system);
     apps::FsmConfig config;
-    config.minSupport = args.getU64("support", 100);
-    config.maxEdges = static_cast<int>(args.getU64("max-edges", 3));
+    config.minSupport = args.getInteger<Count>("support", 100);
+    config.maxEdges = args.getInteger<int>("max-edges", 3);
     const auto result = apps::mineFrequentSubgraphs(backend, g, config);
     std::printf("%zu frequent patterns (of %s candidates):\n",
                 result.frequent.size(),
@@ -514,8 +544,7 @@ cmdServe(const Args &args)
     core::GraphContext context(g, config.graph);
 
     core::ServiceOptions options;
-    options.maxInFlight =
-        static_cast<unsigned>(args.getU64("max-in-flight", 4));
+    options.maxInFlight = args.getInteger<unsigned>("max-in-flight", 4);
     options.hostThreads = config.session.hostThreads;
     core::QueryService service(context, options);
 
