@@ -20,11 +20,14 @@
  *      variants at list sizes 8-128, the sweep kContainsLinearCutoff
  *      is read from.  Ungated on speed; the three must agree.
  *
+ * Every sweep row times its kernels in interleaved rounds, rotating
+ * which kernel runs first, and reports each kernel's median round:
+ * a scheduler hiccup then costs one sample, not the row.
+ *
  * `--check` turns the harness into a CI perf-smoke gate.  It fails
  * (exit 1) if any invariance check fails, if the adaptive dispatcher
- * falls below 0.95x the best single kernel on any sweep row (rows
- * that miss are re-raced up to twice to filter scheduler noise), or
- * if — with AVX2 available — the SIMD merge is not at least 1.5x the
+ * falls below 0.95x the best single kernel on any sweep row, or if —
+ * with AVX2 available — the SIMD merge is not at least 1.5x the
  * scalar merge on the 4k x 4k equal-size sweep.  `--out FILE`
  * overrides the JSON path.
  */
@@ -32,6 +35,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "bench_common.hh"
@@ -102,14 +106,48 @@ struct SweepRow
     }
 };
 
-/** One raced input pair, kept so gate misses can be re-raced. */
-struct PairCase
+/** A kernel to time and where its median goes. */
+struct TimedKernel
 {
-    std::vector<VertexId> small;
-    std::vector<VertexId> large;
-    const Graph *graph = nullptr;
-    VertexId hub = kInvalidVertex;
+    double *ns;
+    std::function<double()> measure; ///< one timeKernel() window
 };
+
+/** @p kernel's entry; the timing loop is instantiated per kernel, so
+ *  the timed calls stay direct. */
+template <typename Fn>
+TimedKernel
+timed(double &ns, Fn kernel)
+{
+    return {&ns, [kernel] { return timeKernel(kernel); }};
+}
+
+/** Minimum timing rounds per sweep row. */
+constexpr std::size_t kMinRounds = 5;
+
+/**
+ * Time @p kernels in max(kMinRounds, kernels) interleaved rounds,
+ * each round starting one kernel later, so every kernel runs first
+ * at least once; store each kernel's median round.
+ */
+void
+timeInterleaved(const std::vector<TimedKernel> &kernels)
+{
+    const std::size_t rounds = std::max(kMinRounds, kernels.size());
+    std::vector<std::vector<double>> samples(kernels.size());
+    for (std::size_t round = 0; round < rounds; ++round) {
+        for (std::size_t i = 0; i < kernels.size(); ++i) {
+            const std::size_t k = (round + i) % kernels.size();
+            samples[k].push_back(kernels[k].measure());
+        }
+    }
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        std::vector<double> &times = samples[k];
+        std::nth_element(times.begin(),
+                         times.begin() + times.size() / 2, times.end());
+        *kernels[k].ns = times[times.size() / 2];
+    }
+}
 
 bool failed = false;
 
@@ -120,7 +158,8 @@ fail(const std::string &why)
     failed = true;
 }
 
-/** Race every kernel on (small, large); verify agreement, time each. */
+/** Race every kernel on (small, large); verify agreement, time each
+ *  (medians of interleaved rounds). */
 SweepRow
 racePair(std::span<const VertexId> small, std::span<const VertexId> large,
          const Graph *graph, VertexId hub_source)
@@ -149,17 +188,21 @@ racePair(std::span<const VertexId> small, std::span<const VertexId> large,
     check("simd_gallop",
           core::simdGallopIntersectInto(small, large, out));
 
-    row.mergeNs = timeKernel(
-        [&] { core::intersectInto(small, large, out); });
-    row.blockedNs = timeKernel(
-        [&] { core::blockedIntersectInto(small, large, out); });
-    row.gallopNs = timeKernel(
-        [&] { core::gallopIntersectInto(small, large, out); });
+    std::vector<TimedKernel> kernels = {
+        timed(row.mergeNs,
+              [&] { core::intersectInto(small, large, out); }),
+        timed(row.blockedNs,
+              [&] { core::blockedIntersectInto(small, large, out); }),
+        timed(row.gallopNs,
+              [&] { core::gallopIntersectInto(small, large, out); }),
+    };
     if (core::simdAvailable()) {
-        row.simdMergeNs = timeKernel(
-            [&] { core::simdMergeIntersectInto(small, large, out); });
-        row.simdGallopNs = timeKernel(
-            [&] { core::simdGallopIntersectInto(small, large, out); });
+        kernels.push_back(timed(row.simdMergeNs, [&] {
+            core::simdMergeIntersectInto(small, large, out);
+        }));
+        kernels.push_back(timed(row.simdGallopNs, [&] {
+            core::simdGallopIntersectInto(small, large, out);
+        }));
     }
 
     const std::uint64_t *row_bits =
@@ -168,9 +211,9 @@ racePair(std::span<const VertexId> small, std::span<const VertexId> large,
         row.bitmap_backed = true;
         check("bitmap",
               core::bitmapIntersectInto(small, large, row_bits, out));
-        row.bitmapNs = timeKernel([&] {
+        kernels.push_back(timed(row.bitmapNs, [&] {
             core::bitmapIntersectInto(small, large, row_bits, out);
-        });
+        }));
     }
 
     core::KernelDispatcher dispatcher(core::KernelMode::Auto, graph);
@@ -178,10 +221,11 @@ racePair(std::span<const VertexId> small, std::span<const VertexId> large,
           dispatcher.intersectInto(core::ListRef(small),
                                    core::ListRef(large, hub_source),
                                    out));
-    row.autoNs = timeKernel([&] {
+    kernels.push_back(timed(row.autoNs, [&] {
         dispatcher.intersectInto(core::ListRef(small),
                                  core::ListRef(large, hub_source), out);
-    });
+    }));
+    timeInterleaved(kernels);
     return row;
 }
 
@@ -310,7 +354,6 @@ main(int argc, char **argv)
     // --- 1. Synthetic pair sweeps across size ratios -------------
     const std::size_t kSmall = 256;
     const VertexId kUniverse = 1 << 20;
-    std::vector<PairCase> sweep_cases;
     std::vector<SweepRow> sweeps;
     bench::TablePrinter table({"ratio", "merge", "gallop", "simd_mrg",
                                "simd_gal", "auto", "speedup"},
@@ -320,11 +363,10 @@ main(int argc, char **argv)
         return ns > 0 ? bench::fmtTime(ns) : std::string("n/a");
     };
     for (const std::size_t ratio : {1ull, 4ull, 16ull, 64ull, 256ull}) {
-        PairCase c;
-        c.small = sortedRandomList(kSmall, kUniverse, 11);
-        c.large = sortedRandomList(kSmall * ratio, kUniverse, 12 + ratio);
-        SweepRow row = racePair(c.small, c.large, nullptr, kInvalidVertex);
-        sweep_cases.push_back(std::move(c));
+        const SweepRow row = racePair(
+            sortedRandomList(kSmall, kUniverse, 11),
+            sortedRandomList(kSmall * ratio, kUniverse, 12 + ratio),
+            nullptr, kInvalidVertex);
         sweeps.push_back(row);
         char speedup[32];
         std::snprintf(speedup, sizeof speedup, "%.2fx",
@@ -341,14 +383,13 @@ main(int argc, char **argv)
     // --- 1b. 4k x 4k equal-size SIMD sweep -----------------------
     // The AVX2 block merge's home turf: near-equal lists too big for
     // galloping to help.  Gated at >= 1.5x the scalar merge.
-    std::vector<PairCase> simd_cases;
     std::vector<SweepRow> simd_sweeps;
     std::printf("\nsimd merge, 4k x 4k equal-size lists:\n");
     for (const std::uint64_t seed : {21ull, 22ull, 23ull}) {
-        PairCase c;
-        c.small = sortedRandomList(4096, kUniverse, seed);
-        c.large = sortedRandomList(4096, kUniverse, 100 + seed);
-        SweepRow row = racePair(c.small, c.large, nullptr, kInvalidVertex);
+        const SweepRow row = racePair(
+            sortedRandomList(4096, kUniverse, seed),
+            sortedRandomList(4096, kUniverse, 100 + seed), nullptr,
+            kInvalidVertex);
         std::printf("  merge %-10s simd %-10s (%.2fx)\n",
                     bench::fmtTime(row.mergeNs).c_str(),
                     (row.simdMergeNs > 0
@@ -357,7 +398,6 @@ main(int argc, char **argv)
                         .c_str(),
                     row.simdMergeNs > 0 ? row.mergeNs / row.simdMergeNs
                                         : 0.0);
-        simd_cases.push_back(std::move(c));
         simd_sweeps.push_back(row);
     }
 
@@ -375,18 +415,11 @@ main(int argc, char **argv)
                 formatBytes(g.hubBitmapBytes()).c_str(),
                 formatBytes(g.sizeBytes()).c_str(),
                 static_cast<unsigned long long>(g.degree(hub)));
-    std::vector<PairCase> hub_cases;
     std::vector<SweepRow> hub_sweeps;
-    for (const std::size_t size : {16u, 64u, 256u}) {
-        PairCase c;
-        c.small = sortedRandomList(size, g.numVertices(), 13 + size);
-        const auto hub_list = g.neighbors(hub);
-        c.large.assign(hub_list.begin(), hub_list.end());
-        c.graph = &g;
-        c.hub = hub;
-        hub_sweeps.push_back(racePair(c.small, c.large, &g, hub));
-        hub_cases.push_back(std::move(c));
-    }
+    for (const std::size_t size : {16u, 64u, 256u})
+        hub_sweeps.push_back(
+            racePair(sortedRandomList(size, g.numVertices(), 13 + size),
+                     g.neighbors(hub), &g, hub));
 
     // --- 3. Engine A/B across --kernel modes ---------------------
     const datasets::Dataset &mc = datasets::byName("mc");
@@ -434,32 +467,21 @@ main(int argc, char **argv)
     }
 
     // --- Gates + JSON --------------------------------------------
-    const auto raceCase = [](const PairCase &c) {
-        return racePair(c.small, c.large, c.graph, c.hub);
-    };
-
     // Gate 1: the adaptive dispatcher must hold >= 0.95x the best
     // single kernel on EVERY row (this subsumes the old >3x-vs-merge
-    // bound — merge is one of the single kernels).  A row that
-    // misses is re-raced up to twice first: single-shot wall-clock
-    // on a shared host is noisy, a real retune regression is not.
+    // bound — merge is one of the single kernels), compared on
+    // per-kernel medians.
     double best_skewed_speedup = 0;
     double worst_auto_vs_best = 1e30;
     struct Section
     {
-        std::vector<SweepRow> *rows;
-        std::vector<PairCase> *cases;
+        const std::vector<SweepRow> *rows;
         const char *name;
     };
-    for (const Section s : {Section{&sweeps, &sweep_cases, "pair"},
-                            Section{&simd_sweeps, &simd_cases, "simd"},
-                            Section{&hub_sweeps, &hub_cases, "hub"}}) {
-        for (std::size_t i = 0; i < s.rows->size(); ++i) {
-            SweepRow &r = (*s.rows)[i];
-            for (int attempt = 0;
-                 r.bestSingleNs() < 0.95 * r.autoNs && attempt < 2;
-                 ++attempt)
-                r = raceCase((*s.cases)[i]);
+    for (const Section s : {Section{&sweeps, "pair"},
+                            Section{&simd_sweeps, "simd"},
+                            Section{&hub_sweeps, "hub"}}) {
+        for (const SweepRow &r : *s.rows) {
             if (r.ratio >= core::kGallopRatio)
                 best_skewed_speedup = std::max(best_skewed_speedup,
                                                r.mergeNs / r.autoNs);
@@ -481,16 +503,10 @@ main(int argc, char **argv)
     // scalar merge somewhere on its 4k x 4k home-turf sweep.
     double simd_speedup_4k = 0;
     if (core::simdAvailable()) {
-        for (std::size_t i = 0; i < simd_sweeps.size(); ++i) {
-            SweepRow &r = simd_sweeps[i];
-            for (int attempt = 0;
-                 r.mergeNs < 1.5 * r.simdMergeNs && attempt < 2;
-                 ++attempt)
-                r = raceCase(simd_cases[i]);
+        for (const SweepRow &r : simd_sweeps)
             if (r.simdMergeNs > 0)
                 simd_speedup_4k = std::max(simd_speedup_4k,
                                            r.mergeNs / r.simdMergeNs);
-        }
         std::printf("simd merge vs scalar merge at 4k x 4k: %.2fx\n",
                     simd_speedup_4k);
         if (simd_speedup_4k < 1.5)

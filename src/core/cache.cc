@@ -34,24 +34,21 @@ DataCache::DataCache(const Graph &g, CachePolicy policy,
 {
     if (capacityBytes_ == 0)
         policy_ = CachePolicy::None;
+    if (policy_ != CachePolicy::None)
+        resident_.assign((std::size_t{g.numVertices()} + 63) / 64, 0);
 }
 
 bool
 DataCache::lookup(VertexId v)
 {
-    if (policy_ == CachePolicy::None) {
-        ++misses_;
-        return false;
-    }
-    auto it = entries_.find(v);
-    if (it == entries_.end()) {
+    if (policy_ == CachePolicy::None || !resident(v)) {
         ++misses_;
         return false;
     }
     ++hits_;
-    if (policy_ == CachePolicy::Lru || policy_ == CachePolicy::Mru) {
+    if (tracksRecency()) {
         // Recency update: move to the back (most recent).
-        order_.splice(order_.end(), order_, it->second);
+        order_.splice(order_.end(), order_, entries_.find(v)->second);
     }
     return true;
 }
@@ -59,7 +56,7 @@ DataCache::lookup(VertexId v)
 bool
 DataCache::insert(VertexId v)
 {
-    if (policy_ == CachePolicy::None || entries_.contains(v))
+    if (policy_ == CachePolicy::None || resident(v))
         return false;
     const std::uint64_t bytes = graph_->edgeListBytes(v);
     if (bytes > capacityBytes_)
@@ -79,8 +76,12 @@ DataCache::insert(VertexId v)
             evictOne();
     }
 
-    order_.push_back(v);
-    entries_.emplace(v, std::prev(order_.end()));
+    if (policy_ != CachePolicy::Static) {
+        order_.push_back(v);
+        if (tracksRecency())
+            entries_.emplace(v, std::prev(order_.end()));
+    }
+    setResident(v, true);
     usedBytes_ += bytes;
     ++insertions_;
     return true;
@@ -100,7 +101,9 @@ DataCache::evictOne()
         victim = order_.back();
         order_.pop_back();
     }
-    entries_.erase(victim);
+    if (tracksRecency())
+        entries_.erase(victim);
+    setResident(victim, false);
     usedBytes_ -= graph_->edgeListBytes(victim);
     ++evictions_;
 }

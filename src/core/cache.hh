@@ -12,10 +12,12 @@
 #ifndef KHUZDUL_CORE_CACHE_HH
 #define KHUZDUL_CORE_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "graph/graph.hh"
 #include "support/types.hh"
@@ -94,6 +96,7 @@ class DataCache
     void
     clear()
     {
+        std::fill(resident_.begin(), resident_.end(), 0);
         entries_.clear();
         order_.clear();
         usedBytes_ = 0;
@@ -104,19 +107,46 @@ class DataCache
   private:
     void evictOne();
 
+    bool
+    resident(VertexId v) const
+    {
+        return (resident_[v / 64] >> (v % 64)) & 1u;
+    }
+
+    void
+    setResident(VertexId v, bool on)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+        if (on)
+            resident_[v / 64] |= bit;
+        else
+            resident_[v / 64] &= ~bit;
+    }
+
+    /** Recency splices happen only under LRU and MRU. */
+    bool
+    tracksRecency() const
+    {
+        return policy_ == CachePolicy::Lru
+            || policy_ == CachePolicy::Mru;
+    }
+
     const Graph *graph_;
     CachePolicy policy_;
     std::uint64_t capacityBytes_;
     EdgeId degreeThreshold_;
 
-    /** Cached vertex -> position in order_ (replacement policies).
-     *  Never iterated: residency queries go through find/contains
-     *  and eviction order comes from order_, so hash layout cannot
-     *  leak into modeled results. */
+    /** One residency bit per vertex (empty under None): the
+     *  membership test of every policy. */
+    std::vector<std::uint64_t> resident_;
+    /** Cached vertex -> position in order_, kept only for the LRU/MRU
+     *  recency splice.  Never iterated: eviction order comes from
+     *  order_, so hash layout cannot leak into modeled results. */
     // khuzdul-lint: allow(unordered-iter) lookup-only (find/emplace/erase); eviction order lives in order_
     std::unordered_map<VertexId, std::list<VertexId>::iterator> entries_;
-    /** Eviction order bookkeeping (front = next victim candidate
-     *  end depends on policy). */
+    /** Eviction order of the replacement policies (front = next
+     *  victim candidate end depends on policy); empty under Static,
+     *  which never evicts. */
     std::list<VertexId> order_;
 
     std::uint64_t usedBytes_ = 0;

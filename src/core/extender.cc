@@ -36,33 +36,52 @@ PlanExtender::PlanExtender(const Graph &g, const ExtendPlan &plan,
     : graph_(&g), plan_(&plan), cost_(&cost), hooks_(hooks),
       dispatcher_(kernel_mode, &g)
 {
-    for (int t = 1; t < plan.pattern.size(); ++t)
+    for (int t = 1; t < plan.pattern.size(); ++t) {
         memoKeys_[t] = candidateMemoKey(plan, t);
+        memo_[t].width =
+            static_cast<std::size_t>(std::popcount(memoKeys_[t]));
+    }
+    // The terminal filter reads v_{t-1} unless t - 1 is a dependency
+    // (candidates lie in its list, so they cannot equal it) and not
+    // a greater-than position.
+    const int t = plan.pattern.size() - 1;
+    if (t >= 1) {
+        const PlanLevel &last = plan.levels[t];
+        terminalFilterReadsLast_ =
+            ((last.greaterThanMask >> (t - 1)) & 1u)
+            || !((last.depMask >> (t - 1)) & 1u);
+    }
 }
 
-void
+std::span<const VertexId>
 PlanExtender::buildCandidates(int t, std::span<const VertexId> stored,
                               std::vector<VertexId> &out,
                               sim::NodeStats &stats)
 {
-    const WorkItems work = memoKeys_[t] != 0
-        ? memoized(t, stored, out, stats)
-        : intersect(t, stored, out, stats);
+    WorkItems work = 0;
+    std::span<const VertexId> set;
+    if (memoKeys_[t] != 0) {
+        set = memoized(t, stored, out, stats, work);
+    } else {
+        work = intersect(t, stored, out, stats);
+        set = out;
+    }
     stats.intersectionItems += work;
     workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
+    return set;
 }
 
-WorkItems
+std::span<const VertexId>
 PlanExtender::memoized(int t, std::span<const VertexId> stored,
                        std::vector<VertexId> &out,
-                       sim::NodeStats &stats)
+                       sim::NodeStats &stats, WorkItems &work)
 {
     // A level intersects at most kMaxPatternSize lists and subtracts
     // at most as many, so one set's per-kind tallies fit a byte.
     static_assert(2 * kMaxPatternSize <= 255);
     const PositionMask key_mask = memoKeys_[t];
-    const auto width = static_cast<std::size_t>(std::popcount(key_mask));
     MemoTable &table = memo_[t];
+    const std::size_t width = table.width;
     if (table.slots.empty()) {
         table.slots.resize(kMemoSlots);
         table.keys.resize(kMemoSlots * width);
@@ -84,7 +103,12 @@ PlanExtender::memoized(int t, std::span<const VertexId> stored,
     MemoSlot &slot = table.slots[index];
     VertexId *const slot_key = table.keys.data() + index * width;
 
-    if (slot.valid && std::equal(key.begin(), key.begin() + n, slot_key)) {
+    // An inline loop: std::equal on a two-id key compiles to a
+    // memcmp call.
+    bool hit = slot.valid;
+    for (std::size_t i = 0; i < width && hit; ++i)
+        hit = slot_key[i] == key[i];
+    if (hit) {
         ++memoCounters_.hits;
         if (hooks_) {
             // The reads intersect() made: dep lists, then anti lists,
@@ -95,16 +119,15 @@ PlanExtender::memoized(int t, std::span<const VertexId> stored,
                     if ((mask >> j) & 1u)
                         hooks_->onEdgeListAccess(vertices_[j]);
         }
-        const VertexId *const begin = memoArena_.data() + slot.offset;
-        out.assign(begin, begin + slot.size);
         dispatcher_.replay(slot.calls);
-        return slot.work;
+        work = slot.work;
+        return {memoArena_.data() + slot.offset, slot.size};
     }
 
     const KernelCounters before = dispatcher_.counters();
-    const WorkItems work = intersect(t, stored, out, stats);
+    work = intersect(t, stored, out, stats);
     if (out.size() > kMemoArenaIds)
-        return work;
+        return out;
     if (memoArena_.size() + out.size() > kMemoArenaIds) {
         // Full arena: drop every stored set at once.
         for (MemoTable &other : memo_)
@@ -121,7 +144,7 @@ PlanExtender::memoized(int t, std::span<const VertexId> stored,
     slot.valid = true;
     std::copy(key.begin(), key.begin() + n, slot_key);
     memoArena_.insert(memoArena_.end(), out.begin(), out.end());
-    return work;
+    return out;
 }
 
 WorkItems
@@ -261,7 +284,8 @@ PlanExtender::extendInner(const std::vector<Chunk> &chunks,
     recoverVertices(chunks, level, idx);
     const int t = level + 1;
     const PlanLevel &next = plan_->levels[t];
-    buildCandidates(t, chunks[t - 1].result(idx), candidates_, stats);
+    const std::span<const VertexId> candidates = buildCandidates(
+        t, chunks[t - 1].result(idx), candidates_, stats);
     const CandidateFilter accepts = filter(t);
     const double check_ns = cost_->candidateCheckNs;
     const double create_ns = cost_->embeddingCreateNs;
@@ -270,7 +294,7 @@ PlanExtender::extendInner(const std::vector<Chunk> &chunks,
     // appended lazily when the first child materializes.
     std::uint32_t result_offset = 0;
     bool result_stored = false;
-    for (const VertexId candidate : candidates_) {
+    for (const VertexId candidate : candidates) {
         work_ns += check_ns;
         if (!accepts(candidate))
             continue;
@@ -280,12 +304,12 @@ PlanExtender::extendInner(const std::vector<Chunk> &chunks,
         work_ns += create_ns;
         if (next.storeResult) {
             if (!result_stored) {
-                result_offset = child.appendResult(candidates_);
+                result_offset = child.appendResult(candidates);
                 result_stored = true;
             }
             child.setResultRef(
                 child_idx, result_offset,
-                static_cast<std::uint32_t>(candidates_.size()));
+                static_cast<std::uint32_t>(candidates.size()));
         }
     }
     workNs_ = work_ns;
@@ -297,13 +321,19 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
                              MatchVisitor *visitor,
                              sim::NodeStats &stats)
 {
-    recoverVertices(chunks, level, idx);
+    const bool walked = recoverVertices(chunks, level, idx);
     if (plan_->hasIep)
         return iepTerminal(level + 1, chunks[level].result(idx),
                            stats);
     const int t = plan_->pattern.size() - 1;
-    buildCandidates(t, chunks[t - 1].result(idx), candidates_, stats);
-    const CandidateFilter accepts = filter(t);
+    const std::span<const VertexId> candidates = buildCandidates(
+        t, chunks[t - 1].result(idx), candidates_, stats);
+    // Siblings share positions below t - 1 (recoverVertices' prefix
+    // cache), so the filter of a sibling run is built once unless it
+    // reads v_{t-1}.
+    if (walked || terminalFilterReadsLast_)
+        terminalFilter_ = filter(t);
+    const CandidateFilter accepts = terminalFilter_;
     const double check_ns = cost_->candidateCheckNs;
     const double match_ns = cost_->terminalNs;
     // The ledger stays in a register for the loop; the additions run
@@ -311,7 +341,7 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
     // bit-identical.
     double work_ns = workNs_;
     std::int64_t raw = 0;
-    for (const VertexId candidate : candidates_) {
+    for (const VertexId candidate : candidates) {
         work_ns += check_ns;
         if (!accepts(candidate))
             continue;

@@ -117,8 +117,10 @@ class PlanExtender
      * stale across chunk refills — before any same-level recovery
      * can see a refilled chunk, an extension at the level above has
      * already re-run recovery there and retagged the cache.
+     * @return whether the prefix was walked (positions below
+     * @p level may have changed).
      */
-    void
+    bool
     recoverVertices(const std::vector<Chunk> &chunks, int level,
                     std::uint32_t idx)
     {
@@ -126,7 +128,7 @@ class PlanExtender
         if (level == prefixLevel_ && parent == prefixParent_
             && parent != kNoParent) {
             vertices_[level] = chunks[level].vertex(idx);
-            return;
+            return false;
         }
         const std::span<const VertexId> col =
             chunks[level].vertexColumn();
@@ -138,16 +140,20 @@ class PlanExtender
         }
         prefixLevel_ = level;
         prefixParent_ = parent;
+        return true;
     }
 
     /**
-     * Materialize into @p out the candidate set for position @p t of
-     * the embedding.  @p stored is the parent's stored intermediate
-     * result (used when the plan level reuses it, §5.1).
+     * The candidate set for position @p t of the embedding.
+     * @p stored is the parent's stored intermediate result (used
+     * when the plan level reuses it, §5.1).  A computed set is
+     * written to @p out and the view points there; a memo hit
+     * leaves @p out alone and points into the memo's arena, which
+     * the next buildCandidates call may overwrite.
      */
-    void buildCandidates(int t, std::span<const VertexId> stored,
-                         std::vector<VertexId> &out,
-                         sim::NodeStats &stats);
+    std::span<const VertexId> buildCandidates(
+        int t, std::span<const VertexId> stored,
+        std::vector<VertexId> &out, sim::NodeStats &stats);
 
     /** Position @p t's candidate filter for the current prefix
      *  (valid while positions below @p t stay unchanged). */
@@ -224,12 +230,15 @@ class PlanExtender
                         std::vector<VertexId> &out,
                         sim::NodeStats &stats);
 
-    /** intersect() through the level's memo: a hit replays the
-     *  stored set, the miss's kernel tallies and edge-list reads,
-     *  and returns the miss's work. */
-    WorkItems memoized(int t, std::span<const VertexId> stored,
-                       std::vector<VertexId> &out,
-                       sim::NodeStats &stats);
+    /** intersect() through the level's memo.  A hit replays the
+     *  miss's kernel tallies and edge-list reads, sets @p work to
+     *  the miss's work and returns the stored set; a miss computes
+     *  into @p out and returns it. */
+    std::span<const VertexId> memoized(int t,
+                                       std::span<const VertexId> stored,
+                                       std::vector<VertexId> &out,
+                                       sim::NodeStats &stats,
+                                       WorkItems &work);
 
     /** @name Candidate memo sizes (constants, not options) */
     /// @{
@@ -256,6 +265,7 @@ class PlanExtender
     {
         std::vector<MemoSlot> slots;
         std::vector<VertexId> keys;
+        std::size_t width = 0; ///< key positions (set at construction)
     };
 
     const Graph *graph_;
@@ -272,6 +282,10 @@ class PlanExtender
     double workNs_ = 0;
     int prefixLevel_ = -1;          ///< level of the cached prefix
     std::uint32_t prefixParent_ = kNoParent;
+    /** The terminal level's filter, kept across a sibling run when
+     *  it does not read the siblings' own position (t - 1). */
+    CandidateFilter terminalFilter_;
+    bool terminalFilterReadsLast_ = true;
 
     std::array<PositionMask, kMaxPatternSize> memoKeys_{};
     std::array<MemoTable, kMaxPatternSize> memo_{};

@@ -11,10 +11,11 @@
 #ifndef KHUZDUL_CORE_HORIZONTAL_HH
 #define KHUZDUL_CORE_HORIZONTAL_HH
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "support/check.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
 
@@ -27,11 +28,17 @@ namespace core
 class HorizontalTable
 {
   public:
-    /** @param num_slots table size (power of two recommended); the
-     *  engine's per-chunk tables use the default. */
+    /** @param num_slots table size, a power of two up to 2^32 (a
+     *  slot is the hash's low bits); the engine's per-chunk tables
+     *  use the default. */
     explicit HorizontalTable(std::size_t num_slots = 1 << 15)
-        : slots_(num_slots, kInvalidVertex)
-    {}
+        : slots_(num_slots, kInvalidVertex), mask_(num_slots - 1)
+    {
+        KHUZDUL_REQUIRE(std::has_single_bit(num_slots)
+                            && num_slots <= std::size_t{1} << 32,
+                        "horizontal table size must be a power of "
+                        "two up to 2^32, got " << num_slots);
+    }
 
     /** Outcome of offering a vertex to the table. */
     enum class Probe
@@ -45,25 +52,32 @@ class HorizontalTable
     Probe
     offer(VertexId v)
     {
-        const std::size_t slot = mix64(v) % slots_.size();
+        const std::size_t slot = mix64(v) & mask_;
         if (slots_[slot] == v)
             return Probe::Hit;
         if (slots_[slot] == kInvalidVertex) {
             slots_[slot] = v;
+            claimed_.push_back(static_cast<std::uint32_t>(slot));
             return Probe::Claimed;
         }
         return Probe::Dropped;
     }
 
-    /** Forget everything (called when a chunk is released). */
+    /** Forget everything (called when a chunk is released): resets
+     *  only the slots claimed since the last clear. */
     void
     clear()
     {
-        std::fill(slots_.begin(), slots_.end(), kInvalidVertex);
+        for (const std::uint32_t slot : claimed_)
+            slots_[slot] = kInvalidVertex;
+        claimed_.clear();
     }
 
   private:
     std::vector<VertexId> slots_;
+    std::uint64_t mask_;
+    /** Slots claimed since the last clear(), in claim order. */
+    std::vector<std::uint32_t> claimed_;
 };
 
 } // namespace core

@@ -67,7 +67,12 @@ class DfsDriver
         }
         const int t = level + 1;
         const bool terminal = t == plan_.pattern.size() - 1;
-        extender_.buildCandidates(t, levels_[t - 1], levels_[t], stats_);
+        const std::span<const VertexId> set = extender_.buildCandidates(
+            t, levels_[t - 1], levels_[t], stats_);
+        // A memo hit views the extender's arena, which deeper levels
+        // can recycle: keep a copy.
+        if (set.data() != levels_[t].data())
+            levels_[t].assign(set.begin(), set.end());
         // Deeper levels only write higher slots, so levels_[t] and
         // the prefix the filter was built from stay intact while the
         // loop recurses.

@@ -13,9 +13,12 @@ Partition::Partition(const Graph &g, NodeId num_nodes,
     KHUZDUL_REQUIRE(num_nodes >= 1, "partition needs >= 1 node");
     KHUZDUL_REQUIRE(sockets_per_node >= 1,
                     "partition needs >= 1 socket per node");
+    owner_.resize(g.numVertices());
     owned_.resize(numUnits());
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        owned_[ownerUnit(v)].push_back(v);
+    for (VertexId v = 0; v < g.numVertices(); ++v) {
+        owner_[v] = static_cast<unsigned>(mix64(v) % numUnits());
+        owned_[owner_[v]].push_back(v);
+    }
 }
 
 std::uint64_t
@@ -42,12 +45,6 @@ Partition::nodeVertexCount(NodeId node) const
         count += static_cast<VertexId>(
             owned_[node * socketsPerNode_ + s].size());
     return count;
-}
-
-std::uint64_t
-Partition::hash(VertexId v)
-{
-    return mix64(v);
 }
 
 } // namespace khuzdul

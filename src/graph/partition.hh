@@ -45,11 +45,12 @@ class Partition
     /** Total execution units = nodes x sockets. */
     unsigned numUnits() const { return numNodes_ * socketsPerNode_; }
 
-    /** Execution unit owning vertex @p v. */
+    /** Execution unit owning vertex @p v: mix64(v) mod numUnits(),
+     *  read from a table the constructor fills. */
     unsigned
     ownerUnit(VertexId v) const
     {
-        return static_cast<unsigned>(hash(v) % numUnits());
+        return owner_[v];
     }
 
     /** Machine owning vertex @p v. */
@@ -84,11 +85,10 @@ class Partition
     VertexId nodeVertexCount(NodeId node) const;
 
   private:
-    static std::uint64_t hash(VertexId v);
-
     const Graph *graph_;
     NodeId numNodes_;
     unsigned socketsPerNode_;
+    std::vector<unsigned> owner_; ///< per vertex
     std::vector<std::vector<VertexId>> owned_;
 };
 

@@ -649,6 +649,73 @@ TEST(Cli, BadInputsReportErrors)
         EXPECT_NE(bad.second.find(name), std::string::npos)
             << flags << ": " << bad.second;
     }
+
+    // A flag the subcommand never reads is a typo or another
+    // subcommand's flag; floating-point values are parsed in full
+    // and must be finite (non-negative for times and profiles); a
+    // graph spec takes no extra fields.  Each message names the
+    // flag or field.
+    const std::pair<const char *, const char *> bad_inputs[] = {
+        {"count --graph rmat:200:800 --pattern triangle --thread 1",
+         "--thread"},
+        {"motifs --graph rmat:200:800 --k 7", "--k"},
+        {"serve --graph rmat:200:800 --query triangle --pattern house",
+         "--pattern"},
+        {"count --graph rmat:200:800 --cache-fraction 0.1x",
+         "--cache-fraction"},
+        {"count --graph rmat:200:800 --cache-fraction abc",
+         "--cache-fraction"},
+        {"count --graph rmat:200:800 --cache-fraction nan",
+         "--cache-fraction"},
+        {"count --graph rmat:200:800 --steal-threshold 1e5zz",
+         "--steal-threshold"},
+        {"count --graph rmat:200:800 --steal-threshold -1",
+         "--steal-threshold"},
+        {"count --graph rmat:200:800 --deadline -5", "--deadline"},
+        {"count --graph rmat:200:800 --deadline inf", "--deadline"},
+        {"plan --pattern house --profile-degree -16",
+         "--profile-degree"},
+        {"plan --pattern house --profile-vertices 1e999",
+         "--profile-vertices"},
+        {"count --graph rmat:200:800:0.5x", "rmat a"},
+        {"count --graph rmat:200:800:0.5:9:junk",
+         "rmat:V:E[:a[:seed]]"},
+        {"count --graph er:200:800:3:4", "er:V:E[:seed]"},
+        {"count --graph sw:200:3:0.1q", "sw beta"},
+        {"count --graph standin:mc:2", "standin:<abbr>"},
+    };
+    for (const auto &[command, name] : bad_inputs) {
+        const auto bad = runCli(command);
+        EXPECT_EQ(bad.first, 1) << command;
+        EXPECT_NE(bad.second.find(name), std::string::npos)
+            << command << ": " << bad.second;
+        EXPECT_EQ(bad.second.find("stod"), std::string::npos)
+            << command << ": " << bad.second;
+    }
+}
+
+TEST(Cli, HelpFlagsAreAcceptedEvenWhenIrrelevant)
+{
+    // Every flag a subcommand's help lists is read, even when other
+    // options make it moot (a cache fraction with --no-cache, a
+    // steal threshold with stealing off, labels for FSM).
+    const char *commands[] = {
+        "count --graph er:200:800:3 --pattern triangle --nodes 2 "
+        "--no-cache --cache-fraction 0.2 --steal off "
+        "--steal-threshold 5 --fault-retries 2 --deadline 0",
+        "motifs --graph er:200:800:3 --size 3 --nodes 2 --steal off "
+        "--steal-threshold 5 --checkpoint --deadline 0",
+        "fsm --graph er:200:800:3 --labels 2 --label-seed 3 "
+        "--support 10 --max-edges 1 --nodes 2",
+        "serve --graph er:200:800:3 --query triangle --nodes 2 "
+        "--max-in-flight 2 --query-retries 1 --deadline 0 --induced",
+        "plan --pattern house --system automine --induced "
+        "--profile-vertices 1000 --profile-degree 4",
+    };
+    for (const char *command : commands) {
+        const auto [code, out] = runCli(command);
+        EXPECT_EQ(code, 0) << command << ": " << out;
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <set>
 
 #include "core/cache.hh"
@@ -16,6 +17,7 @@
 #include "core/horizontal.hh"
 #include "core/kernels/kernels.hh"
 #include "graph/generators.hh"
+#include "support/check.hh"
 #include "support/rng.hh"
 
 namespace khuzdul
@@ -208,6 +210,126 @@ TEST(Horizontal, HitClaimDropSemantics)
     EXPECT_EQ(table.offer(collider), HorizontalTable::Probe::Dropped);
     table.clear();
     EXPECT_EQ(table.offer(collider), HorizontalTable::Probe::Claimed);
+}
+
+TEST(Horizontal, RequiresPowerOfTwoSize)
+{
+    EXPECT_THROW(HorizontalTable(0), FatalError);
+    EXPECT_THROW(HorizontalTable(3), FatalError);
+    EXPECT_NO_THROW(HorizontalTable(1));
+    EXPECT_NO_THROW(HorizontalTable(64));
+}
+
+TEST(Horizontal, ClearReleasesEveryClaimedSlot)
+{
+    HorizontalTable table(256);
+    std::vector<VertexId> claimed;
+    for (VertexId v = 0; v < 2000; v += 7)
+        if (table.offer(v) == HorizontalTable::Probe::Claimed)
+            claimed.push_back(v);
+    ASSERT_GT(claimed.size(), 100u);
+    for (int round = 0; round < 3; ++round) {
+        table.clear();
+        for (const VertexId v : claimed)
+            ASSERT_EQ(table.offer(v), HorizontalTable::Probe::Claimed)
+                << "round " << round << " vertex " << v;
+        for (const VertexId v : claimed)
+            ASSERT_EQ(table.offer(v), HorizontalTable::Probe::Hit);
+    }
+}
+
+/** One policy's pinned outcome of the op script in
+ *  Cache.PolicyMatrixIsPinned. */
+struct CacheRun
+{
+    std::uint64_t resultHash = 14695981039346656037ull;
+    std::uint64_t reinserts = 0; ///< admissions of an evicted vertex
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t insertions = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t usedBytes = 0;
+
+    bool operator==(const CacheRun &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CacheRun &r)
+{
+    return os << "{" << r.resultHash << "ull, " << r.reinserts << ", "
+              << r.hits << ", " << r.misses << ", " << r.insertions
+              << ", " << r.evictions << ", " << r.usedBytes << "}";
+}
+
+/** A seeded mix of lookups and inserts over 48 vertices of
+ *  different degrees; every result feeds an FNV-1a hash. */
+CacheRun
+runCacheScript(DataCache &cache)
+{
+    CacheRun run;
+    std::set<VertexId> admitted;
+    Rng rng(5);
+    for (int op = 0; op < 600; ++op) {
+        const auto v = static_cast<VertexId>(rng.nextBounded(48));
+        bool result;
+        if (rng.nextBounded(3) == 0) {
+            result = cache.insert(v);
+            if (result && !admitted.insert(v).second)
+                ++run.reinserts;
+        } else {
+            result = cache.lookup(v);
+        }
+        run.resultHash = (run.resultHash ^ (result ? 1u : 2u))
+            * 1099511628211ull;
+    }
+    run.hits = cache.hits();
+    run.misses = cache.misses();
+    run.insertions = cache.insertions();
+    run.evictions = cache.evictions();
+    run.usedBytes = cache.usedBytes();
+    return run;
+}
+
+TEST(Cache, PolicyMatrixIsPinned)
+{
+    // The Fig 16 ablation and Table 6 read these counters; any
+    // change to residency tests or eviction order shows here.
+    const Graph g = gen::rmat(200, 1600, 0.55, 0.15, 0.15, 3);
+    const std::pair<core::CachePolicy, CacheRun> pinned[] = {
+        {core::CachePolicy::None,
+         {13668878995424266533ull, 0, 0, 398, 0, 0, 0}},
+        {core::CachePolicy::Static,
+         {13964338752801502848ull, 0, 63, 335, 8, 0, 636}},
+        {core::CachePolicy::Fifo,
+         {3459418481013932462ull, 104, 106, 292, 151, 137, 584}},
+        {core::CachePolicy::Lifo,
+         {445632331906795908ull, 99, 101, 297, 146, 130, 584}},
+        {core::CachePolicy::Lru,
+         {13915688547310547118ull, 106, 102, 296, 153, 141, 516}},
+        {core::CachePolicy::Mru,
+         {3345111851265468585ull, 94, 105, 293, 141, 124, 632}},
+    };
+    for (const auto &[policy, expected] : pinned) {
+        SCOPED_TRACE(core::cachePolicyName(policy));
+        DataCache cache(g, policy, 640, 12);
+        const CacheRun first = runCacheScript(cache);
+        EXPECT_EQ(first, expected);
+        if (policy != core::CachePolicy::None
+            && policy != core::CachePolicy::Static) {
+            EXPECT_GT(first.evictions, 0u);
+            EXPECT_GT(first.reinserts, 0u);
+        }
+        // clear() is a cold restart: nothing stays resident and the
+        // same script replays the same outcome.
+        cache.clear();
+        EXPECT_EQ(cache.usedBytes(), 0u);
+        EXPECT_FALSE(cache.fullForever());
+        for (VertexId v = 0; v < 48; ++v)
+            EXPECT_FALSE(cache.lookup(v)) << v;
+        cache.clear();
+        EXPECT_EQ(cache.misses(), 0u);
+        EXPECT_EQ(runCacheScript(cache), first);
+    }
 }
 
 TEST(Cache, StaticRespectsDegreeThresholdAndFreeze)

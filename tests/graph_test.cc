@@ -277,6 +277,30 @@ TEST(Partition, OwnerNodeConsistentWithUnit)
     }
 }
 
+TEST(Partition, OwnerUnitsArePinned)
+{
+    // Every modeled byte depends on who owns what: an FNV-1a hash of
+    // ownerUnit(v) over all vertices, per cluster geometry.
+    const Graph g = gen::erdosRenyi(10007, 20000, 1);
+    struct Geometry
+    {
+        NodeId nodes;
+        unsigned sockets;
+        std::uint64_t hash;
+    };
+    for (const Geometry &geometry :
+         {Geometry{4, 1, 455220692866921415ull},
+          Geometry{3, 2, 9525451144376028485ull},
+          Geometry{8, 2, 2101133013892205859ull}}) {
+        const Partition part(g, geometry.nodes, geometry.sockets);
+        std::uint64_t hash = 14695981039346656037ull;
+        for (VertexId v = 0; v < g.numVertices(); ++v)
+            hash = (hash ^ part.ownerUnit(v)) * 1099511628211ull;
+        EXPECT_EQ(hash, geometry.hash)
+            << geometry.nodes << "x" << geometry.sockets;
+    }
+}
+
 TEST(Partition, RoughlyBalanced)
 {
     const Graph g = gen::erdosRenyi(8000, 32000, 2);

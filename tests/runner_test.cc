@@ -300,6 +300,47 @@ TEST(Runner, AgreesWithEngineOnCountsAndWork)
     }
 }
 
+/** The engine's terminal filter is rebuilt only when the prefix it
+ *  reads changes: house and cycle4 reuse it across a sibling run,
+ *  star4, tailed and path4 rebuild it per embedding.  256-byte
+ *  chunks make sibling runs straddle chunk refills.  Counts match
+ *  runPlanDfs and the modeled dump is pinned. */
+TEST(Runner, SmallChunkEngineRunsArePinned)
+{
+    const Graph g = pricedGraph();
+    struct Pinned
+    {
+        Pattern pattern;
+        std::size_t jsonBytes;
+        std::uint64_t jsonHash;
+    };
+    const Pinned pins[] = {
+        {Pattern::house(), 8488, 8802106732478670955ull},
+        {Pattern::cycleOf(4), 8364, 911700152874831073ull},
+        {Pattern::starOf(4), 7820, 12501413936560129007ull},
+        {Pattern::tailedTriangle(), 8294, 16663112604618442553ull},
+        {Pattern::pathOf(4), 8250, 690981814607647228ull},
+    };
+    for (const Pinned &pin : pins) {
+        const ExtendPlan plan = compileAutomine(pin.pattern, {});
+        SCOPED_TRACE(plan.toString());
+        core::EngineConfig config;
+        config.graph.cluster = sim::ClusterConfig::paperDefault(4);
+        config.session.chunkBytes = 256;
+        core::Engine engine(g, config);
+        const Count count = engine.run(plan);
+        EXPECT_EQ(static_cast<std::int64_t>(count) * plan.countDivisor,
+                  core::runPlanDfs(g, plan, allRoots(g)).rawCount);
+        const std::string json = engine.stats().toJson(false);
+        std::uint64_t hash = 14695981039346656037ull;
+        for (const char c : json)
+            hash = (hash ^ static_cast<unsigned char>(c))
+                * 1099511628211ull;
+        EXPECT_EQ(json.size(), pin.jsonBytes);
+        EXPECT_EQ(hash, pin.jsonHash);
+    }
+}
+
 /** Plans whose levels the candidate memo must leave alone. */
 std::vector<ExtendPlan>
 unmemoizedPlans(const Graph &g)
@@ -355,11 +396,13 @@ TEST(CandidateMemo, HitReplaysTheMissExactly)
     struct Step
     {
         std::vector<VertexId> out;
+        bool computed = false; ///< the view points into `out`
         core::WorkItems items = 0;
         double ns = 0;
         std::array<std::uint64_t, core::kNumKernelKinds> calls{};
         std::vector<VertexId> reads;
     };
+    std::vector<VertexId> scratch;
     const auto step = [&](VertexId v2, VertexId v3) {
         extender.vertices()[2] = v2;
         extender.vertices()[3] = v3;
@@ -368,7 +411,10 @@ TEST(CandidateMemo, HitReplaysTheMissExactly)
         extender.exchangeWork(0);
         Step s;
         sim::NodeStats stats;
-        extender.buildCandidates(4, {}, s.out, stats);
+        const std::span<const VertexId> set =
+            extender.buildCandidates(4, {}, scratch, stats);
+        s.computed = set.data() == scratch.data();
+        s.out.assign(set.begin(), set.end());
         s.items = stats.intersectionItems;
         s.ns = extender.workNs();
         for (std::size_t k = 0; k < core::kNumKernelKinds; ++k)
@@ -396,6 +442,9 @@ TEST(CandidateMemo, HitReplaysTheMissExactly)
     EXPECT_GT(std::accumulate(miss.calls.begin(), miss.calls.end(),
                               std::uint64_t{0}),
               0u);
+    EXPECT_TRUE(miss.computed);
+    // A hit is a view of the memo's copy, not a copy into `out`.
+    EXPECT_FALSE(hit.computed);
     EXPECT_EQ(hit.out, miss.out);
     EXPECT_EQ(hit.items, miss.items);
     EXPECT_EQ(hit.ns, miss.ns);
@@ -429,8 +478,12 @@ TEST(CandidateMemo, StaysExactAcrossArenaOverflow)
                 // The second lookup of each key always hits.
                 for (int repeat = 0; repeat < 2; ++repeat) {
                     sim::NodeStats stats;
-                    extender.buildCandidates(4, {}, out, stats);
-                    ASSERT_EQ(out, expected) << a << "," << b;
+                    const std::span<const VertexId> set =
+                        extender.buildCandidates(4, {}, out, stats);
+                    ASSERT_TRUE(std::equal(set.begin(), set.end(),
+                                           expected.begin(),
+                                           expected.end()))
+                        << a << "," << b;
                     ASSERT_EQ(stats.intersectionItems, work);
                 }
             }

@@ -19,12 +19,14 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -74,11 +76,35 @@ parseInteger(const std::string &text, const std::string &what)
     return static_cast<T>(value);
 }
 
-/** Minimal --key value / --flag argument map. */
+/**
+ * Parse @p text as a finite decimal number.  Surrounding characters,
+ * inf/nan, out-of-range values and — with @p non_negative — values
+ * below zero are fatal; @p what names the flag or spec field.
+ */
+double
+parseDouble(const std::string &text, const std::string &what,
+            bool non_negative = false)
+{
+    double value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end || !std::isfinite(value))
+        KHUZDUL_FATAL(what << " must be a finite number, got '" << text
+                      << "'");
+    if (non_negative && value < 0)
+        KHUZDUL_FATAL(what << " must be non-negative, got '" << text
+                      << "'");
+    return value;
+}
+
+/**
+ * Minimal --key value / --flag argument map.  It records which keys
+ * the subcommand read, so rejectUnread() can refuse the rest.
+ */
 class Args
 {
   public:
-    Args(int argc, char **argv, int first)
+    Args(int argc, char **argv, int first) : command_(argv[first - 1])
     {
         for (int i = first; i < argc; ++i) {
             std::string key = argv[i];
@@ -103,11 +129,17 @@ class Args
         }
     }
 
-    bool has(const std::string &key) const { return values_.count(key); }
+    bool
+    has(const std::string &key) const
+    {
+        read_.insert(key);
+        return values_.count(key);
+    }
 
     std::string
     get(const std::string &key, const std::string &fallback = "") const
     {
+        read_.insert(key);
         auto it = values_.find(key);
         return it == values_.end() ? fallback : it->second;
     }
@@ -117,30 +149,53 @@ class Args
     T
     getInteger(const std::string &key, T fallback) const
     {
+        read_.insert(key);
         auto it = values_.find(key);
         return it == values_.end()
             ? fallback : parseInteger<T>(it->second, "--" + key);
     }
 
+    /** Floating-point option (see parseDouble). */
     double
-    getDouble(const std::string &key, double fallback) const
+    getDouble(const std::string &key, double fallback,
+              bool non_negative = false) const
     {
+        read_.insert(key);
         auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stod(it->second);
+        return it == values_.end()
+            ? fallback
+            : parseDouble(it->second, "--" + key, non_negative);
     }
 
     /** Every value of a repeatable option, in command-line order. */
     std::vector<std::string>
     getList(const std::string &key) const
     {
+        read_.insert(key);
         auto it = occurrences_.find(key);
         return it == occurrences_.end() ? std::vector<std::string>{}
                                         : it->second;
     }
 
+    /** Fail on an option the subcommand never read: a typo or
+     *  another subcommand's flag.  Called once every option is read,
+     *  before any work starts. */
+    void
+    rejectUnread() const
+    {
+        for (const auto &[key, value] : values_)
+            if (!read_.count(key))
+                KHUZDUL_FATAL("unknown option --"
+                              << key << " for '" << command_
+                              << "' (see `khuzdul help " << command_
+                              << "`)");
+    }
+
   private:
+    std::string command_;
     std::map<std::string, std::string> values_;
     std::map<std::string, std::vector<std::string>> occurrences_;
+    mutable std::set<std::string> read_;
 };
 
 /**
@@ -216,22 +271,32 @@ loadGraph(const std::string &spec)
     };
     const auto parts = split(spec);
     const std::string &kind = parts[0];
+    // A spec has min..max fields, its kind included.
+    const auto fields = [&parts, &spec](std::size_t min,
+                                        std::size_t max,
+                                        const char *grammar) {
+        KHUZDUL_REQUIRE(parts.size() >= min && parts.size() <= max,
+                        "graph spec '" << spec << "' has "
+                            << parts.size() << " fields; expected "
+                            << grammar);
+    };
     if (kind == "standin") {
-        KHUZDUL_REQUIRE(parts.size() == 2, "standin:<abbr>");
+        fields(2, 2, "standin:<abbr>");
         return datasets::byName(parts[1]).graph;
     }
     if (kind == "rmat") {
-        KHUZDUL_REQUIRE(parts.size() >= 3, "rmat:V:E[:a[:seed]]");
+        fields(3, 5, "rmat:V:E[:a[:seed]]");
         const auto v = parseInteger<VertexId>(parts[1], "rmat V");
         const auto e = parseInteger<EdgeId>(parts[2], "rmat E");
-        const double a = parts.size() > 3 ? std::stod(parts[3]) : 0.55;
+        const double a =
+            parts.size() > 3 ? parseDouble(parts[3], "rmat a") : 0.55;
         const auto seed = parts.size() > 4
             ? parseInteger<std::uint64_t>(parts[4], "rmat seed") : 1;
         const double rest = (1.0 - a) / 3.0;
         return gen::rmat(v, e, a, rest, rest, seed);
     }
     if (kind == "er") {
-        KHUZDUL_REQUIRE(parts.size() >= 3, "er:V:E[:seed]");
+        fields(3, 4, "er:V:E[:seed]");
         return gen::erdosRenyi(
             parseInteger<VertexId>(parts[1], "er V"),
             parseInteger<EdgeId>(parts[2], "er E"),
@@ -239,10 +304,11 @@ loadGraph(const std::string &spec)
                 ? parseInteger<std::uint64_t>(parts[3], "er seed") : 1);
     }
     if (kind == "sw") {
-        KHUZDUL_REQUIRE(parts.size() >= 4, "sw:V:k:beta[:seed]");
+        fields(4, 5, "sw:V:k:beta[:seed]");
         return gen::smallWorld(
             parseInteger<VertexId>(parts[1], "sw V"),
-            parseInteger<unsigned>(parts[2], "sw k"), std::stod(parts[3]),
+            parseInteger<unsigned>(parts[2], "sw k"),
+            parseDouble(parts[3], "sw beta"),
             parts.size() > 4
                 ? parseInteger<std::uint64_t>(parts[4], "sw seed") : 1);
     }
@@ -260,6 +326,16 @@ loadGraph(const std::string &spec)
     return io::readEdgeList(in);
 }
 
+/** `--system automine|graphpi` (default graphpi). */
+std::string
+systemStyle(const Args &args)
+{
+    const std::string style = args.get("system", "graphpi");
+    KHUZDUL_REQUIRE(style == "automine" || style == "graphpi",
+                    "--system must be automine or graphpi");
+    return style;
+}
+
 core::EngineConfig
 engineConfigFromArgs(const Args &args)
 {
@@ -270,6 +346,8 @@ engineConfigFromArgs(const Args &args)
         args.getInteger<unsigned>("sockets", 2);
     config.session.chunkBytes =
         args.getInteger<std::uint64_t>("chunk-bytes", 1 << 20);
+    // The range check lives with the context (a cache fraction
+    // outside [0, 1] is a bad config however it is built).
     config.graph.cacheFraction = args.getDouble("cache-fraction", 0.15);
     if (args.has("no-cache"))
         config.graph.cachePolicy = core::CachePolicy::None;
@@ -293,26 +371,37 @@ engineConfigFromArgs(const Args &args)
                         << steal << "'");
     config.session.stealEnabled = steal == "on";
     config.session.stealBacklogThresholdNs =
-        args.getDouble("steal-threshold", 1.0e5);
+        args.getDouble("steal-threshold", 1.0e5, true);
     // Crash recovery and query resilience (DESIGN.md §9).
     config.session.checkpointEnabled = args.has("checkpoint");
-    config.session.deadlineNs = args.getDouble("deadline", 0.0);
+    config.session.deadlineNs = args.getDouble("deadline", 0.0, true);
     config.session.maxQueryRetries =
         args.getInteger<unsigned>("query-retries", 0);
     return config;
 }
 
-std::unique_ptr<engines::KhuzdulSystem>
-systemFromArgs(const Graph &g, const Args &args)
+/** The options count, motifs and fsm share. */
+struct RunOptions
 {
-    const std::string style = args.get("system", "graphpi");
-    if (style == "automine")
-        return engines::KhuzdulSystem::kAutomine(
-            g, engineConfigFromArgs(args));
-    KHUZDUL_REQUIRE(style == "graphpi",
-                    "--system must be automine or graphpi");
-    return engines::KhuzdulSystem::kGraphPi(g,
-                                            engineConfigFromArgs(args));
+    std::string system;
+    core::EngineConfig config;
+    std::string tracePath; ///< `--trace FILE` (empty: none)
+    std::string statsPath; ///< `--stats-json FILE` (empty: none)
+};
+
+RunOptions
+runOptionsFromArgs(const Args &args)
+{
+    return {systemStyle(args), engineConfigFromArgs(args),
+            args.get("trace"), args.get("stats-json")};
+}
+
+std::unique_ptr<engines::KhuzdulSystem>
+makeSystem(const Graph &g, const RunOptions &run)
+{
+    return run.system == "automine"
+        ? engines::KhuzdulSystem::kAutomine(g, run.config)
+        : engines::KhuzdulSystem::kGraphPi(g, run.config);
 }
 
 /**
@@ -328,14 +417,14 @@ struct TraceOutput
 };
 
 TraceOutput
-attachTrace(engines::KhuzdulSystem &system, const Args &args)
+attachTrace(engines::KhuzdulSystem &system, const RunOptions &run)
 {
     TraceOutput out;
-    const std::string path = args.get("trace", "");
-    if (path.empty())
+    if (run.tracePath.empty())
         return out;
-    out.file = std::make_unique<std::ofstream>(path);
-    KHUZDUL_REQUIRE(out.file->is_open(), "cannot write " << path);
+    out.file = std::make_unique<std::ofstream>(run.tracePath);
+    KHUZDUL_REQUIRE(out.file->is_open(),
+                    "cannot write " << run.tracePath);
     out.sink = std::make_unique<sim::JsonLinesTraceSink>(*out.file);
     system.engine().setTraceSink(out.sink.get());
     return out;
@@ -343,13 +432,12 @@ attachTrace(engines::KhuzdulSystem &system, const Args &args)
 
 /** Optional `--stats-json FILE`: dump RunStats machine-readably. */
 void
-writeStatsJson(const sim::RunStats &stats, const Args &args)
+writeStatsJson(const sim::RunStats &stats, const RunOptions &run)
 {
-    const std::string path = args.get("stats-json", "");
-    if (path.empty())
+    if (run.statsPath.empty())
         return;
-    std::ofstream out(path);
-    KHUZDUL_REQUIRE(out.is_open(), "cannot write " << path);
+    std::ofstream out(run.statsPath);
+    KHUZDUL_REQUIRE(out.is_open(), "cannot write " << run.statsPath);
     out << stats.toJson();
 }
 
@@ -367,14 +455,20 @@ printStats(const sim::RunStats &stats)
                     formatPercent(stats.staticCacheHitRate()).c_str());
 }
 
+// Each subcommand reads every option it accepts, then calls
+// rejectUnread() before it does any work.
+
 int
 cmdGenerate(const Args &args)
 {
-    const Graph g = loadGraph(args.get("spec", "rmat:10000:80000"));
+    const std::string spec = args.get("spec", "rmat:10000:80000");
     const std::string out = args.get("out", "graph.el");
+    const bool binary = args.get("format", "text") == "binary";
+    args.rejectUnread();
+    const Graph g = loadGraph(spec);
     std::ofstream file(out, std::ios::binary);
     KHUZDUL_REQUIRE(file.is_open(), "cannot write " << out);
-    if (args.get("format", "text") == "binary")
+    if (binary)
         io::writeBinary(g, file);
     else
         io::writeEdgeList(g, file);
@@ -388,7 +482,9 @@ cmdGenerate(const Args &args)
 int
 cmdInfo(const Args &args)
 {
-    const Graph g = loadGraph(args.get("graph", ""));
+    const std::string spec = args.get("graph", "");
+    args.rejectUnread();
+    const Graph g = loadGraph(spec);
     std::printf("vertices:    %s\n",
                 formatCount(g.numVertices()).c_str());
     std::printf("edges:       %s\n", formatCount(g.numEdges()).c_str());
@@ -419,12 +515,15 @@ cmdInfo(const Args &args)
 int
 cmdConvert(const Args &args)
 {
-    const Graph g = loadGraph(args.get("in", ""));
+    const std::string in = args.get("in", "");
     const std::string out = args.get("out", "");
+    const bool binary = args.get("format", "binary") == "binary";
+    args.rejectUnread();
     KHUZDUL_REQUIRE(!out.empty(), "--out is required");
+    const Graph g = loadGraph(in);
     std::ofstream file(out, std::ios::binary);
     KHUZDUL_REQUIRE(file.is_open(), "cannot write " << out);
-    if (args.get("format", "binary") == "binary")
+    if (binary)
         io::writeBinary(g, file);
     else
         io::writeEdgeList(g, file);
@@ -436,20 +535,24 @@ int
 cmdPlan(const Args &args)
 {
     const Pattern p = parsePattern(args.get("pattern", "triangle"));
+    const std::string style = systemStyle(args);
     PlanOptions options;
     options.induced = args.has("induced");
     // With a graph, compile against its degree profile exactly as
     // `count` does, so this is the plan `count` runs.
-    GraphProfile profile{args.getDouble("profile-vertices", 100000.0),
-                         args.getDouble("profile-degree", 16.0)};
-    if (args.has("graph")) {
+    GraphProfile profile{
+        args.getDouble("profile-vertices", 100000.0, true),
+        args.getDouble("profile-degree", 16.0, true)};
+    const bool from_graph = args.has("graph");
+    if (from_graph)
         KHUZDUL_REQUIRE(!args.has("profile-vertices")
                             && !args.has("profile-degree"),
                         "--profile-vertices and --profile-degree "
                         "apply only without --graph");
+    args.rejectUnread();
+    if (from_graph)
         profile = GraphProfile::fromGraph(loadGraph(args.get("graph")));
-    }
-    const ExtendPlan plan = args.get("system", "graphpi") == "automine"
+    const ExtendPlan plan = style == "automine"
         ? compileAutomine(p, options)
         : compileGraphPi(p, profile, options);
     std::printf("%s", plan.toString().c_str());
@@ -470,18 +573,21 @@ cmdPlan(const Args &args)
 int
 cmdCount(const Args &args)
 {
-    const Graph g = loadGraph(args.get("graph", ""));
+    const std::string spec = args.get("graph", "");
     const Pattern p = parsePattern(args.get("pattern", "triangle"));
-    auto system = systemFromArgs(g, args);
-    const TraceOutput trace = attachTrace(*system, args);
+    const RunOptions run = runOptionsFromArgs(args);
     PlanOptions options;
     options.induced = args.has("induced");
+    args.rejectUnread();
+    const Graph g = loadGraph(spec);
+    auto system = makeSystem(g, run);
+    const TraceOutput trace = attachTrace(*system, run);
     Timer timer;
     const Count count = system->count(p, options);
     std::printf("%s embeddings of %s\n", formatCount(count).c_str(),
                 p.toString().c_str());
     printStats(system->stats());
-    writeStatsJson(system->stats(), args);
+    writeStatsJson(system->stats(), run);
     std::printf("host wall time:       %s\n",
                 formatTime(timer.elapsedNs()).c_str());
     return 0;
@@ -490,33 +596,41 @@ cmdCount(const Args &args)
 int
 cmdMotifs(const Args &args)
 {
-    const Graph g = loadGraph(args.get("graph", ""));
-    auto system = systemFromArgs(g, args);
-    const TraceOutput trace = attachTrace(*system, args);
+    const std::string spec = args.get("graph", "");
+    const RunOptions run = runOptionsFromArgs(args);
     const int k = args.getInteger<int>("size", 3);
+    args.rejectUnread();
+    const Graph g = loadGraph(spec);
+    auto system = makeSystem(g, run);
+    const TraceOutput trace = attachTrace(*system, run);
     const auto census = apps::motifCount(*system, k);
     for (const auto &motif : census)
         std::printf("%-28s %16s\n", motif.pattern.toString().c_str(),
                     formatCount(motif.count).c_str());
     printStats(system->stats());
-    writeStatsJson(system->stats(), args);
+    writeStatsJson(system->stats(), run);
     return 0;
 }
 
 int
 cmdFsm(const Args &args)
 {
-    Graph g = loadGraph(args.get("graph", ""));
-    if (!g.labeled())
-        gen::randomizeLabels(
-            g, args.getInteger<Label>("labels", 3),
-            args.getInteger<std::uint64_t>("label-seed", 1));
-    auto system = systemFromArgs(g, args);
-    const TraceOutput trace = attachTrace(*system, args);
-    apps::KhuzdulFsmBackend backend(*system);
+    const std::string spec = args.get("graph", "");
+    // Read even when the graph turns out to be labeled already.
+    const auto labels = args.getInteger<Label>("labels", 3);
+    const auto label_seed =
+        args.getInteger<std::uint64_t>("label-seed", 1);
+    const RunOptions run = runOptionsFromArgs(args);
     apps::FsmConfig config;
     config.minSupport = args.getInteger<Count>("support", 100);
     config.maxEdges = args.getInteger<int>("max-edges", 3);
+    args.rejectUnread();
+    Graph g = loadGraph(spec);
+    if (!g.labeled())
+        gen::randomizeLabels(g, labels, label_seed);
+    auto system = makeSystem(g, run);
+    const TraceOutput trace = attachTrace(*system, run);
+    apps::KhuzdulFsmBackend backend(*system);
     const auto result = apps::mineFrequentSubgraphs(backend, g, config);
     std::printf("%zu frequent patterns (of %s candidates):\n",
                 result.frequent.size(),
@@ -526,7 +640,7 @@ cmdFsm(const Args &args)
                     fp.pattern.toString().c_str(),
                     formatCount(fp.support).c_str());
     printStats(system->stats());
-    writeStatsJson(system->stats(), args);
+    writeStatsJson(system->stats(), run);
     return 0;
 }
 
@@ -539,32 +653,30 @@ cmdFsm(const Args &args)
 int
 cmdServe(const Args &args)
 {
-    const Graph g = loadGraph(args.get("graph", ""));
+    const std::string spec = args.get("graph", "");
     const core::EngineConfig config = engineConfigFromArgs(args);
-    core::GraphContext context(g, config.graph);
-
     core::ServiceOptions options;
     options.maxInFlight = args.getInteger<unsigned>("max-in-flight", 4);
     options.hostThreads = config.session.hostThreads;
-    core::QueryService service(context, options);
-
-    const std::string style = args.get("system", "graphpi");
-    KHUZDUL_REQUIRE(style == "automine" || style == "graphpi",
-                    "--system must be automine or graphpi");
+    const std::string style = systemStyle(args);
     PlanOptions plan_options;
     plan_options.induced = args.has("induced");
-
     const std::vector<std::string> specs = args.getList("query");
+    args.rejectUnread();
     KHUZDUL_REQUIRE(!specs.empty(),
                     "at least one --query PATTERN is required");
     std::vector<Pattern> patterns;
-    for (const std::string &spec : specs) {
-        const Pattern p = parsePattern(spec);
+    for (const std::string &query : specs)
+        patterns.push_back(parsePattern(query));
+
+    const Graph g = loadGraph(spec);
+    core::GraphContext context(g, config.graph);
+    core::QueryService service(context, options);
+    for (const Pattern &p : patterns) {
         const ExtendPlan plan = style == "automine"
             ? compileAutomine(p, plan_options)
             : compileGraphPi(p, context.profile(), plan_options);
         service.submit(plan, config.session);
-        patterns.push_back(p);
     }
     Timer timer;
     service.wait();
