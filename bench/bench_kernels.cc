@@ -11,8 +11,8 @@
  *   2. SIMD sweep — 4k x 4k equal-size races isolating the AVX2
  *      block merge against the scalar reference.
  *   3. Hub-bitmap sweep — the same race against a real hub vertex's
- *      neighbor list with its precomputed bitset, plus the memory
- *      accounting of the bitmap index.
+ *      neighbor list with its precomputed bitset and rank directory,
+ *      plus the memory accounting of the bitmap index.
  *   4. Engine A/B — full `count` runs per --kernel mode, asserting
  *      counts and modeled makespans are mode-invariant while
  *      reporting host wall-clock per mode.
@@ -205,14 +205,17 @@ racePair(std::span<const VertexId> small, std::span<const VertexId> large,
         }));
     }
 
+    // The hub row and rank directory the dispatcher itself uses.
     const std::uint64_t *row_bits =
         graph ? graph->hubBitmapRow(hub_source) : nullptr;
     if (row_bits) {
+        const std::uint32_t *ranks = graph->hubRankDirectory(hub_source);
         row.bitmap_backed = true;
-        check("bitmap",
-              core::bitmapIntersectInto(small, large, row_bits, out));
+        check("bitmap", core::bitmapIntersectInto(small, large, row_bits,
+                                                  ranks, out));
         kernels.push_back(timed(row.bitmapNs, [&] {
-            core::bitmapIntersectInto(small, large, row_bits, out);
+            core::bitmapIntersectInto(small, large, row_bits, ranks,
+                                      out);
         }));
     }
 
@@ -410,9 +413,11 @@ main(int argc, char **argv)
         if (g.degree(v) > g.degree(hub))
             hub = v;
     std::printf("\nhub bitmaps on standin:uk — %zu rows, %s "
+                "+ %s rank directories "
                 "(graph %s; hottest hub degree %llu)\n",
                 g.hubBitmapCount(),
                 formatBytes(g.hubBitmapBytes()).c_str(),
+                formatBytes(g.hubRankDirectoryBytes()).c_str(),
                 formatBytes(g.sizeBytes()).c_str(),
                 static_cast<unsigned long long>(g.degree(hub)));
     std::vector<SweepRow> hub_sweeps;
@@ -528,6 +533,7 @@ main(int argc, char **argv)
         << "\n  ],\n  \"hub_bitmap\": {\"graph\": \"standin:uk\", "
         << "\"rows\": " << g.hubBitmapCount()
         << ", \"bytes\": " << g.hubBitmapBytes()
+        << ", \"rank_directory_bytes\": " << g.hubRankDirectoryBytes()
         << ", \"degree_threshold\": " << g.hubBitmapDegreeThreshold()
         << ", \"graph_bytes\": " << g.sizeBytes()
         << ", \"overhead_vs_graph\": "

@@ -59,13 +59,9 @@ PlanExtender::buildCandidates(int t, std::span<const VertexId> stored,
                               sim::NodeStats &stats)
 {
     WorkItems work = 0;
-    std::span<const VertexId> set;
-    if (memoKeys_[t] != 0) {
-        set = memoized(t, stored, out, stats, work);
-    } else {
-        work = intersect(t, stored, out, stats);
-        set = out;
-    }
+    const std::span<const VertexId> set = memoKeys_[t] != 0
+        ? memoized(t, stored, out, stats, work)
+        : intersect(t, stored, out, stats, work);
     stats.intersectionItems += work;
     workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
     return set;
@@ -125,10 +121,11 @@ PlanExtender::memoized(int t, std::span<const VertexId> stored,
     }
 
     const KernelCounters before = dispatcher_.counters();
-    work = intersect(t, stored, out, stats);
-    if (out.size() > kMemoArenaIds)
-        return out;
-    if (memoArena_.size() + out.size() > kMemoArenaIds) {
+    const std::span<const VertexId> set =
+        intersect(t, stored, out, stats, work);
+    if (set.size() > kMemoArenaIds)
+        return set;
+    if (memoArena_.size() + set.size() > kMemoArenaIds) {
         // Full arena: drop every stored set at once.
         for (MemoTable &other : memo_)
             for (MemoSlot &s : other.slots)
@@ -136,27 +133,31 @@ PlanExtender::memoized(int t, std::span<const VertexId> stored,
         memoArena_.clear();
     }
     slot.offset = static_cast<std::uint32_t>(memoArena_.size());
-    slot.size = static_cast<std::uint32_t>(out.size());
+    slot.size = static_cast<std::uint32_t>(set.size());
     slot.work = work;
     for (std::size_t k = 0; k < kNumKernelKinds; ++k)
         slot.calls[k] = static_cast<std::uint8_t>(
             dispatcher_.counters().calls[k] - before.calls[k]);
     slot.valid = true;
     std::copy(key.begin(), key.begin() + n, slot_key);
-    memoArena_.insert(memoArena_.end(), out.begin(), out.end());
-    return out;
+    memoArena_.insert(memoArena_.end(), set.begin(), set.end());
+    return set;
 }
 
-WorkItems
+std::span<const VertexId>
 PlanExtender::intersect(int t, std::span<const VertexId> stored,
                         std::vector<VertexId> &out,
-                        sim::NodeStats &stats)
+                        sim::NodeStats &stats, WorkItems &work)
 {
     const PlanLevel &level = plan_->levels[t];
-    WorkItems work = 0;
+    work = 0;
+    // Until an operation writes `out`, the set is a view of the
+    // stored set or of a lone edge list: free in the model (the
+    // charging convention, kernels.hh) and on the host.
+    std::span<const VertexId> set;
     PositionMask dep = level.depMask;
     if (level.reuseParent) {
-        out.assign(stored.begin(), stored.end());
+        set = stored;
         dep = level.extraDepMask;
         ++stats.verticalReuses;
     } else {
@@ -166,37 +167,38 @@ PlanExtender::intersect(int t, std::span<const VertexId> stored,
                 listBuf_[lists++] = {edgeList(vertices_[j]),
                                      vertices_[j]};
         if (lists == 1) {
-            // Aliasing one already-fetched edge list: the transfer
-            // was charged by the provider layer, so the working copy
-            // is free in the model (charging convention, kernels.hh).
-            out.assign(listBuf_[0].list.begin(), listBuf_[0].list.end());
+            set = listBuf_[0].list;
         } else {
             work += dispatcher_.intersectMany({listBuf_.data(), lists},
                                               out, scratchA_);
+            set = out;
         }
         dep = 0;
     }
+    // ListRef(set) names no source even when `set` views a whole
+    // edge list: kernel choice, and so the per-kind tallies, must not
+    // depend on whether a level's set is a view.
     for (int j = 0; j < t; ++j) {
         if ((dep >> j) & 1u) {
-            scratchB_.clear();
             work += dispatcher_.intersectInto(
-                ListRef(out), {edgeList(vertices_[j]), vertices_[j]},
+                ListRef(set), {edgeList(vertices_[j]), vertices_[j]},
                 scratchB_);
             out.swap(scratchB_);
+            set = out;
         }
     }
     const PositionMask anti = level.reuseParent ? level.extraAntiMask
                                                 : level.antiMask;
     for (int j = 0; j < t; ++j) {
         if ((anti >> j) & 1u) {
-            scratchB_.clear();
             work += dispatcher_.subtractInto(
-                ListRef(out), {edgeList(vertices_[j]), vertices_[j]},
+                ListRef(set), {edgeList(vertices_[j]), vertices_[j]},
                 scratchB_);
             out.swap(scratchB_);
+            set = out;
         }
     }
-    return work;
+    return set;
 }
 
 CandidateFilter

@@ -147,9 +147,11 @@ class PlanExtender
      * The candidate set for position @p t of the embedding.
      * @p stored is the parent's stored intermediate result (used
      * when the plan level reuses it, §5.1).  A computed set is
-     * written to @p out and the view points there; a memo hit
-     * leaves @p out alone and points into the memo's arena, which
-     * the next buildCandidates call may overwrite.
+     * written to @p out and the view points there.  A level with no
+     * set operation views @p stored (a reuse with no extra list) or
+     * its lone edge list; a memo hit points into the memo's arena,
+     * which the next buildCandidates call may overwrite.  Neither
+     * touches @p out.
      */
     std::span<const VertexId> buildCandidates(
         int t, std::span<const VertexId> stored,
@@ -224,16 +226,20 @@ class PlanExtender
         return graph_->neighbors(v);
     }
 
-    /** Compute position @p t's candidate set into @p out.
-     *  @return the canonical work charged for it. */
-    WorkItems intersect(int t, std::span<const VertexId> stored,
-                        std::vector<VertexId> &out,
-                        sim::NodeStats &stats);
+    /** Compute position @p t's candidate set, setting @p work to
+     *  the canonical work charged for it.  @return a view of
+     *  @p stored or of one edge list when no set operation runs,
+     *  else of @p out. */
+    std::span<const VertexId> intersect(int t,
+                                        std::span<const VertexId> stored,
+                                        std::vector<VertexId> &out,
+                                        sim::NodeStats &stats,
+                                        WorkItems &work);
 
     /** intersect() through the level's memo.  A hit replays the
      *  miss's kernel tallies and edge-list reads, sets @p work to
-     *  the miss's work and returns the stored set; a miss computes
-     *  into @p out and returns it. */
+     *  the miss's work and returns the stored set; a miss returns
+     *  what intersect() does. */
     std::span<const VertexId> memoized(int t,
                                        std::span<const VertexId> stored,
                                        std::vector<VertexId> &out,

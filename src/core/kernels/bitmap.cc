@@ -6,10 +6,14 @@
  * costs one O(1) bit test — no merge scan over the (large) hub list.
  * When the SIMD tier is live the bit tests run word-parallel, eight
  * driving elements per gather (detail::simdBitmap*).  Charges stay
- * canonical merge-equivalent work.
+ * canonical merge-equivalent work, priced from the row's rank
+ * directory: the merge stops once the driving list's maximum is
+ * consumed, so it reads every hub element up to that rank.
  */
 
 #include "core/kernels/kernels.hh"
+
+#include <algorithm>
 
 namespace khuzdul
 {
@@ -25,14 +29,34 @@ testBit(const std::uint64_t *row, VertexId v)
     return (row[v >> 6] >> (v & 63)) & 1u;
 }
 
+/** Canonical charge of a ∩ N(h). */
+WorkItems
+intersectWork(std::span<const VertexId> a,
+              std::span<const VertexId> hub_list,
+              const std::uint64_t *row, const std::uint32_t *ranks)
+{
+    if (a.empty() || hub_list.empty())
+        return 0;
+    const std::size_t rank = hubRank(row, ranks, a.back());
+    if (rank < hub_list.size())
+        return a.size() + rank; // a.back() < the hub's maximum
+    // The hub list runs out first: the merge also reads every
+    // driving element up to the hub's maximum.
+    return hub_list.size()
+        + static_cast<WorkItems>(
+            std::upper_bound(a.begin(), a.end(), hub_list.back())
+            - a.begin());
+}
+
 } // namespace
 
 WorkItems
 bitmapIntersectInto(std::span<const VertexId> a,
                     std::span<const VertexId> hub_list,
-                    const std::uint64_t *row, std::vector<VertexId> &out)
+                    const std::uint64_t *row, const std::uint32_t *ranks,
+                    std::vector<VertexId> &out)
 {
-    const WorkItems work = canonicalIntersectWork(a, hub_list);
+    const WorkItems work = intersectWork(a, hub_list, row, ranks);
     if (a.size() >= kSimdMinSize && simdAvailable()) {
         detail::simdBitmapFilter(a, row, /*keep_members=*/true, out);
         return work;
@@ -47,9 +71,10 @@ bitmapIntersectInto(std::span<const VertexId> a,
 WorkItems
 bitmapIntersectCount(std::span<const VertexId> a,
                      std::span<const VertexId> hub_list,
-                     const std::uint64_t *row, Count &count)
+                     const std::uint64_t *row, const std::uint32_t *ranks,
+                     Count &count)
 {
-    const WorkItems work = canonicalIntersectWork(a, hub_list);
+    const WorkItems work = intersectWork(a, hub_list, row, ranks);
     if (a.size() >= kSimdMinSize && simdAvailable()) {
         count = detail::simdBitmapCount(a, row);
         return work;
@@ -61,11 +86,13 @@ bitmapIntersectCount(std::span<const VertexId> a,
 }
 
 WorkItems
-bitmapSubtractInto(std::span<const VertexId> a,
-                   std::span<const VertexId> hub_list,
-                   const std::uint64_t *row, std::vector<VertexId> &out)
+bitmapSubtractInto(std::span<const VertexId> a, const std::uint64_t *row,
+                   const std::uint32_t *ranks, std::vector<VertexId> &out)
 {
-    const WorkItems work = canonicalSubtractWork(a, hub_list);
+    // Subtraction consumes all of a plus every hub element <= a's
+    // maximum.
+    const WorkItems work =
+        a.empty() ? 0 : a.size() + hubRank(row, ranks, a.back());
     if (a.size() >= kSimdMinSize && simdAvailable()) {
         detail::simdBitmapFilter(a, row, /*keep_members=*/false, out);
         return work;

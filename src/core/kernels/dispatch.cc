@@ -105,8 +105,9 @@ KernelDispatcher::intersectInto(const ListRef &a, const ListRef &b,
       case KernelMode::Bitmap:
         if (const std::uint64_t *row = rowFor(large)) {
             count(KernelKind::Bitmap);
-            return bitmapIntersectInto(small.list, large.list, row,
-                                       out);
+            return bitmapIntersectInto(
+                small.list, large.list, row,
+                graph_->hubRankDirectory(large.source), out);
         }
         break;
       case KernelMode::Simd:
@@ -129,8 +130,9 @@ KernelDispatcher::intersectInto(const ListRef &a, const ListRef &b,
         if (large.size() >= kBitmapRatio * small.size()) {
             if (const std::uint64_t *row = rowFor(large)) {
                 count(KernelKind::Bitmap);
-                return bitmapIntersectInto(small.list, large.list,
-                                           row, out);
+                return bitmapIntersectInto(
+                    small.list, large.list, row,
+                    graph_->hubRankDirectory(large.source), out);
             }
         }
         if (large.size() >= kGallopRatio * small.size()) {
@@ -172,8 +174,9 @@ KernelDispatcher::intersectCount(const ListRef &a, const ListRef &b,
       case KernelMode::Bitmap:
         if (const std::uint64_t *row = rowFor(large)) {
             count(KernelKind::Bitmap);
-            return bitmapIntersectCount(small.list, large.list, row,
-                                        result);
+            return bitmapIntersectCount(
+                small.list, large.list, row,
+                graph_->hubRankDirectory(large.source), result);
         }
         break;
       case KernelMode::Simd:
@@ -197,8 +200,9 @@ KernelDispatcher::intersectCount(const ListRef &a, const ListRef &b,
         if (large.size() >= kBitmapRatio * small.size()) {
             if (const std::uint64_t *row = rowFor(large)) {
                 count(KernelKind::Bitmap);
-                return bitmapIntersectCount(small.list, large.list,
-                                            row, result);
+                return bitmapIntersectCount(
+                    small.list, large.list, row,
+                    graph_->hubRankDirectory(large.source), result);
             }
         }
         if (large.size() >= kGallopRatio * small.size()) {
@@ -238,7 +242,8 @@ KernelDispatcher::subtractInto(const ListRef &a, const ListRef &b,
       case KernelMode::Bitmap:
         if (const std::uint64_t *row = rowFor(b)) {
             count(KernelKind::Bitmap);
-            return bitmapSubtractInto(a.list, b.list, row, out);
+            return bitmapSubtractInto(
+                a.list, row, graph_->hubRankDirectory(b.source), out);
         }
         break;
       case KernelMode::Simd:
@@ -255,7 +260,8 @@ KernelDispatcher::subtractInto(const ListRef &a, const ListRef &b,
         if (b.size() >= kBitmapRatio * a.size()) {
             if (const std::uint64_t *row = rowFor(b)) {
                 count(KernelKind::Bitmap);
-                return bitmapSubtractInto(a.list, b.list, row, out);
+                return bitmapSubtractInto(
+                    a.list, row, graph_->hubRankDirectory(b.source), out);
             }
         }
         if (b.size() >= kGallopRatio * a.size()) {

@@ -4,8 +4,11 @@
  * list-size ratios: the smaller list drives, each of its elements
  * located in the larger list in O(log gap) from a moving cursor.
  * A hub list of 10k against a candidate list of 12 costs ~12 log 10k
- * probes instead of the merge's ~10k comparisons; the charge stays
- * the canonical merge-equivalent work.
+ * probes instead of the merge's ~10k comparisons.  The charge stays
+ * the canonical merge-equivalent work, read off where the loop
+ * stopped: after the last driving element the cursor sits past every
+ * b element <= it, and a loop that runs off b's end stops at the
+ * first driving element above b's maximum.
  */
 
 #include "core/kernels/kernels.hh"
@@ -50,19 +53,19 @@ gallopIntersectInto(std::span<const VertexId> a,
                     std::vector<VertexId> &out)
 {
     out.clear();
-    const WorkItems work = canonicalIntersectWork(a, b);
     const VertexId *cursor = b.data();
     const VertexId *const end = cursor + b.size();
-    for (const VertexId x : a) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const VertexId x = a[i];
         cursor = gallopLowerBound(cursor, end, x);
         if (cursor == end)
-            break;
+            return b.size() + i; // a[i] > b.back()
         if (*cursor == x) {
             out.push_back(x);
             ++cursor;
         }
     }
-    return work;
+    return a.size() + static_cast<WorkItems>(cursor - b.data());
 }
 
 WorkItems
@@ -70,19 +73,19 @@ gallopIntersectCount(std::span<const VertexId> a,
                      std::span<const VertexId> b, Count &count)
 {
     count = 0;
-    const WorkItems work = canonicalIntersectWork(a, b);
     const VertexId *cursor = b.data();
     const VertexId *const end = cursor + b.size();
-    for (const VertexId x : a) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const VertexId x = a[i];
         cursor = gallopLowerBound(cursor, end, x);
         if (cursor == end)
-            break;
+            return b.size() + i;
         if (*cursor == x) {
             ++count;
             ++cursor;
         }
     }
-    return work;
+    return a.size() + static_cast<WorkItems>(cursor - b.data());
 }
 
 WorkItems
@@ -91,7 +94,6 @@ gallopSubtractInto(std::span<const VertexId> a,
                    std::vector<VertexId> &out)
 {
     out.clear();
-    const WorkItems work = canonicalSubtractWork(a, b);
     const VertexId *cursor = b.data();
     const VertexId *const end = cursor + b.size();
     for (const VertexId x : a) {
@@ -101,7 +103,7 @@ gallopSubtractInto(std::span<const VertexId> a,
         else
             out.push_back(x);
     }
-    return work;
+    return a.size() + static_cast<WorkItems>(cursor - b.data());
 }
 
 } // namespace core

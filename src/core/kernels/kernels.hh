@@ -33,17 +33,21 @@
  * sim::CostModel.  The charge is *canonical*: every kernel reports
  * the element count the reference two-pointer merge would have
  * consumed on the same inputs, regardless of how few elements the
- * kernel actually touched.  For strictly-sorted duplicate-free
- * spans (the CSR invariant) that count has a closed form evaluated
- * with one binary search (canonicalIntersectWork /
- * canonicalSubtractWork), so modeled makespans, RunStats and every
+ * kernel actually touched, so modeled makespans, RunStats and every
  * EXPERIMENTS.md shape are bit-identical no matter which kernel
- * ran; only host wall-clock changes.  Operations that copy rather
- * than merge charge one WorkItem per element copied (the
- * intersectMany single-list pass-through); O(1) reads (the
- * intersectManyCount single-list size probe) charge 0.  Callers
- * that alias an already-materialized list instead of copying charge
- * nothing — the transfer was already charged by the provider layer.
+ * ran; only host wall-clock changes.  No kernel makes a second pass
+ * to price it: the merges and gallops read it off the state they
+ * stop in, and the bitmap kernels off the hub row's rank directory
+ * (DESIGN.md §5.6).  canonicalIntersectWork/canonicalSubtractWork
+ * give the same count in closed form for strictly-sorted
+ * duplicate-free spans (the CSR invariant); they are the reference
+ * the tests and bench_kernels check every kernel against.
+ * Operations that copy rather than merge charge one WorkItem per
+ * element copied (the intersectMany single-list pass-through); O(1)
+ * reads (the intersectManyCount single-list size probe) charge 0.
+ * Callers that view an already-materialized list instead of copying
+ * charge nothing — the transfer was already charged by the provider
+ * layer.
  *
  * All kernels require strictly ascending, duplicate-free inputs and
  * produce outputs that are element-for-element identical to the
@@ -150,7 +154,8 @@ struct ListRef
  *
  * What the reference two-pointer loop would consume on
  * strictly-sorted duplicate-free inputs, computed with one binary
- * search instead of running the merge.
+ * search instead of running the merge.  The reference the kernels'
+ * own charges are checked against; no kernel calls these.
  */
 /// @{
 WorkItems canonicalIntersectWork(std::span<const VertexId> a,
@@ -235,19 +240,23 @@ WorkItems gallopSubtractInto(std::span<const VertexId> a,
                              std::vector<VertexId> &out);
 
 /**
- * Bitmap kernels: @p hub_list is N(h) and @p row its bitmap words
- * (Graph::hubBitmapRow(h)); the smaller list @p a drives.
+ * Bitmap kernels: @p hub_list is N(h), @p row its bitmap words and
+ * @p ranks its rank directory (Graph::hubBitmapRow(h),
+ * Graph::hubRankDirectory(h)); the list @p a drives.  Subtraction
+ * needs only the row and the directory.
  */
 WorkItems bitmapIntersectInto(std::span<const VertexId> a,
                               std::span<const VertexId> hub_list,
                               const std::uint64_t *row,
+                              const std::uint32_t *ranks,
                               std::vector<VertexId> &out);
 WorkItems bitmapIntersectCount(std::span<const VertexId> a,
                                std::span<const VertexId> hub_list,
-                               const std::uint64_t *row, Count &count);
+                               const std::uint64_t *row,
+                               const std::uint32_t *ranks, Count &count);
 WorkItems bitmapSubtractInto(std::span<const VertexId> a,
-                             std::span<const VertexId> hub_list,
                              const std::uint64_t *row,
+                             const std::uint32_t *ranks,
                              std::vector<VertexId> &out);
 /// @}
 

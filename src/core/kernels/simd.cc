@@ -99,6 +99,28 @@ matchMask(__m256i va, __m256i vb)
 }
 
 /**
+ * The reference merge's i + j from a block merge stopped at (i, j).
+ * A block advances only past elements the reference merge consumes
+ * and the scalar tail is the reference merge, so (i, j) is exact
+ * unless a list ran out on a block step: the other list's current
+ * block never advanced and may still hold elements <= the exhausted
+ * list's maximum (at most 7 — equal maxima advance both blocks).
+ */
+inline WorkItems
+mergeEndWork(std::span<const VertexId> a, std::span<const VertexId> b,
+             std::size_t i, std::size_t j)
+{
+    if (i == a.size() && i > 0) {
+        while (j < b.size() && b[j] <= a.back())
+            ++j;
+    } else if (j == b.size() && j > 0) {
+        while (i < a.size() && a[i] <= b.back())
+            ++i;
+    }
+    return i + j;
+}
+
+/**
  * Block merge: compare 8 a-lanes against 8 b-lanes all-pairs, emit
  * the matching a-lanes front-compacted, then advance whichever block
  * has the smaller maximum (both on ties — safe because inputs are
@@ -152,7 +174,7 @@ avx2MergeIntersectInto(std::span<const VertexId> a,
         }
     }
     out.resize(static_cast<std::size_t>(op - out.data()));
-    return canonicalIntersectWork(a, b);
+    return mergeEndWork(a, b, i, j);
 }
 
 KHUZDUL_SIMD_TARGET WorkItems
@@ -187,7 +209,7 @@ avx2MergeIntersectCount(std::span<const VertexId> a,
         }
     }
     count = c;
-    return canonicalIntersectWork(a, b);
+    return mergeEndWork(a, b, i, j);
 }
 
 /**
@@ -234,25 +256,28 @@ avx2GallopLowerBound(const VertexId *first, const VertexId *last,
     return std::lower_bound(begin, end, x);
 }
 
+// The gallop loops charge as the scalar ones do (gallop.cc): from
+// the final cursor, or from the driving element past b's end.
+
 KHUZDUL_SIMD_TARGET WorkItems
 avx2GallopIntersectInto(std::span<const VertexId> a,
                         std::span<const VertexId> b,
                         std::vector<VertexId> &out)
 {
     out.clear();
-    const WorkItems work = canonicalIntersectWork(a, b);
     const VertexId *cursor = b.data();
     const VertexId *const end = cursor + b.size();
-    for (const VertexId x : a) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const VertexId x = a[i];
         cursor = avx2GallopLowerBound(cursor, end, x);
         if (cursor == end)
-            break;
+            return b.size() + i;
         if (*cursor == x) {
             out.push_back(x);
             ++cursor;
         }
     }
-    return work;
+    return a.size() + static_cast<WorkItems>(cursor - b.data());
 }
 
 KHUZDUL_SIMD_TARGET WorkItems
@@ -260,19 +285,19 @@ avx2GallopIntersectCount(std::span<const VertexId> a,
                          std::span<const VertexId> b, Count &count)
 {
     count = 0;
-    const WorkItems work = canonicalIntersectWork(a, b);
     const VertexId *cursor = b.data();
     const VertexId *const end = cursor + b.size();
-    for (const VertexId x : a) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const VertexId x = a[i];
         cursor = avx2GallopLowerBound(cursor, end, x);
         if (cursor == end)
-            break;
+            return b.size() + i;
         if (*cursor == x) {
             ++count;
             ++cursor;
         }
     }
-    return work;
+    return a.size() + static_cast<WorkItems>(cursor - b.data());
 }
 
 KHUZDUL_SIMD_TARGET WorkItems
@@ -281,7 +306,6 @@ avx2GallopSubtractInto(std::span<const VertexId> a,
                        std::vector<VertexId> &out)
 {
     out.clear();
-    const WorkItems work = canonicalSubtractWork(a, b);
     const VertexId *cursor = b.data();
     const VertexId *const end = cursor + b.size();
     for (const VertexId x : a) {
@@ -291,7 +315,7 @@ avx2GallopSubtractInto(std::span<const VertexId> a,
         else
             out.push_back(x);
     }
-    return work;
+    return a.size() + static_cast<WorkItems>(cursor - b.data());
 }
 
 /** Per-lane bitmap bit: gather the 32-bit word holding each vertex's

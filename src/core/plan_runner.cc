@@ -69,8 +69,9 @@ class DfsDriver
         const bool terminal = t == plan_.pattern.size() - 1;
         const std::span<const VertexId> set = extender_.buildCandidates(
             t, levels_[t - 1], levels_[t], stats_);
-        // A memo hit views the extender's arena, which deeper levels
-        // can recycle: keep a copy.
+        // Anything but levels_[t] is a view: of the extender's memo
+        // arena, which deeper levels can recycle, of levels_[t - 1]
+        // or of an edge list.  Keep a copy.
         if (set.data() != levels_[t].data())
             levels_[t].assign(set.begin(), set.end());
         // Deeper levels only write higher slots, so levels_[t] and

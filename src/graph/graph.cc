@@ -39,6 +39,7 @@ Graph::buildHubBitmaps(EdgeId degree_threshold,
         return;
     const VertexId n = numVertices();
     hubWords_.clear();
+    hubRanks_.clear();
     hubSlots_.assign(n, kNoHubSlot);
     hubWordsPerRow_ = (static_cast<std::size_t>(n) + 63) / 64;
     hubCount_ = 0;
@@ -70,11 +71,23 @@ Graph::buildHubBitmaps(EdgeId degree_threshold,
         hubs.resize(cap);
 
     hubWords_.assign(hubs.size() * hubWordsPerRow_, 0);
+    hubRanks_.resize(hubs.size() * hubWordsPerRow_);
     for (std::size_t slot = 0; slot < hubs.size(); ++slot) {
         const VertexId v = hubs[slot];
         std::uint64_t *row = hubWords_.data() + slot * hubWordsPerRow_;
-        for (const VertexId u : neighbors(v))
+        std::uint32_t *ranks = hubRanks_.data() + slot * hubWordsPerRow_;
+        // One walk of the sorted list: every word up to u's that is
+        // still unset has exactly the neighbors seen so far below it.
+        std::size_t word = 0;
+        std::uint32_t seen = 0;
+        for (const VertexId u : neighbors(v)) {
             row[u >> 6] |= std::uint64_t{1} << (u & 63);
+            for (; word <= (u >> 6); ++word)
+                ranks[word] = seen;
+            ++seen;
+        }
+        for (; word < hubWordsPerRow_; ++word)
+            ranks[word] = seen;
         hubSlots_[v] = static_cast<std::uint32_t>(slot);
     }
     hubCount_ = hubs.size();

@@ -9,6 +9,7 @@
 #ifndef KHUZDUL_GRAPH_GRAPH_HH
 #define KHUZDUL_GRAPH_GRAPH_HH
 
+#include <bit>
 #include <span>
 #include <vector>
 
@@ -127,10 +128,13 @@ class Graph
      * (core/kernels).  Admission is hottest-first (degree
      * descending, vertex id ascending on ties) among vertices with
      * degree >= the threshold, until @p max_bytes of rows are
-     * allocated — deterministic, so kernel dispatch is too.  The
-     * index is a lazily built, observation-only acceleration
-     * structure: it never affects counts, modeled time or traffic,
-     * which is why building through a const Graph is sound.
+     * allocated — deterministic, so kernel dispatch is too.  Each
+     * row comes with a rank directory (one 32-bit count per row
+     * word, outside the byte cap) from which hubRank() prices a
+     * kernel's canonical charge.  The index is a lazily built,
+     * observation-only acceleration structure: it never affects
+     * counts, modeled time or traffic, which is why building
+     * through a const Graph is sound.
      */
     /// @{
 
@@ -160,6 +164,24 @@ class Graph
         return hubWords_.data()
             + static_cast<std::size_t>(hubSlots_[v]) * hubWordsPerRow_;
     }
+
+    /** Rank directory of v's row, or nullptr when v has no row:
+     *  entry w counts the neighbors of v below 64 w. */
+    const std::uint32_t *
+    hubRankDirectory(VertexId v) const
+    {
+        if (hubSlots_.empty() || hubSlots_[v] == kNoHubSlot)
+            return nullptr;
+        return hubRanks_.data()
+            + static_cast<std::size_t>(hubSlots_[v]) * hubWordsPerRow_;
+    }
+
+    /** Bytes held by the rank directories (half the row bytes). */
+    std::uint64_t
+    hubRankDirectoryBytes() const
+    {
+        return hubRanks_.size() * sizeof(std::uint32_t);
+    }
     /// @}
 
   private:
@@ -174,6 +196,7 @@ class Graph
 
     /** Hub bitmap index (lazily built; see buildHubBitmaps). */
     mutable std::vector<std::uint64_t> hubWords_;
+    mutable std::vector<std::uint32_t> hubRanks_;
     mutable std::vector<std::uint32_t> hubSlots_;
     mutable std::size_t hubWordsPerRow_ = 0;
     mutable std::size_t hubCount_ = 0;
@@ -181,6 +204,19 @@ class Graph
     mutable std::uint64_t hubMaxBytes_ = 0;
     mutable bool hubBitmapsBuilt_ = false;
 };
+
+/**
+ * |{u in N(h) : u <= x}| for a hub h with bitmap row @p row and rank
+ * directory @p ranks (Graph::hubBitmapRow / hubRankDirectory): one
+ * directory load plus one popcount of x's word up to bit x.
+ */
+inline std::size_t
+hubRank(const std::uint64_t *row, const std::uint32_t *ranks, VertexId x)
+{
+    const std::uint64_t upto = (std::uint64_t{2} << (x & 63)) - 1;
+    return ranks[x >> 6]
+        + static_cast<std::size_t>(std::popcount(row[x >> 6] & upto));
+}
 
 } // namespace khuzdul
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "core/kernels/kernels.hh"
@@ -41,9 +42,20 @@ randomList(std::size_t size, VertexId universe, std::uint64_t seed)
     return sortedUnique(std::move(list));
 }
 
+/** Sorted run lo, lo + step, ... up to and including hi. */
+std::vector<VertexId>
+run(VertexId lo, VertexId hi, VertexId step = 1)
+{
+    std::vector<VertexId> list;
+    for (VertexId v = lo; v <= hi; v += step)
+        list.push_back(v);
+    return list;
+}
+
 /** Adversarial (a, b) pairs: empties, extreme skew, overlap at span
  *  boundaries (equal first/last elements), disjoint ranges, dense
- *  all-common lists. */
+ *  all-common lists, and the places a kernel can stop mid-block or
+ *  mid-gallop with the reference merge's i + j still ahead of it. */
 std::vector<std::pair<std::vector<VertexId>, std::vector<VertexId>>>
 adversarialPairs()
 {
@@ -71,8 +83,51 @@ adversarialPairs()
     // Extreme skew: 3 elements vs 100k.
     pairs.push_back({{7, 70'000, 99'999},
                      randomList(100'000, 1 << 20, 17)});
+    // a runs out on a block step while b's current block still holds
+    // elements <= a.back() (5, 6, 7), and the mirror, b first.
+    pairs.push_back({run(0, 7), run(5, 20)});
+    pairs.push_back({run(5, 20), run(0, 7)});
+    pairs.push_back({run(0, 15), run(3, 40)});
+    pairs.push_back({run(3, 40), run(0, 15)});
+    // Equal maxima on a block edge: both blocks advance together.
+    pairs.push_back({run(0, 7), run(0, 15)});
+    pairs.push_back({run(0, 15), run(1, 15, 2)});
+    pairs.push_back({run(0, 31), run(24, 31)});
+    // A gallop that stops at the first a element > b.back(), with
+    // and without a match on b.back() just before.
+    pairs.push_back({{2, 9, 40, 50}, run(0, 31)});
+    pairs.push_back({{31, 40}, run(0, 31)});
+    pairs.push_back({{30, 32, 33}, run(0, 31)});
+    // One-element lists.
+    pairs.push_back({{7}, {}});
+    pairs.push_back({{7}, {7}});
+    pairs.push_back({{7}, {3}});
+    pairs.push_back({{3}, {7}});
+    pairs.push_back({{7}, run(0, 15)});
     return pairs;
 }
+
+/**
+ * A bitmap row and rank directory over @p members, built
+ * independently of Graph::buildHubBitmaps (a popcount per word)
+ * and covering ids below @p universe.
+ */
+struct HubRowOf
+{
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint32_t> ranks;
+
+    HubRowOf(std::span<const VertexId> members, VertexId universe)
+        : words((universe + 63) / 64, 0), ranks(words.size(), 0)
+    {
+        for (const VertexId v : members)
+            words[v >> 6] |= std::uint64_t{1} << (v & 63);
+        for (std::size_t w = 1; w < words.size(); ++w)
+            ranks[w] = ranks[w - 1]
+                + static_cast<std::uint32_t>(
+                    std::popcount(words[w - 1]));
+    }
+};
 
 void
 expectKernelAgreement(std::span<const VertexId> a,
@@ -107,13 +162,33 @@ expectKernelAgreement(std::span<const VertexId> a,
     EXPECT_EQ(core::simdGallopIntersectCount(a, b, count), work);
     EXPECT_EQ(count, ref.size());
 
-    // Subtraction: gallop and SIMD gallop against the reference.
+    // Bitmap kernels with b as the hub list.
+    VertexId universe = 1;
+    for (const std::span<const VertexId> list : {a, b})
+        if (!list.empty())
+            universe = std::max(universe, list.back() + 1);
+    const HubRowOf hub(b, universe);
+    EXPECT_EQ(core::bitmapIntersectInto(a, b, hub.words.data(),
+                                        hub.ranks.data(), out),
+              work);
+    EXPECT_EQ(out, ref);
+    EXPECT_EQ(core::bitmapIntersectCount(a, b, hub.words.data(),
+                                         hub.ranks.data(), count),
+              work);
+    EXPECT_EQ(count, ref.size());
+
+    // Subtraction: gallop, SIMD gallop and bitmap against the
+    // reference.
     std::vector<VertexId> sub_ref;
     const core::WorkItems sub_work = core::subtractInto(a, b, sub_ref);
     EXPECT_EQ(core::canonicalSubtractWork(a, b), sub_work);
     EXPECT_EQ(core::gallopSubtractInto(a, b, out), sub_work);
     EXPECT_EQ(out, sub_ref);
     EXPECT_EQ(core::simdGallopSubtractInto(a, b, out), sub_work);
+    EXPECT_EQ(out, sub_ref);
+    EXPECT_EQ(core::bitmapSubtractInto(a, hub.words.data(),
+                                       hub.ranks.data(), out),
+              sub_work);
     EXPECT_EQ(out, sub_ref);
 }
 
@@ -227,7 +302,9 @@ TEST(Kernels, SimdBitmapPathMatchesScalarOnHubLists)
         if (g.degree(v) > g.degree(hub))
             hub = v;
     const std::uint64_t *row = g.hubBitmapRow(hub);
+    const std::uint32_t *ranks = g.hubRankDirectory(hub);
     ASSERT_NE(row, nullptr);
+    ASSERT_NE(ranks, nullptr);
     const auto hub_list = g.neighbors(hub);
 
     for (std::size_t size = core::kSimdMinSize;
@@ -239,26 +316,29 @@ TEST(Kernels, SimdBitmapPathMatchesScalarOnHubLists)
         Count count = 0;
         const core::WorkItems work =
             core::intersectInto(a, hub_list, ref);
-        EXPECT_EQ(core::bitmapIntersectInto(a, hub_list, row, out),
+        EXPECT_EQ(core::bitmapIntersectInto(a, hub_list, row, ranks,
+                                            out),
                   work);
         EXPECT_EQ(out, ref);
-        EXPECT_EQ(core::bitmapIntersectCount(a, hub_list, row, count),
+        EXPECT_EQ(core::bitmapIntersectCount(a, hub_list, row, ranks,
+                                             count),
                   work);
         EXPECT_EQ(count, ref.size());
 
         std::vector<VertexId> sub_ref;
         const core::WorkItems sub_work =
             core::subtractInto(a, hub_list, sub_ref);
-        EXPECT_EQ(core::bitmapSubtractInto(a, hub_list, row, out),
+        EXPECT_EQ(core::bitmapSubtractInto(a, row, ranks, out),
                   sub_work);
         EXPECT_EQ(out, sub_ref);
 
         // Same inputs with the tier off: identical bytes and charges.
         core::setSimdEnabled(false);
-        EXPECT_EQ(core::bitmapIntersectInto(a, hub_list, row, out),
+        EXPECT_EQ(core::bitmapIntersectInto(a, hub_list, row, ranks,
+                                            out),
                   work);
         EXPECT_EQ(out, ref);
-        EXPECT_EQ(core::bitmapSubtractInto(a, hub_list, row, out),
+        EXPECT_EQ(core::bitmapSubtractInto(a, row, ranks, out),
                   sub_work);
         EXPECT_EQ(out, sub_ref);
         core::setSimdEnabled(true);
@@ -276,6 +356,7 @@ TEST(Kernels, BitmapKernelsMatchReferenceOnHubLists)
         const std::uint64_t *row = g.hubBitmapRow(v);
         if (!row)
             continue;
+        const std::uint32_t *ranks = g.hubRankDirectory(v);
         ++tested;
         const auto hub_list = g.neighbors(v);
         const auto a = randomList(1 + rng.nextBounded(64),
@@ -285,17 +366,19 @@ TEST(Kernels, BitmapKernelsMatchReferenceOnHubLists)
         Count count = 0;
         const core::WorkItems work =
             core::intersectInto(a, hub_list, ref);
-        EXPECT_EQ(core::bitmapIntersectInto(a, hub_list, row, out),
+        EXPECT_EQ(core::bitmapIntersectInto(a, hub_list, row, ranks,
+                                            out),
                   work);
         EXPECT_EQ(out, ref);
-        EXPECT_EQ(core::bitmapIntersectCount(a, hub_list, row, count),
+        EXPECT_EQ(core::bitmapIntersectCount(a, hub_list, row, ranks,
+                                             count),
                   work);
         EXPECT_EQ(count, ref.size());
 
         std::vector<VertexId> sub_ref;
         const core::WorkItems sub_work =
             core::subtractInto(a, hub_list, sub_ref);
-        EXPECT_EQ(core::bitmapSubtractInto(a, hub_list, row, out),
+        EXPECT_EQ(core::bitmapSubtractInto(a, row, ranks, out),
                   sub_work);
         EXPECT_EQ(out, sub_ref);
     }
@@ -488,6 +571,58 @@ TEST(Kernels, HubBitmapAdmissionIsCappedAndHottestFirst)
     EXPECT_EQ(g.hubBitmapCount(), 0u);
     EXPECT_EQ(g.hubBitmapBytes(), 0u);
     EXPECT_EQ(g.hubBitmapRow(0), nullptr);
+}
+
+TEST(Kernels, HubRankDirectoryIsExact)
+{
+    const Graph g = gen::rmat(4096, 60000, 0.6, 0.15, 0.15, 21);
+    const VertexId n = g.numVertices();
+    const std::size_t row_bytes = ((n + 63) / 64) * 8;
+    const auto expectExact = [&g, n] {
+        std::size_t rows = 0;
+        for (VertexId h = 0; h < n; ++h) {
+            const std::uint64_t *row = g.hubBitmapRow(h);
+            const std::uint32_t *ranks = g.hubRankDirectory(h);
+            ASSERT_EQ(row != nullptr, ranks != nullptr) << "vertex " << h;
+            if (!row)
+                continue;
+            ++rows;
+            const auto list = g.neighbors(h);
+            std::vector<VertexId> probes = {0, 63, 64, n - 1};
+            for (const VertexId u : list) {
+                probes.push_back(u);
+                if (u > 0)
+                    probes.push_back(u - 1);
+                if (u + 1 < n)
+                    probes.push_back(u + 1);
+            }
+            for (const VertexId x : probes) {
+                const std::size_t expected = static_cast<std::size_t>(
+                    std::upper_bound(list.begin(), list.end(), x)
+                    - list.begin());
+                ASSERT_EQ(hubRank(row, ranks, x), expected)
+                    << "hub " << h << " x " << x;
+            }
+        }
+        EXPECT_EQ(rows, g.hubBitmapCount());
+        // One 32-bit count per row word.
+        EXPECT_EQ(g.hubRankDirectoryBytes() * 2, g.hubBitmapBytes());
+    };
+
+    g.buildHubBitmaps(16, 1ull << 30);
+    ASSERT_GT(g.hubBitmapCount(), 8u);
+    expectExact();
+    // A new threshold or cap rebuilds the directory with the rows.
+    g.buildHubBitmaps(64, 1ull << 30);
+    expectExact();
+    g.buildHubBitmaps(16, 8 * row_bytes);
+    EXPECT_EQ(g.hubBitmapCount(), 8u);
+    expectExact();
+    // A zero cap leaves no directory.
+    g.buildHubBitmaps(16, 0);
+    EXPECT_EQ(g.hubRankDirectoryBytes(), 0u);
+    for (VertexId h = 0; h < n; ++h)
+        ASSERT_EQ(g.hubRankDirectory(h), nullptr);
 }
 
 TEST(Kernels, ModeNamesRoundTrip)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <tuple>
 
 #include "core/engine.hh"
 #include "core/extender.hh"
@@ -338,6 +339,62 @@ TEST(Runner, SmallChunkEngineRunsArePinned)
                 * 1099511628211ull;
         EXPECT_EQ(json.size(), pin.jsonBytes);
         EXPECT_EQ(hash, pin.jsonHash);
+    }
+}
+
+/** A level with no set operation hands back a view, not a copy: of
+ *  the stored set (a reuse with no extra list) or of its lone edge
+ *  list.  Nothing is charged, no kernel runs and `out` is left
+ *  alone. */
+TEST(Runner, LevelsWithoutASetOperationReturnViews)
+{
+    const Graph g = pricedGraph();
+    const sim::CostModel cost;
+
+    const ExtendPlan diamond = compileAutomine(Pattern::diamond(), {});
+    const PlanLevel &reuse = diamond.levels[3];
+    ASSERT_TRUE(reuse.reuseParent);
+    ASSERT_EQ(reuse.extraDepMask | reuse.extraAntiMask, 0u);
+    {
+        core::PlanExtender extender(g, diamond, cost);
+        const std::vector<VertexId> stored = {3, 5, 8, 13};
+        std::vector<VertexId> out;
+        sim::NodeStats stats;
+        const std::span<const VertexId> set =
+            extender.buildCandidates(3, stored, out, stats);
+        EXPECT_EQ(set.data(), stored.data());
+        EXPECT_EQ(set.size(), stored.size());
+        EXPECT_TRUE(out.empty());
+        EXPECT_EQ(stats.intersectionItems, 0u);
+        EXPECT_EQ(stats.verticalReuses, 1u);
+        EXPECT_EQ(extender.kernelCounters().total(), 0u);
+    }
+
+    // (plan, level, the position of its one dependency list)
+    const std::tuple<ExtendPlan, int, int> lone[] = {
+        {compileAutomine(Pattern::starOf(4), {}), 2, 0},
+        {compileAutomine(Pattern::starOf(4), {}), 3, 0},
+        {compileAutomine(Pattern::house(), {}), 3, 1},
+    };
+    for (const auto &[plan, t, dep] : lone) {
+        SCOPED_TRACE(plan.toString() + " L" + std::to_string(t));
+        ASSERT_FALSE(plan.levels[t].reuseParent);
+        ASSERT_EQ(plan.levels[t].depMask, PositionMask{1} << dep);
+        ASSERT_EQ(plan.levels[t].antiMask, 0u);
+        core::PlanExtender extender(g, plan, cost);
+        for (int j = 0; j < t; ++j)
+            extender.vertices()[j] = static_cast<VertexId>(j + 1);
+        const VertexId v = extender.vertices()[dep];
+        ASSERT_GT(g.degree(v), 0u);
+        std::vector<VertexId> out;
+        sim::NodeStats stats;
+        const std::span<const VertexId> set =
+            extender.buildCandidates(t, {}, out, stats);
+        EXPECT_EQ(set.data(), g.neighbors(v).data());
+        EXPECT_EQ(set.size(), g.degree(v));
+        EXPECT_TRUE(out.empty());
+        EXPECT_EQ(stats.intersectionItems, 0u);
+        EXPECT_EQ(extender.kernelCounters().total(), 0u);
     }
 }
 
