@@ -4,10 +4,9 @@
  *
  * Five sections:
  *   1. Pair sweeps — one small list against larger lists across a
- *      size-ratio sweep, wall-clocking every kernel (merge, blocked,
- *      gallop, SIMD merge, SIMD gallop, adaptive dispatcher) on
- *      identical inputs and checking outputs and canonical charges
- *      agree.
+ *      size-ratio sweep, wall-clocking every kernel (merge, gallop,
+ *      SIMD merge, adaptive dispatcher) on identical inputs and
+ *      checking outputs and canonical charges agree.
  *   2. SIMD sweep — 4k x 4k equal-size races isolating the AVX2
  *      block merge against the scalar reference.
  *   3. Hub-bitmap sweep — the same race against a real hub vertex's
@@ -86,22 +85,20 @@ struct SweepRow
     std::size_t ratio = 0;
     bool bitmap_backed = false;
     double mergeNs = 0;
-    double blockedNs = 0;
     double gallopNs = 0;
     double bitmapNs = -1; ///< -1 = no hub row for this input
     double simdMergeNs = -1; ///< -1 = SIMD tier unavailable
-    double simdGallopNs = -1;
     double autoNs = 0;
 
     /** Fastest single kernel on this row (the bar `auto` must hold). */
     double
     bestSingleNs() const
     {
-        double best = std::min({mergeNs, blockedNs, gallopNs});
+        double best = std::min(mergeNs, gallopNs);
         if (bitmapNs > 0)
             best = std::min(best, bitmapNs);
         if (simdMergeNs > 0)
-            best = std::min(best, std::min(simdMergeNs, simdGallopNs));
+            best = std::min(best, simdMergeNs);
         return best;
     }
 };
@@ -182,39 +179,28 @@ racePair(std::span<const VertexId> small, std::span<const VertexId> large,
     };
     if (core::canonicalIntersectWork(small, large) != ref_work)
         fail("canonical work formula disagrees with merge loop");
-    check("blocked", core::blockedIntersectInto(small, large, out));
     check("gallop", core::gallopIntersectInto(small, large, out));
     check("simd_merge", core::simdMergeIntersectInto(small, large, out));
-    check("simd_gallop",
-          core::simdGallopIntersectInto(small, large, out));
 
     std::vector<TimedKernel> kernels = {
         timed(row.mergeNs,
               [&] { core::intersectInto(small, large, out); }),
-        timed(row.blockedNs,
-              [&] { core::blockedIntersectInto(small, large, out); }),
         timed(row.gallopNs,
               [&] { core::gallopIntersectInto(small, large, out); }),
     };
-    if (core::simdAvailable()) {
+    if (core::simdAvailable())
         kernels.push_back(timed(row.simdMergeNs, [&] {
             core::simdMergeIntersectInto(small, large, out);
         }));
-        kernels.push_back(timed(row.simdGallopNs, [&] {
-            core::simdGallopIntersectInto(small, large, out);
-        }));
-    }
 
     // The hub row and rank directory the dispatcher itself uses.
-    const std::uint64_t *row_bits =
-        graph ? graph->hubBitmapRow(hub_source) : nullptr;
-    if (row_bits) {
-        const std::uint32_t *ranks = graph->hubRankDirectory(hub_source);
+    const HubRow hub = graph ? graph->hubRow(hub_source) : HubRow{};
+    if (hub) {
         row.bitmap_backed = true;
-        check("bitmap", core::bitmapIntersectInto(small, large, row_bits,
-                                                  ranks, out));
+        check("bitmap", core::bitmapIntersectInto(small, large, hub.bits,
+                                                  hub.ranks, out));
         kernels.push_back(timed(row.bitmapNs, [&] {
-            core::bitmapIntersectInto(small, large, row_bits, ranks,
+            core::bitmapIntersectInto(small, large, hub.bits, hub.ranks,
                                       out);
         }));
     }
@@ -319,11 +305,9 @@ sweepJson(const std::vector<SweepRow> &rows)
            << ", \"bitmap_backed\": " << (r.bitmap_backed ? "true"
                                                           : "false")
            << ", \"merge_ns\": " << r.mergeNs
-           << ", \"blocked_ns\": " << r.blockedNs
            << ", \"gallop_ns\": " << r.gallopNs
            << ", \"bitmap_ns\": " << r.bitmapNs
            << ", \"simd_merge_ns\": " << r.simdMergeNs
-           << ", \"simd_gallop_ns\": " << r.simdGallopNs
            << ", \"auto_ns\": " << r.autoNs
            << ", \"speedup_auto_vs_merge\": "
            << (r.autoNs > 0 ? r.mergeNs / r.autoNs : 0)
@@ -359,8 +343,8 @@ main(int argc, char **argv)
     const VertexId kUniverse = 1 << 20;
     std::vector<SweepRow> sweeps;
     bench::TablePrinter table({"ratio", "merge", "gallop", "simd_mrg",
-                               "simd_gal", "auto", "speedup"},
-                              {6, 10, 10, 10, 10, 10, 8});
+                               "auto", "speedup"},
+                              {6, 10, 10, 10, 10, 8});
     table.printHeader();
     const auto fmtMaybe = [](double ns) {
         return ns > 0 ? bench::fmtTime(ns) : std::string("n/a");
@@ -378,7 +362,6 @@ main(int argc, char **argv)
                         bench::fmtTime(row.mergeNs),
                         bench::fmtTime(row.gallopNs),
                         fmtMaybe(row.simdMergeNs),
-                        fmtMaybe(row.simdGallopNs),
                         bench::fmtTime(row.autoNs), speedup});
     }
     table.printRule();
@@ -431,8 +414,7 @@ main(int argc, char **argv)
     std::vector<EngineRow> engine_rows;
     const core::KernelMode modes[] = {
         core::KernelMode::Auto, core::KernelMode::Merge,
-        core::KernelMode::Gallop, core::KernelMode::Bitmap,
-        core::KernelMode::Simd};
+        core::KernelMode::Gallop, core::KernelMode::Bitmap};
     std::printf("\nengine A/B (standin:mc, 4-CC, graphpi plan):\n");
     for (const core::KernelMode mode : modes) {
         engine_rows.push_back(

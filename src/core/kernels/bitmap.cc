@@ -23,12 +23,6 @@ namespace core
 namespace
 {
 
-inline bool
-testBit(const std::uint64_t *row, VertexId v)
-{
-    return (row[v >> 6] >> (v & 63)) & 1u;
-}
-
 /** Canonical charge of a ∩ N(h). */
 WorkItems
 intersectWork(std::span<const VertexId> a,
@@ -63,7 +57,7 @@ bitmapIntersectInto(std::span<const VertexId> a,
     }
     out.clear();
     for (const VertexId x : a)
-        if (testBit(row, x))
+        if (detail::testBit(row, x))
             out.push_back(x);
     return work;
 }
@@ -81,7 +75,7 @@ bitmapIntersectCount(std::span<const VertexId> a,
     }
     count = 0;
     for (const VertexId x : a)
-        count += testBit(row, x);
+        count += detail::testBit(row, x);
     return work;
 }
 
@@ -99,7 +93,7 @@ bitmapSubtractInto(std::span<const VertexId> a, const std::uint64_t *row,
     }
     out.clear();
     for (const VertexId x : a)
-        if (!testBit(row, x))
+        if (!detail::testBit(row, x))
             out.push_back(x);
     return work;
 }

@@ -1,14 +1,9 @@
 /**
  * @file
- * Per-call kernel selection.  The dispatcher orders each pairwise
- * operation small-list-first, then picks bitmap (hub row available
- * and ratio >= kBitmapRatio), galloping (ratio >= kGallopRatio) or
- * merging — vectorized variants when the SIMD tier is live and the
- * driving list clears kSimdMinSize — or obeys a forced KernelMode
- * for A/B runs.  Blocked merge is no longer selected by Auto: the
- * BENCH_kernels.json calibration sweep showed it losing to plain
- * merge on every row (speedup 0.56-0.90), the regression this
- * retune fixes.  Every path returns the canonical merge-equivalent
+ * Per-call kernel selection.  Each pairwise operation orders its
+ * operands (small list first for an intersection), asks choose() —
+ * the one place the policy is written — for a kernel, tallies it
+ * and calls it.  Every path returns the canonical merge-equivalent
  * charge, so mode choice is invisible to the cost model.
  */
 
@@ -55,8 +50,6 @@ kernelModeName(KernelMode mode)
         return "gallop";
       case KernelMode::Bitmap:
         return "bitmap";
-      case KernelMode::Simd:
-        return "simd";
     }
     KHUZDUL_PANIC("unreachable kernel mode");
 }
@@ -72,18 +65,42 @@ parseKernelMode(const std::string &name)
         return KernelMode::Gallop;
     if (name == "bitmap")
         return KernelMode::Bitmap;
-    if (name == "simd")
-        return KernelMode::Simd;
     KHUZDUL_FATAL("unknown kernel mode '" << name
-                  << "' (expected auto|merge|gallop|bitmap|simd)");
+                  << "' (expected auto|merge|gallop|bitmap)");
 }
 
-const std::uint64_t *
-KernelDispatcher::rowFor(const ListRef &ref) const
+KernelDispatcher::Choice
+KernelDispatcher::choose(const ListRef &drive, const ListRef &probe,
+                         bool intersect) const
 {
-    if (!graph_ || ref.source == kInvalidVertex)
-        return nullptr;
-    return graph_->hubBitmapRow(ref.source);
+    const auto rowOf = [this](const ListRef &ref) {
+        return graph_ && ref.source != kInvalidVertex
+            ? graph_->hubRow(ref.source)
+            : HubRow{};
+    };
+    switch (mode_) {
+      case KernelMode::Merge:
+        return {KernelKind::Merge, {}};
+      case KernelMode::Gallop:
+        return {KernelKind::Gallop, {}};
+      case KernelMode::Bitmap: {
+        const HubRow hub = rowOf(probe);
+        return {hub ? KernelKind::Bitmap : KernelKind::Merge, hub};
+      }
+      case KernelMode::Auto:
+        break;
+    }
+    if (drive.list.empty() || probe.list.empty())
+        return {KernelKind::Merge, {}};
+    if (probe.size() >= kBitmapRatio * drive.size()) {
+        if (const HubRow hub = rowOf(probe))
+            return {KernelKind::Bitmap, hub};
+    }
+    if (probe.size() >= kGallopRatio * drive.size())
+        return {KernelKind::Gallop, {}};
+    if (intersect && simd_ && drive.size() >= kSimdMinSize)
+        return {KernelKind::SimdMerge, {}};
+    return {KernelKind::Merge, {}};
 }
 
 WorkItems
@@ -92,135 +109,40 @@ KernelDispatcher::intersectInto(const ListRef &a, const ListRef &b,
 {
     const ListRef &small = a.size() <= b.size() ? a : b;
     const ListRef &large = a.size() <= b.size() ? b : a;
-    const auto count = [this](KernelKind k) {
-        ++counters_.calls[static_cast<std::size_t>(k)];
-    };
-    const bool wide = simd_ && small.size() >= kSimdMinSize;
-    switch (mode_) {
-      case KernelMode::Merge:
-        break;
-      case KernelMode::Gallop:
-        count(KernelKind::Gallop);
+    const Choice c = choose(small, large, /*intersect=*/true);
+    ++counters_.calls[static_cast<std::size_t>(c.kind)];
+    switch (c.kind) {
+      case KernelKind::Gallop:
         return gallopIntersectInto(small.list, large.list, out);
-      case KernelMode::Bitmap:
-        if (const std::uint64_t *row = rowFor(large)) {
-            count(KernelKind::Bitmap);
-            return bitmapIntersectInto(
-                small.list, large.list, row,
-                graph_->hubRankDirectory(large.source), out);
-        }
-        break;
-      case KernelMode::Simd:
-        if (large.size() >= kGallopRatio * small.size()
-            && !small.list.empty()) {
-            count(wide ? KernelKind::SimdGallop : KernelKind::Gallop);
-            return wide ? simdGallopIntersectInto(small.list,
-                                                  large.list, out)
-                        : gallopIntersectInto(small.list, large.list,
-                                              out);
-        }
-        if (wide) {
-            count(KernelKind::SimdMerge);
-            return simdMergeIntersectInto(small.list, large.list, out);
-        }
-        break;
-      case KernelMode::Auto: {
-        if (small.list.empty())
-            break; // trivial; merge returns immediately
-        if (large.size() >= kBitmapRatio * small.size()) {
-            if (const std::uint64_t *row = rowFor(large)) {
-                count(KernelKind::Bitmap);
-                return bitmapIntersectInto(
-                    small.list, large.list, row,
-                    graph_->hubRankDirectory(large.source), out);
-            }
-        }
-        if (large.size() >= kGallopRatio * small.size()) {
-            // Scalar gallop, deliberately: the sweep shows the
-            // vectorized landing window losing to the plain binary
-            // narrow at every ratio >= kGallopRatio (the probe loads
-            // cost more than the <= 3 scalar steps they replace).
-            // SimdGallop stays reachable via KernelMode::Simd.
-            count(KernelKind::Gallop);
-            return gallopIntersectInto(small.list, large.list, out);
-        }
-        if (wide) {
-            count(KernelKind::SimdMerge);
-            return simdMergeIntersectInto(small.list, large.list, out);
-        }
-        break;
-      }
+      case KernelKind::Bitmap:
+        return bitmapIntersectInto(small.list, large.list, c.hub.bits,
+                                   c.hub.ranks, out);
+      case KernelKind::SimdMerge:
+        return simdMergeIntersectInto(small.list, large.list, out);
+      default:
+        return core::intersectInto(small.list, large.list, out);
     }
-    count(KernelKind::Merge);
-    return core::intersectInto(small.list, large.list, out);
 }
 
 WorkItems
 KernelDispatcher::intersectCount(const ListRef &a, const ListRef &b,
-                                 Count &result)
+                                 Count &count)
 {
     const ListRef &small = a.size() <= b.size() ? a : b;
     const ListRef &large = a.size() <= b.size() ? b : a;
-    const auto count = [this](KernelKind k) {
-        ++counters_.calls[static_cast<std::size_t>(k)];
-    };
-    const bool wide = simd_ && small.size() >= kSimdMinSize;
-    switch (mode_) {
-      case KernelMode::Merge:
-        break;
-      case KernelMode::Gallop:
-        count(KernelKind::Gallop);
-        return gallopIntersectCount(small.list, large.list, result);
-      case KernelMode::Bitmap:
-        if (const std::uint64_t *row = rowFor(large)) {
-            count(KernelKind::Bitmap);
-            return bitmapIntersectCount(
-                small.list, large.list, row,
-                graph_->hubRankDirectory(large.source), result);
-        }
-        break;
-      case KernelMode::Simd:
-        if (large.size() >= kGallopRatio * small.size()
-            && !small.list.empty()) {
-            count(wide ? KernelKind::SimdGallop : KernelKind::Gallop);
-            return wide ? simdGallopIntersectCount(small.list,
-                                                   large.list, result)
-                        : gallopIntersectCount(small.list, large.list,
-                                               result);
-        }
-        if (wide) {
-            count(KernelKind::SimdMerge);
-            return simdMergeIntersectCount(small.list, large.list,
-                                           result);
-        }
-        break;
-      case KernelMode::Auto: {
-        if (small.list.empty())
-            break;
-        if (large.size() >= kBitmapRatio * small.size()) {
-            if (const std::uint64_t *row = rowFor(large)) {
-                count(KernelKind::Bitmap);
-                return bitmapIntersectCount(
-                    small.list, large.list, row,
-                    graph_->hubRankDirectory(large.source), result);
-            }
-        }
-        if (large.size() >= kGallopRatio * small.size()) {
-            // Scalar gallop on purpose — see intersectInto.
-            count(KernelKind::Gallop);
-            return gallopIntersectCount(small.list, large.list,
-                                        result);
-        }
-        if (wide) {
-            count(KernelKind::SimdMerge);
-            return simdMergeIntersectCount(small.list, large.list,
-                                           result);
-        }
-        break;
-      }
+    const Choice c = choose(small, large, /*intersect=*/true);
+    ++counters_.calls[static_cast<std::size_t>(c.kind)];
+    switch (c.kind) {
+      case KernelKind::Gallop:
+        return gallopIntersectCount(small.list, large.list, count);
+      case KernelKind::Bitmap:
+        return bitmapIntersectCount(small.list, large.list, c.hub.bits,
+                                    c.hub.ranks, count);
+      case KernelKind::SimdMerge:
+        return simdMergeIntersectCount(small.list, large.list, count);
+      default:
+        return core::intersectCount(small.list, large.list, count);
     }
-    count(KernelKind::Merge);
-    return core::intersectCount(small.list, large.list, result);
 }
 
 WorkItems
@@ -229,71 +151,17 @@ KernelDispatcher::subtractInto(const ListRef &a, const ListRef &b,
 {
     // Subtraction is not symmetric: a is the base, only b can play
     // the probed (hub) role.
-    const auto count = [this](KernelKind k) {
-        ++counters_.calls[static_cast<std::size_t>(k)];
-    };
-    const bool wide = simd_ && a.size() >= kSimdMinSize;
-    switch (mode_) {
-      case KernelMode::Merge:
-        break;
-      case KernelMode::Gallop:
-        count(KernelKind::Gallop);
+    const Choice c = choose(a, b, /*intersect=*/false);
+    ++counters_.calls[static_cast<std::size_t>(c.kind)];
+    switch (c.kind) {
+      case KernelKind::Gallop:
         return gallopSubtractInto(a.list, b.list, out);
-      case KernelMode::Bitmap:
-        if (const std::uint64_t *row = rowFor(b)) {
-            count(KernelKind::Bitmap);
-            return bitmapSubtractInto(
-                a.list, row, graph_->hubRankDirectory(b.source), out);
-        }
-        break;
-      case KernelMode::Simd:
-        if (!a.list.empty() && !b.list.empty()
-            && b.size() >= kGallopRatio * a.size()) {
-            count(wide ? KernelKind::SimdGallop : KernelKind::Gallop);
-            return wide ? simdGallopSubtractInto(a.list, b.list, out)
-                        : gallopSubtractInto(a.list, b.list, out);
-        }
-        break;
-      case KernelMode::Auto: {
-        if (a.list.empty() || b.list.empty())
-            break;
-        if (b.size() >= kBitmapRatio * a.size()) {
-            if (const std::uint64_t *row = rowFor(b)) {
-                count(KernelKind::Bitmap);
-                return bitmapSubtractInto(
-                    a.list, row, graph_->hubRankDirectory(b.source), out);
-            }
-        }
-        if (b.size() >= kGallopRatio * a.size()) {
-            // Scalar gallop on purpose — see intersectInto.
-            count(KernelKind::Gallop);
-            return gallopSubtractInto(a.list, b.list, out);
-        }
-        break;
-      }
-    }
-    count(KernelKind::Merge);
-    return core::subtractInto(a.list, b.list, out);
-}
-
-namespace
-{
-
-void
-sortBySizeStable(std::array<ListRef, 8> &lists, std::size_t n)
-{
-    for (std::size_t i = 1; i < n; ++i) {
-        const ListRef key = lists[i];
-        std::size_t j = i;
-        while (j > 0 && lists[j - 1].size() > key.size()) {
-            lists[j] = lists[j - 1];
-            --j;
-        }
-        lists[j] = key;
+      case KernelKind::Bitmap:
+        return bitmapSubtractInto(a.list, c.hub.bits, c.hub.ranks, out);
+      default:
+        return core::subtractInto(a.list, b.list, out);
     }
 }
-
-} // namespace
 
 WorkItems
 KernelDispatcher::intersectMany(std::span<const ListRef> lists,
@@ -304,7 +172,7 @@ KernelDispatcher::intersectMany(std::span<const ListRef> lists,
                   "intersectMany needs 1..8 lists");
     std::array<ListRef, 8> sorted;
     std::copy(lists.begin(), lists.end(), sorted.begin());
-    sortBySizeStable(sorted, lists.size());
+    detail::sortBySizeStable(sorted, lists.size());
     if (lists.size() == 1) {
         // Same convention as the free function: a materialized copy
         // charges one WorkItem per element.

@@ -2,11 +2,10 @@
  * @file
  * Adaptive sorted-list set-kernel suite: the computational heart of
  * pattern-aware enumeration (every extension is an intersection of
- * active edge lists, §3.1).  Six interchangeable kernels implement
+ * active edge lists, §3.1).  Four interchangeable kernels implement
  * each set operation:
  *
  *   - Merge: the reference two-pointer merge (the modeled machine);
- *   - Blocked: an unrolled, branch-light merge for near-equal sizes;
  *   - Gallop: exponential-probe binary search driven by the smaller
  *     list, for skewed size ratios (hub vs. candidate lists);
  *   - Bitmap: per-element bit tests against a precomputed hub-vertex
@@ -14,10 +13,7 @@
  *     word-parallel gather fast path when the SIMD tier is live;
  *   - SimdMerge: AVX2 shuffle-based all-pairs block merge for
  *     near-equal sizes (8x8 lane comparisons + table-driven lane
- *     compaction);
- *   - SimdGallop: galloping search whose landing window is resolved
- *     with one 8-lane vector compare instead of the final binary
- *     search steps.
+ *     compaction); intersections only.
  *
  * The SIMD tier is compiled per-function (target("avx2")) and gated
  * at runtime behind CPU-feature detection (simdAvailable()): on
@@ -74,15 +70,20 @@ namespace core
 /** Work units charged by a kernel (canonical merge elements). */
 using WorkItems = std::uint64_t;
 
-/** The kernel that executed one set operation. */
+/**
+ * The kernel that executed one set operation.  Blocked and SimdGallop
+ * name kernels that no longer exist; their tallies stay (always 0)
+ * because perfbench's metric set and RunStats::toJson's host block
+ * name all six kinds.
+ */
 enum class KernelKind : std::uint8_t
 {
     Merge,      ///< reference two-pointer merge
-    Blocked,    ///< unrolled branch-light merge (near-equal sizes)
+    Blocked,    ///< retired: never dispatched, tally always 0
     Gallop,     ///< galloping binary search (skewed ratios)
-    Bitmap,     ///< hub-vertex bitset probe (Graph::hubBitmapRow)
+    Bitmap,     ///< hub-vertex bitset probe (Graph::hubRow)
     SimdMerge,  ///< AVX2 shuffle-based block merge
-    SimdGallop, ///< galloping search with vectorized landing window
+    SimdGallop, ///< retired: never dispatched, tally always 0
 };
 
 inline constexpr std::size_t kNumKernelKinds = 6;
@@ -97,10 +98,9 @@ enum class KernelMode : std::uint8_t
     Merge,  ///< always the reference merge (the modeled machine)
     Gallop, ///< always galloping search
     Bitmap, ///< bitmap wherever a hub row exists, else merge
-    Simd,   ///< SIMD tier wherever it applies (scalar when unavailable)
 };
 
-/** Stable lowercase name ("auto", "merge", "gallop", "bitmap", "simd"). */
+/** Stable lowercase name ("auto", "merge", "gallop", "bitmap"). */
 const char *kernelModeName(KernelMode mode);
 
 /** Parse a --kernel value; aborts on unknown names. */
@@ -221,13 +221,6 @@ bool containsBinary(std::span<const VertexId> list, VertexId v);
 
 /** @name Alternative kernels (dispatched; also exposed for bench) */
 /// @{
-WorkItems blockedIntersectInto(std::span<const VertexId> a,
-                               std::span<const VertexId> b,
-                               std::vector<VertexId> &out);
-WorkItems blockedIntersectCount(std::span<const VertexId> a,
-                                std::span<const VertexId> b,
-                                Count &count);
-
 /** Galloping kernels; @p a should be the smaller (driving) list. */
 WorkItems gallopIntersectInto(std::span<const VertexId> a,
                               std::span<const VertexId> b,
@@ -241,9 +234,8 @@ WorkItems gallopSubtractInto(std::span<const VertexId> a,
 
 /**
  * Bitmap kernels: @p hub_list is N(h), @p row its bitmap words and
- * @p ranks its rank directory (Graph::hubBitmapRow(h),
- * Graph::hubRankDirectory(h)); the list @p a drives.  Subtraction
- * needs only the row and the directory.
+ * @p ranks its rank directory (Graph::hubRow(h)); the list @p a
+ * drives.  Subtraction needs only the row and the directory.
  */
 WorkItems bitmapIntersectInto(std::span<const VertexId> a,
                               std::span<const VertexId> hub_list,
@@ -277,8 +269,11 @@ bool simdAvailable();
 
 /**
  * Host-side kill switch (tests/bench force the scalar fallback in an
- * AVX2 binary to prove byte-identical outputs).  Dispatchers snapshot
- * availability at construction, so toggle before building an engine.
+ * AVX2 binary to prove byte-identical outputs).  Only a dispatcher's
+ * SIMD-merge choice reads a snapshot taken at its construction; the
+ * bitmap kernels' word-parallel probes and the simd* entry points
+ * read the live switch on every call, so hold it off across a whole
+ * run to keep that run scalar.
  */
 void setSimdEnabled(bool enabled);
 
@@ -288,20 +283,38 @@ WorkItems simdMergeIntersectInto(std::span<const VertexId> a,
 WorkItems simdMergeIntersectCount(std::span<const VertexId> a,
                                   std::span<const VertexId> b,
                                   Count &count);
-
-/** SIMD galloping kernels; @p a is the smaller (driving) list. */
-WorkItems simdGallopIntersectInto(std::span<const VertexId> a,
-                                  std::span<const VertexId> b,
-                                  std::vector<VertexId> &out);
-WorkItems simdGallopIntersectCount(std::span<const VertexId> a,
-                                   std::span<const VertexId> b,
-                                   Count &count);
-WorkItems simdGallopSubtractInto(std::span<const VertexId> a,
-                                 std::span<const VertexId> b,
-                                 std::vector<VertexId> &out);
+/// @}
 
 namespace detail
 {
+/** Bit @p v of a hub bitmap row. */
+inline bool
+testBit(const std::uint64_t *row, VertexId v)
+{
+    return (row[v >> 6] >> (v & 63)) & 1u;
+}
+
+/**
+ * Stable smallest-first order of the first @p n of <= 8 lists: the
+ * fold order of both intersectMany implementations, which must pair
+ * the same lists to charge alike.  Insertion sort is branch-light at
+ * this size and, unlike std::sort, keeps size ties in input order.
+ */
+template <typename List>
+void
+sortBySizeStable(std::array<List, 8> &lists, std::size_t n)
+{
+    for (std::size_t i = 1; i < n; ++i) {
+        const List key = lists[i];
+        std::size_t j = i;
+        while (j > 0 && lists[j - 1].size() > key.size()) {
+            lists[j] = lists[j - 1];
+            --j;
+        }
+        lists[j] = key;
+    }
+}
+
 /** Word-parallel bitmap row probes (gather + variable shift); the
  *  bitmap kernels call these only when simdAvailable(). */
 Count simdBitmapCount(std::span<const VertexId> a,
@@ -310,29 +323,20 @@ void simdBitmapFilter(std::span<const VertexId> a,
                       const std::uint64_t *row, bool keep_members,
                       std::vector<VertexId> &out);
 } // namespace detail
-/// @}
 
 /** @name Dispatch heuristics (size-ratio thresholds)
  *
  * Retuned from the BENCH_kernels.json calibration sweep: gallop's
  * crossover against merge sits between ratio 4 (merge wins 1.15x)
  * and ratio 15 (gallop wins 1.7x), so the gallop threshold dropped
- * from 16 to 8; blocked lost to plain merge on every sweep row, so
- * Auto no longer selects it (the kernel stays for bench comparison).
- * On the skew branch Auto also prefers *scalar* gallop: the sweep
- * shows SimdGallop's vectorized landing window losing to the plain
- * binary narrow at every ratio >= kGallopRatio, so under Auto the
- * SIMD tier engages only as SimdMerge (near-equal sizes) and the
- * word-parallel bitmap path; SimdGallop stays reachable through
- * KernelMode::Simd and the benchmarks.
+ * from 16 to 8.  Under Auto the SIMD tier engages as SimdMerge
+ * (near-equal sizes) and the word-parallel bitmap path.
  */
 /// @{
 /** Gallop when the larger list is >= this multiple of the smaller. */
 inline constexpr std::size_t kGallopRatio = 8;
 /** Bitmap (if a hub row exists) at this ratio and above. */
 inline constexpr std::size_t kBitmapRatio = 4;
-/** Blocked merge only when both lists have at least this many. */
-inline constexpr std::size_t kBlockedMinSize = 32;
 /** SIMD kernels engage when the driving list has at least this many
  *  elements (below this the vector setup outweighs the win). */
 inline constexpr std::size_t kSimdMinSize = 16;
@@ -385,8 +389,26 @@ class KernelDispatcher
                                  std::vector<VertexId> &scratch_b);
 
   private:
-    /** Hub bitmap of @p ref's source, or nullptr. */
-    const std::uint64_t *rowFor(const ListRef &ref) const;
+    /** A pairwise kernel choice and, for Bitmap, the probe's row. */
+    struct Choice
+    {
+        KernelKind kind;
+        HubRow hub;
+    };
+
+    /**
+     * The whole selection policy.  @p drive is the smaller operand of
+     * an intersection or the base of a subtraction, @p probe the list
+     * it is looked up in; only intersections have a SIMD merge.
+     * Forced modes run their kernel (bitmap only where the probe has
+     * a hub row, merge otherwise).  Auto takes, in order: merge for
+     * an empty operand, bitmap at ratio >= kBitmapRatio when the probe
+     * has a row, gallop at ratio >= kGallopRatio, SIMD merge for an
+     * intersection whose drive has >= kSimdMinSize ids while the tier
+     * was live at construction, and merge otherwise.
+     */
+    Choice choose(const ListRef &drive, const ListRef &probe,
+                  bool intersect) const;
 
     KernelMode mode_;
     const Graph *graph_;

@@ -2,8 +2,8 @@
  * @file
  * Reference two-pointer merge kernels (the modeled machine every
  * other kernel must match bit-for-bit in output and charge), the
- * closed-form canonical work computation, the blocked branch-light
- * merge, the many-list folds and the membership probe.
+ * closed-form canonical work computation, the many-list folds and
+ * the membership probe.
  */
 
 #include "core/kernels/kernels.hh"
@@ -115,92 +115,6 @@ subtractInto(std::span<const VertexId> a, std::span<const VertexId> b,
 }
 
 WorkItems
-blockedIntersectInto(std::span<const VertexId> a,
-                     std::span<const VertexId> b,
-                     std::vector<VertexId> &out)
-{
-    out.clear();
-    const VertexId *pa = a.data();
-    const VertexId *pb = b.data();
-    const VertexId *const ea = pa + a.size();
-    const VertexId *const eb = pb + b.size();
-    // Each step advances each pointer by at most one, so a 4-wide
-    // block needs 4 elements of headroom on both sides.
-    while (pa + 4 <= ea && pb + 4 <= eb) {
-        for (int k = 0; k < 4; ++k) {
-            const VertexId va = *pa;
-            const VertexId vb = *pb;
-            if (va == vb)
-                out.push_back(va);
-            pa += va <= vb;
-            pb += vb <= va;
-        }
-    }
-    while (pa < ea && pb < eb) {
-        const VertexId va = *pa;
-        const VertexId vb = *pb;
-        if (va == vb)
-            out.push_back(va);
-        pa += va <= vb;
-        pb += vb <= va;
-    }
-    return static_cast<WorkItems>(pa - a.data())
-        + static_cast<WorkItems>(pb - b.data());
-}
-
-WorkItems
-blockedIntersectCount(std::span<const VertexId> a,
-                      std::span<const VertexId> b, Count &count)
-{
-    count = 0;
-    const VertexId *pa = a.data();
-    const VertexId *pb = b.data();
-    const VertexId *const ea = pa + a.size();
-    const VertexId *const eb = pb + b.size();
-    while (pa + 4 <= ea && pb + 4 <= eb) {
-        for (int k = 0; k < 4; ++k) {
-            const VertexId va = *pa;
-            const VertexId vb = *pb;
-            count += va == vb;
-            pa += va <= vb;
-            pb += vb <= va;
-        }
-    }
-    while (pa < ea && pb < eb) {
-        const VertexId va = *pa;
-        const VertexId vb = *pb;
-        count += va == vb;
-        pa += va <= vb;
-        pb += vb <= va;
-    }
-    return static_cast<WorkItems>(pa - a.data())
-        + static_cast<WorkItems>(pb - b.data());
-}
-
-namespace
-{
-
-/** Stable smallest-first ordering of <= 8 spans: insertion sort is
- *  branch-light at this size and, unlike std::sort, guarantees a
- *  deterministic order on size ties. */
-template <typename List>
-void
-sortBySizeStable(std::array<List, 8> &lists, std::size_t n)
-{
-    for (std::size_t i = 1; i < n; ++i) {
-        const List key = lists[i];
-        std::size_t j = i;
-        while (j > 0 && lists[j - 1].size() > key.size()) {
-            lists[j] = lists[j - 1];
-            --j;
-        }
-        lists[j] = key;
-    }
-}
-
-} // namespace
-
-WorkItems
 intersectMany(std::span<const std::span<const VertexId>> lists,
               std::vector<VertexId> &out, std::vector<VertexId> &scratch)
 {
@@ -210,7 +124,7 @@ intersectMany(std::span<const std::span<const VertexId>> lists,
     // array keeps this allocation-free (hot path).
     std::array<std::span<const VertexId>, 8> sorted;
     std::copy(lists.begin(), lists.end(), sorted.begin());
-    sortBySizeStable(sorted, lists.size());
+    detail::sortBySizeStable(sorted, lists.size());
     if (lists.size() == 1) {
         // Pass-through materializes a copy; charge it (one WorkItem
         // per element copied — see the charging convention).

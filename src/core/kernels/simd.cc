@@ -1,10 +1,10 @@
 /**
  * @file
- * AVX2 SIMD tier: shuffle-based block merge intersection, galloping
- * search with a vectorized landing window, and word-parallel bitmap
- * row probes.  Every kernel here produces output element-for-element
- * identical to the reference merge and charges the same canonical
- * merge-equivalent WorkItems — the tier changes host wall-clock only.
+ * AVX2 SIMD tier: shuffle-based block merge intersection and
+ * word-parallel bitmap row probes.  Every kernel here produces
+ * output element-for-element identical to the reference merge and
+ * charges the same canonical merge-equivalent WorkItems — the tier
+ * changes host wall-clock only.
  *
  * The AVX2 code is compiled per-function (target("avx2")) rather
  * than with a TU-wide -mavx2, so nothing outside the explicitly
@@ -39,12 +39,6 @@ namespace
 
 /** Host-side kill switch; modeled results never depend on it. */
 bool g_simd_enabled = true;
-
-inline bool
-testBit(const std::uint64_t *row, VertexId v)
-{
-    return (row[v >> 6] >> (v & 63)) & 1u;
-}
 
 #if KHUZDUL_SIMD_AVX2
 
@@ -212,112 +206,6 @@ avx2MergeIntersectCount(std::span<const VertexId> a,
     return mergeEndWork(a, b, i, j);
 }
 
-/**
- * gallopLowerBound with the final binary-search steps replaced by
- * one 8-lane >= compare: doubling probes bracket the target, binary
- * narrowing shrinks the bracket to <= 8 elements, then a single
- * vector compare finds the first lane >= x.  AVX2 has no unsigned
- * compare, so lane >= x is tested as max_epu32(lane, x) == lane.
- */
-KHUZDUL_SIMD_TARGET const VertexId *
-avx2GallopLowerBound(const VertexId *first, const VertexId *last,
-                     VertexId x)
-{
-    if (first == last || *first >= x)
-        return first;
-    std::size_t lo = 0;
-    std::size_t hi = 1;
-    while (first + hi < last && first[hi] < x) {
-        lo = hi;
-        hi <<= 1;
-    }
-    const VertexId *begin = first + lo + 1;
-    const VertexId *end = first + hi < last ? first + hi + 1 : last;
-    while (end - begin > 8) {
-        const VertexId *mid = begin + (end - begin) / 2;
-        if (*mid < x)
-            begin = mid + 1;
-        else
-            end = mid;
-    }
-    if (begin + 8 <= last) {
-        // Lanes past `end` are still inside the list and >= *end
-        // (the bracket guarantees *(end-1) >= x when end < last), so
-        // the first >=-lane is the lower bound either way.
-        const __m256i xv = _mm256_set1_epi32(static_cast<int>(x));
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(begin));
-        const int ge = _mm256_movemask_ps(_mm256_castsi256_ps(
-            _mm256_cmpeq_epi32(_mm256_max_epu32(w, xv), w)));
-        if (ge == 0)
-            return begin + 8; // whole window < x; bracket ends there
-        return begin + std::countr_zero(static_cast<unsigned>(ge));
-    }
-    return std::lower_bound(begin, end, x);
-}
-
-// The gallop loops charge as the scalar ones do (gallop.cc): from
-// the final cursor, or from the driving element past b's end.
-
-KHUZDUL_SIMD_TARGET WorkItems
-avx2GallopIntersectInto(std::span<const VertexId> a,
-                        std::span<const VertexId> b,
-                        std::vector<VertexId> &out)
-{
-    out.clear();
-    const VertexId *cursor = b.data();
-    const VertexId *const end = cursor + b.size();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const VertexId x = a[i];
-        cursor = avx2GallopLowerBound(cursor, end, x);
-        if (cursor == end)
-            return b.size() + i;
-        if (*cursor == x) {
-            out.push_back(x);
-            ++cursor;
-        }
-    }
-    return a.size() + static_cast<WorkItems>(cursor - b.data());
-}
-
-KHUZDUL_SIMD_TARGET WorkItems
-avx2GallopIntersectCount(std::span<const VertexId> a,
-                         std::span<const VertexId> b, Count &count)
-{
-    count = 0;
-    const VertexId *cursor = b.data();
-    const VertexId *const end = cursor + b.size();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const VertexId x = a[i];
-        cursor = avx2GallopLowerBound(cursor, end, x);
-        if (cursor == end)
-            return b.size() + i;
-        if (*cursor == x) {
-            ++count;
-            ++cursor;
-        }
-    }
-    return a.size() + static_cast<WorkItems>(cursor - b.data());
-}
-
-KHUZDUL_SIMD_TARGET WorkItems
-avx2GallopSubtractInto(std::span<const VertexId> a,
-                       std::span<const VertexId> b,
-                       std::vector<VertexId> &out)
-{
-    out.clear();
-    const VertexId *cursor = b.data();
-    const VertexId *const end = cursor + b.size();
-    for (const VertexId x : a) {
-        cursor = avx2GallopLowerBound(cursor, end, x);
-        if (cursor != end && *cursor == x)
-            ++cursor;
-        else
-            out.push_back(x);
-    }
-    return a.size() + static_cast<WorkItems>(cursor - b.data());
-}
-
 /** Per-lane bitmap bit: gather the 32-bit word holding each vertex's
  *  bit (little-endian u64 rows read as u32 words: word v>>5, bit
  *  v&31), variable-shift it down, mask to the low bit. */
@@ -348,7 +236,7 @@ avx2BitmapCount(std::span<const VertexId> a, const std::uint64_t *row)
     for (const std::uint32_t lane : lanes)
         c += lane;
     for (; i < a.size(); ++i)
-        c += testBit(row, a[i]);
+        c += detail::testBit(row, a[i]);
     return c;
 }
 
@@ -376,7 +264,7 @@ avx2BitmapFilter(std::span<const VertexId> a, const std::uint64_t *row,
     }
     for (; i < a.size(); ++i) {
         const VertexId x = a[i];
-        if (testBit(row, x) == keep_members)
+        if (detail::testBit(row, x) == keep_members)
             *op++ = x;
     }
     out.resize(static_cast<std::size_t>(op - out.data()));
@@ -429,41 +317,6 @@ simdMergeIntersectCount(std::span<const VertexId> a,
         return avx2MergeIntersectCount(a, b, count);
 #endif
     return intersectCount(a, b, count);
-}
-
-WorkItems
-simdGallopIntersectInto(std::span<const VertexId> a,
-                        std::span<const VertexId> b,
-                        std::vector<VertexId> &out)
-{
-#if KHUZDUL_SIMD_AVX2
-    if (simdAvailable())
-        return avx2GallopIntersectInto(a, b, out);
-#endif
-    return gallopIntersectInto(a, b, out);
-}
-
-WorkItems
-simdGallopIntersectCount(std::span<const VertexId> a,
-                         std::span<const VertexId> b, Count &count)
-{
-#if KHUZDUL_SIMD_AVX2
-    if (simdAvailable())
-        return avx2GallopIntersectCount(a, b, count);
-#endif
-    return gallopIntersectCount(a, b, count);
-}
-
-WorkItems
-simdGallopSubtractInto(std::span<const VertexId> a,
-                       std::span<const VertexId> b,
-                       std::vector<VertexId> &out)
-{
-#if KHUZDUL_SIMD_AVX2
-    if (simdAvailable())
-        return avx2GallopSubtractInto(a, b, out);
-#endif
-    return gallopSubtractInto(a, b, out);
 }
 
 namespace detail

@@ -58,13 +58,10 @@ SingleMachineEngine::count(const Pattern &p, const PlanOptions &options)
         opts.useIep = false;
         plan = compileAutomine(p, opts);
         plan.countDivisor = 1;
-    } else if (style_ == SingleMachineStyle::AutomineIH) {
-        PlanOptions opts = options;
-        opts.useIep = false;
-        plan = compileAutomine(p, opts);
     } else {
-        // Peregrine matches with its own pattern-aware runtime; use
-        // the heuristic order too (its plans are comparable).
+        // AutomineIH's plan.  Peregrine matches with its own
+        // pattern-aware runtime; use the heuristic order too (its
+        // plans are comparable).
         PlanOptions opts = options;
         opts.useIep = false;
         plan = compileAutomine(p, opts);

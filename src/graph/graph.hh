@@ -20,6 +20,19 @@ namespace khuzdul
 {
 
 /**
+ * One hub vertex's bitmap row (its neighbor bitset) and rank
+ * directory (entry w counts the neighbors below 64 w), as
+ * Graph::hubRow returns them; both null when the vertex has no row.
+ */
+struct HubRow
+{
+    const std::uint64_t *bits = nullptr;
+    const std::uint32_t *ranks = nullptr;
+
+    explicit operator bool() const { return bits != nullptr; }
+};
+
+/**
  * Compressed-sparse-row graph.
  *
  * Invariants: neighbor lists are sorted ascending, contain no
@@ -155,25 +168,16 @@ class Graph
     /** Number of vertices with a bitmap row. */
     std::size_t hubBitmapCount() const { return hubCount_; }
 
-    /** Bitmap words of N(v), or nullptr when v has no row. */
-    const std::uint64_t *
-    hubBitmapRow(VertexId v) const
+    /** Bitmap row and rank directory of N(v); empty when v has no
+     *  row. */
+    HubRow
+    hubRow(VertexId v) const
     {
         if (hubSlots_.empty() || hubSlots_[v] == kNoHubSlot)
-            return nullptr;
-        return hubWords_.data()
-            + static_cast<std::size_t>(hubSlots_[v]) * hubWordsPerRow_;
-    }
-
-    /** Rank directory of v's row, or nullptr when v has no row:
-     *  entry w counts the neighbors of v below 64 w. */
-    const std::uint32_t *
-    hubRankDirectory(VertexId v) const
-    {
-        if (hubSlots_.empty() || hubSlots_[v] == kNoHubSlot)
-            return nullptr;
-        return hubRanks_.data()
-            + static_cast<std::size_t>(hubSlots_[v]) * hubWordsPerRow_;
+            return {};
+        const std::size_t at =
+            static_cast<std::size_t>(hubSlots_[v]) * hubWordsPerRow_;
+        return {hubWords_.data() + at, hubRanks_.data() + at};
     }
 
     /** Bytes held by the rank directories (half the row bytes). */
@@ -207,8 +211,8 @@ class Graph
 
 /**
  * |{u in N(h) : u <= x}| for a hub h with bitmap row @p row and rank
- * directory @p ranks (Graph::hubBitmapRow / hubRankDirectory): one
- * directory load plus one popcount of x's word up to bit x.
+ * directory @p ranks (Graph::hubRow): one directory load plus one
+ * popcount of x's word up to bit x.
  */
 inline std::size_t
 hubRank(const std::uint64_t *row, const std::uint32_t *ranks, VertexId x)

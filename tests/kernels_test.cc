@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/kernels/kernels.hh"
+#include "graph/builder.hh"
 #include "graph/generators.hh"
 #include "support/rng.hh"
 
@@ -142,11 +143,6 @@ expectKernelAgreement(std::span<const VertexId> a,
     EXPECT_EQ(core::intersectCount(a, b, count), work);
     EXPECT_EQ(count, ref.size());
 
-    EXPECT_EQ(core::blockedIntersectInto(a, b, out), work);
-    EXPECT_EQ(out, ref);
-    EXPECT_EQ(core::blockedIntersectCount(a, b, count), work);
-    EXPECT_EQ(count, ref.size());
-
     EXPECT_EQ(core::gallopIntersectInto(a, b, out), work);
     EXPECT_EQ(out, ref);
     EXPECT_EQ(core::gallopIntersectCount(a, b, count), work);
@@ -155,11 +151,6 @@ expectKernelAgreement(std::span<const VertexId> a,
     EXPECT_EQ(core::simdMergeIntersectInto(a, b, out), work);
     EXPECT_EQ(out, ref);
     EXPECT_EQ(core::simdMergeIntersectCount(a, b, count), work);
-    EXPECT_EQ(count, ref.size());
-
-    EXPECT_EQ(core::simdGallopIntersectInto(a, b, out), work);
-    EXPECT_EQ(out, ref);
-    EXPECT_EQ(core::simdGallopIntersectCount(a, b, count), work);
     EXPECT_EQ(count, ref.size());
 
     // Bitmap kernels with b as the hub list.
@@ -177,14 +168,11 @@ expectKernelAgreement(std::span<const VertexId> a,
               work);
     EXPECT_EQ(count, ref.size());
 
-    // Subtraction: gallop, SIMD gallop and bitmap against the
-    // reference.
+    // Subtraction: gallop and bitmap against the reference.
     std::vector<VertexId> sub_ref;
     const core::WorkItems sub_work = core::subtractInto(a, b, sub_ref);
     EXPECT_EQ(core::canonicalSubtractWork(a, b), sub_work);
     EXPECT_EQ(core::gallopSubtractInto(a, b, out), sub_work);
-    EXPECT_EQ(out, sub_ref);
-    EXPECT_EQ(core::simdGallopSubtractInto(a, b, out), sub_work);
     EXPECT_EQ(out, sub_ref);
     EXPECT_EQ(core::bitmapSubtractInto(a, hub.words.data(),
                                        hub.ranks.data(), out),
@@ -219,8 +207,8 @@ TEST(Kernels, RandomizedPairsAgree)
 
 /**
  * Exhaustive residue/alignment sweep for the SIMD tier: the AVX2
- * merge consumes 8-wide blocks with a scalar tail and the gallop
- * probe loads an 8-lane window, so every tail residue mod 8 (0..7)
+ * merge consumes 8-wide blocks with a scalar tail and the bitmap
+ * probes gather 8 lanes, so every tail residue mod 8 (0..7)
  * of BOTH lists and misaligned span starts must agree byte-for-byte
  * with the scalar kernels, including empty and singleton lists.
  */
@@ -279,13 +267,6 @@ TEST(Kernels, SimdKillSwitchFallbackIsByteIdentical)
     if (!was_available)
         return; // scalar-only build/host: nothing more to compare
     expectKernelAgreement(a, b);
-
-    const core::WorkItems w_back =
-        core::simdGallopIntersectInto(a, b, simd_out);
-    core::setSimdEnabled(false);
-    EXPECT_EQ(core::simdGallopIntersectInto(a, b, scalar_out), w_back);
-    EXPECT_EQ(simd_out, scalar_out);
-    core::setSimdEnabled(true);
 }
 
 /**
@@ -301,8 +282,7 @@ TEST(Kernels, SimdBitmapPathMatchesScalarOnHubLists)
     for (VertexId v = 1; v < g.numVertices(); ++v)
         if (g.degree(v) > g.degree(hub))
             hub = v;
-    const std::uint64_t *row = g.hubBitmapRow(hub);
-    const std::uint32_t *ranks = g.hubRankDirectory(hub);
+    const auto [row, ranks] = g.hubRow(hub);
     ASSERT_NE(row, nullptr);
     ASSERT_NE(ranks, nullptr);
     const auto hub_list = g.neighbors(hub);
@@ -353,10 +333,9 @@ TEST(Kernels, BitmapKernelsMatchReferenceOnHubLists)
     Rng rng(7);
     int tested = 0;
     for (VertexId v = 0; v < g.numVertices() && tested < 50; ++v) {
-        const std::uint64_t *row = g.hubBitmapRow(v);
+        const auto [row, ranks] = g.hubRow(v);
         if (!row)
             continue;
-        const std::uint32_t *ranks = g.hubRankDirectory(v);
         ++tested;
         const auto hub_list = g.neighbors(v);
         const auto a = randomList(1 + rng.nextBounded(64),
@@ -393,7 +372,7 @@ TEST(Kernels, DispatcherIsModeInvariant)
     for (VertexId v = 1; v < g.numVertices(); ++v)
         if (g.degree(v) > g.degree(hub))
             hub = v;
-    ASSERT_NE(g.hubBitmapRow(hub), nullptr);
+    ASSERT_TRUE(g.hubRow(hub));
 
     const core::ListRef hub_ref(g.neighbors(hub), hub);
     const auto small = randomList(24, g.numVertices(), 42);
@@ -404,8 +383,7 @@ TEST(Kernels, DispatcherIsModeInvariant)
 
     for (const core::KernelMode mode :
          {core::KernelMode::Auto, core::KernelMode::Merge,
-          core::KernelMode::Gallop, core::KernelMode::Bitmap,
-          core::KernelMode::Simd}) {
+          core::KernelMode::Gallop, core::KernelMode::Bitmap}) {
         core::KernelDispatcher dispatcher(mode, &g);
         EXPECT_EQ(dispatcher.intersectInto(core::ListRef(small),
                                            hub_ref, out),
@@ -463,6 +441,157 @@ TEST(Kernels, DispatcherCountersAttributeKernels)
     dispatcher.intersectInto(core::ListRef(sa), core::ListRef(sb), out);
     EXPECT_EQ(dispatcher.counters()[core::KernelKind::Merge],
               before[core::KernelKind::Merge] + 1);
+}
+
+/** Restores the SIMD kill switch on scope exit, also when an ASSERT
+ *  returns early. */
+struct SimdSwitchGuard
+{
+    explicit SimdSwitchGuard(bool enabled) { core::setSimdEnabled(enabled); }
+    ~SimdSwitchGuard() { core::setSimdEnabled(true); }
+};
+
+/**
+ * The dispatch policy as a table: every (operation, mode, operand
+ * shape) names the KernelKind the counters must record, once with
+ * the SIMD tier live and once with it killed before the dispatcher
+ * is built.  Forced merge and gallop always run their kernel; forced
+ * bitmap runs bitmap when the probe has a hub row, merge otherwise.
+ * Auto picks merge for an empty operand, then bitmap at ratio >=
+ * kBitmapRatio when the probe has a row, gallop at ratio >=
+ * kGallopRatio, SIMD merge for an intersection whose smaller list
+ * has >= kSimdMinSize ids while the tier is live, and merge
+ * otherwise.  The sizes sit on the thresholds' edges.
+ */
+TEST(Kernels, DispatchPolicyIsPinned)
+{
+    // Vertices 0 and 1 both neighbour 2..201; the one-row cap admits
+    // only vertex 0 (hottest first, lower id on ties), so N(1) is a
+    // probe of the same size and source without a row.
+    constexpr VertexId kLeaves = 200;
+    GraphBuilder builder(kLeaves + 2);
+    for (VertexId v = 2; v < kLeaves + 2; ++v) {
+        builder.addEdge(0, v);
+        builder.addEdge(1, v);
+    }
+    const Graph g = builder.build();
+    const std::uint64_t row_bytes = ((g.numVertices() + 63) / 64) * 8;
+    g.buildHubBitmaps(kLeaves, row_bytes);
+    ASSERT_EQ(g.hubBitmapCount(), 1u);
+    ASSERT_EQ(core::kBitmapRatio, 4u);
+    ASSERT_EQ(core::kGallopRatio, 8u);
+    ASSERT_EQ(core::kSimdMinSize, 16u);
+
+    // Drive lists: the first n leaves (ids 2..n+1).
+    const auto leaves = [](std::size_t n) {
+        return run(2, static_cast<VertexId>(n + 1));
+    };
+    const std::vector<VertexId> none;
+    const std::vector<VertexId> d15 = leaves(15), d16 = leaves(16);
+    const std::vector<VertexId> d25 = leaves(25), d26 = leaves(26);
+    const std::vector<VertexId> d50 = leaves(50), d51 = leaves(51);
+    const std::vector<VertexId> p15 = run(100, 114), p17 = run(100, 116);
+    const core::ListRef hub(g.neighbors(0), 0);
+    const core::ListRef rowless(g.neighbors(1), 1);
+
+    enum class Op { Into, Count, Subtract };
+    using K = core::KernelKind;
+    struct Case
+    {
+        const char *shape;
+        core::ListRef drive;
+        core::ListRef probe;
+        K bitmap;      ///< KernelMode::Bitmap
+        K autoLive;    ///< KernelMode::Auto, SIMD tier live
+        K autoKilled;  ///< KernelMode::Auto, SIMD tier killed
+    };
+    // Intersections (into and count): the dispatcher orders operands
+    // by size, so each case also runs with drive and probe swapped.
+    const std::vector<Case> intersections = {
+        {"empty drive", none, hub, K::Bitmap, K::Merge, K::Merge},
+        {"empty probe", d25, none, K::Merge, K::Merge, K::Merge},
+        {"near-equal 15", d15, p15, K::Merge, K::Merge, K::Merge},
+        {"near-equal 16", d16, p17, K::Merge, K::SimdMerge, K::Merge},
+        {"ratio 3.9, row", d51, hub, K::Bitmap, K::SimdMerge, K::Merge},
+        {"ratio 4, row", d50, hub, K::Bitmap, K::Bitmap, K::Bitmap},
+        {"ratio 4, no row", d50, rowless, K::Merge, K::SimdMerge,
+         K::Merge},
+        {"ratio 7.7, no row", d26, rowless, K::Merge, K::SimdMerge,
+         K::Merge},
+        {"ratio 8, row", d25, hub, K::Bitmap, K::Bitmap, K::Bitmap},
+        {"ratio 8, no row", d25, rowless, K::Merge, K::Gallop,
+         K::Gallop},
+    };
+    // Subtractions: the drive is the base, only the probe is looked
+    // up, and there is no SIMD subtraction.
+    const std::vector<Case> subtractions = {
+        {"empty drive", none, hub, K::Bitmap, K::Merge, K::Merge},
+        {"empty probe", d25, none, K::Merge, K::Merge, K::Merge},
+        {"near-equal 15", d15, p15, K::Merge, K::Merge, K::Merge},
+        {"near-equal 16", d16, p17, K::Merge, K::Merge, K::Merge},
+        {"ratio 3.9, row", d51, hub, K::Bitmap, K::Merge, K::Merge},
+        {"ratio 4, row", d50, hub, K::Bitmap, K::Bitmap, K::Bitmap},
+        {"ratio 4, no row", d50, rowless, K::Merge, K::Merge, K::Merge},
+        {"ratio 7.7, no row", d26, rowless, K::Merge, K::Merge, K::Merge},
+        {"ratio 8, row", d25, hub, K::Bitmap, K::Bitmap, K::Bitmap},
+        {"ratio 8, no row", d25, rowless, K::Merge, K::Gallop,
+         K::Gallop},
+    };
+
+    const bool simd_live = core::simdAvailable();
+    const auto expectChoice = [&g](Op op, const core::ListRef &first,
+                                   const core::ListRef &second,
+                                   core::KernelMode mode, bool simd_on,
+                                   K expected) {
+        const SimdSwitchGuard simd(simd_on);
+        core::KernelDispatcher dispatcher(mode, &g);
+        std::vector<VertexId> out;
+        Count count = 0;
+        switch (op) {
+          case Op::Into:
+            dispatcher.intersectInto(first, second, out);
+            break;
+          case Op::Count:
+            dispatcher.intersectCount(first, second, count);
+            break;
+          case Op::Subtract:
+            dispatcher.subtractInto(first, second, out);
+            break;
+        }
+        EXPECT_EQ(dispatcher.counters().total(), 1u);
+        EXPECT_EQ(dispatcher.counters()[expected], 1u)
+            << "expected " << core::kernelKindName(expected);
+    };
+    const auto expectCase = [&](Op op, const Case &c, bool swapped) {
+        const core::ListRef &first = swapped ? c.probe : c.drive;
+        const core::ListRef &second = swapped ? c.drive : c.probe;
+        for (const bool simd_on : {true, false}) {
+            SCOPED_TRACE(std::string(c.shape)
+                         + (swapped ? ", swapped" : "")
+                         + (simd_on ? ", simd live" : ", simd killed"));
+            const K auto_kind =
+                simd_on && simd_live ? c.autoLive : c.autoKilled;
+            expectChoice(op, first, second, core::KernelMode::Merge,
+                         simd_on, K::Merge);
+            expectChoice(op, first, second, core::KernelMode::Gallop,
+                         simd_on, K::Gallop);
+            expectChoice(op, first, second, core::KernelMode::Bitmap,
+                         simd_on, c.bitmap);
+            expectChoice(op, first, second, core::KernelMode::Auto,
+                         simd_on, auto_kind);
+        }
+    };
+    for (const Op op : {Op::Into, Op::Count}) {
+        SCOPED_TRACE(op == Op::Into ? "intersectInto" : "intersectCount");
+        for (const Case &c : intersections) {
+            expectCase(op, c, false);
+            expectCase(op, c, true);
+        }
+    }
+    SCOPED_TRACE("subtractInto");
+    for (const Case &c : subtractions)
+        expectCase(Op::Subtract, c, false);
+    EXPECT_EQ(core::simdAvailable(), simd_live);
 }
 
 TEST(Kernels, ManyListFoldsMatchAcrossDispatchAndReference)
@@ -543,7 +672,7 @@ TEST(Kernels, HubBitmapAdmissionIsCappedAndHottestFirst)
     g.buildHubBitmaps(16, 1ull << 30);
     std::size_t eligible = 0;
     for (VertexId v = 0; v < g.numVertices(); ++v) {
-        const bool has_row = g.hubBitmapRow(v) != nullptr;
+        const bool has_row = static_cast<bool>(g.hubRow(v));
         EXPECT_EQ(has_row, g.degree(v) >= 16) << "vertex " << v;
         eligible += g.degree(v) >= 16;
     }
@@ -559,7 +688,7 @@ TEST(Kernels, HubBitmapAdmissionIsCappedAndHottestFirst)
     EdgeId coldest_admitted = ~EdgeId{0};
     EdgeId hottest_rejected = 0;
     for (VertexId v = 0; v < g.numVertices(); ++v) {
-        if (g.hubBitmapRow(v))
+        if (g.hubRow(v))
             coldest_admitted = std::min(coldest_admitted, g.degree(v));
         else if (g.degree(v) >= 16)
             hottest_rejected = std::max(hottest_rejected, g.degree(v));
@@ -570,7 +699,7 @@ TEST(Kernels, HubBitmapAdmissionIsCappedAndHottestFirst)
     g.buildHubBitmaps(16, 0);
     EXPECT_EQ(g.hubBitmapCount(), 0u);
     EXPECT_EQ(g.hubBitmapBytes(), 0u);
-    EXPECT_EQ(g.hubBitmapRow(0), nullptr);
+    EXPECT_FALSE(g.hubRow(0));
 }
 
 TEST(Kernels, HubRankDirectoryIsExact)
@@ -581,8 +710,7 @@ TEST(Kernels, HubRankDirectoryIsExact)
     const auto expectExact = [&g, n] {
         std::size_t rows = 0;
         for (VertexId h = 0; h < n; ++h) {
-            const std::uint64_t *row = g.hubBitmapRow(h);
-            const std::uint32_t *ranks = g.hubRankDirectory(h);
+            const auto [row, ranks] = g.hubRow(h);
             ASSERT_EQ(row != nullptr, ranks != nullptr) << "vertex " << h;
             if (!row)
                 continue;
@@ -622,19 +750,19 @@ TEST(Kernels, HubRankDirectoryIsExact)
     g.buildHubBitmaps(16, 0);
     EXPECT_EQ(g.hubRankDirectoryBytes(), 0u);
     for (VertexId h = 0; h < n; ++h)
-        ASSERT_EQ(g.hubRankDirectory(h), nullptr);
+        ASSERT_EQ(g.hubRow(h).ranks, nullptr);
 }
 
 TEST(Kernels, ModeNamesRoundTrip)
 {
     for (const core::KernelMode mode :
          {core::KernelMode::Auto, core::KernelMode::Merge,
-          core::KernelMode::Gallop, core::KernelMode::Bitmap,
-          core::KernelMode::Simd})
+          core::KernelMode::Gallop, core::KernelMode::Bitmap})
         EXPECT_EQ(core::parseKernelMode(core::kernelModeName(mode)),
                   mode);
     EXPECT_THROW(core::parseKernelMode("avx2"), FatalError);
     EXPECT_THROW(core::parseKernelMode("blocked"), FatalError);
+    EXPECT_THROW(core::parseKernelMode("simd"), FatalError);
 }
 
 } // namespace

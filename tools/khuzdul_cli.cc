@@ -745,7 +745,7 @@ cmdHelp(const std::string &topic)
                   "  [--nodes N] [--sockets S] [--chunk-bytes B]\n"
                   "  [--cache-fraction F] [--no-cache] [--no-hds] "
                   "[--no-numa]\n"
-                  "  [--kernel auto|merge|gallop|bitmap|simd]\n"
+                  "  [--kernel auto|merge|gallop|bitmap]\n"
                   "  [--threads N]  host threads running simulated "
                   "units (0 = all;\n"
                   "                 modeled results identical for "
@@ -797,7 +797,7 @@ cmdHelp(const std::string &topic)
                   "  [--nodes N] [--sockets S] [--chunk-bytes B]\n"
                   "  [--cache-fraction F] [--no-cache] [--no-hds] "
                   "[--no-numa]\n"
-                  "  [--kernel auto|merge|gallop|bitmap|simd]\n"
+                  "  [--kernel auto|merge|gallop|bitmap]\n"
                   "  [--threads N]  host threads (modeled results "
                   "identical for every N)\n"
                   "  [--fault SPEC]...  deterministic fabric faults, "
@@ -821,7 +821,7 @@ cmdHelp(const std::string &topic)
                   "  [--nodes N] [--sockets S] [--chunk-bytes B]\n"
                   "  [--cache-fraction F] [--no-cache] [--no-hds] "
                   "[--no-numa]\n"
-                  "  [--kernel auto|merge|gallop|bitmap|simd]\n"
+                  "  [--kernel auto|merge|gallop|bitmap]\n"
                   "  [--threads N]  host threads (modeled results "
                   "identical for every N)\n"
                   "  [--fault SPEC]...  deterministic fabric faults, "
