@@ -51,14 +51,10 @@ bitmapIntersectInto(std::span<const VertexId> a,
                     std::vector<VertexId> &out)
 {
     const WorkItems work = intersectWork(a, hub_list, row, ranks);
-    if (a.size() >= kSimdMinSize && simdAvailable()) {
+    if (a.size() >= kSimdMinSize && simdAvailable())
         detail::simdBitmapFilter(a, row, /*keep_members=*/true, out);
-        return work;
-    }
-    out.clear();
-    for (const VertexId x : a)
-        if (detail::testBit(row, x))
-            out.push_back(x);
+    else
+        detail::scalarBitmapFilter(a, row, /*keep_members=*/true, out);
     return work;
 }
 
@@ -87,14 +83,10 @@ bitmapSubtractInto(std::span<const VertexId> a, const std::uint64_t *row,
     // maximum.
     const WorkItems work =
         a.empty() ? 0 : a.size() + hubRank(row, ranks, a.back());
-    if (a.size() >= kSimdMinSize && simdAvailable()) {
+    if (a.size() >= kSimdMinSize && simdAvailable())
         detail::simdBitmapFilter(a, row, /*keep_members=*/false, out);
-        return work;
-    }
-    out.clear();
-    for (const VertexId x : a)
-        if (!detail::testBit(row, x))
-            out.push_back(x);
+    else
+        detail::scalarBitmapFilter(a, row, /*keep_members=*/false, out);
     return work;
 }
 

@@ -92,10 +92,8 @@ KernelDispatcher::choose(const ListRef &drive, const ListRef &probe,
     }
     if (drive.list.empty() || probe.list.empty())
         return {KernelKind::Merge, {}};
-    if (probe.size() >= kBitmapRatio * drive.size()) {
-        if (const HubRow hub = rowOf(probe))
-            return {KernelKind::Bitmap, hub};
-    }
+    if (const HubRow hub = rowOf(probe))
+        return {KernelKind::Bitmap, hub};
     if (probe.size() >= kGallopRatio * drive.size())
         return {KernelKind::Gallop, {}};
     if (intersect && simd_ && drive.size() >= kSimdMinSize)

@@ -7,10 +7,12 @@
  *
  *   - Merge: the reference two-pointer merge (the modeled machine);
  *   - Gallop: exponential-probe binary search driven by the smaller
- *     list, for skewed size ratios (hub vs. candidate lists);
+ *     list, for skewed size ratios when the larger list has no hub
+ *     row;
  *   - Bitmap: per-element bit tests against a precomputed hub-vertex
  *     bitset stored on the Graph (Graph::buildHubBitmaps), with a
- *     word-parallel gather fast path when the SIMD tier is live;
+ *     word-parallel gather fast path when the SIMD tier is live; it
+ *     serves every operation whose probed list has a row;
  *   - SimdMerge: AVX2 shuffle-based all-pairs block merge for
  *     near-equal sizes (8x8 lane comparisons + table-driven lane
  *     compaction); intersections only.
@@ -20,8 +22,9 @@
  * hosts or builds without AVX2 every entry point falls back to the
  * scalar kernels with byte-identical outputs and charges.
  *
- * A KernelDispatcher picks the kernel per call from the size ratio
- * and hub-bitmap availability (or a forced KernelMode for A/B runs).
+ * A KernelDispatcher picks the kernel per call: the bitmap kernel
+ * whenever the probed list has a hub row, else by size ratio (or a
+ * forced KernelMode for A/B runs).
  *
  * ## Charging convention (canonical work)
  *
@@ -94,7 +97,7 @@ const char *kernelKindName(KernelKind kind);
 /** Dispatcher policy: adaptive, or one kernel forced for A/B. */
 enum class KernelMode : std::uint8_t
 {
-    Auto,   ///< pick per call from size ratio + bitmap availability
+    Auto,   ///< bitmap where a hub row exists, else by size ratio
     Merge,  ///< always the reference merge (the modeled machine)
     Gallop, ///< always galloping search
     Bitmap, ///< bitmap wherever a hub row exists, else merge
@@ -295,6 +298,24 @@ testBit(const std::uint64_t *row, VertexId v)
 }
 
 /**
+ * out = the ids of @p a whose row bit equals @p keep_members: the
+ * bitmap kernels' scalar path (drives below kSimdMinSize, or no SIMD
+ * tier).  It branches per id on purpose: on real wedge pairs a
+ * branch-free store-and-advance loop was slower on drives below
+ * kSimdMinSize in every size-ratio bucket (bench_kernels'
+ * scalar_filter_sweeps).
+ */
+inline void
+scalarBitmapFilter(std::span<const VertexId> a, const std::uint64_t *row,
+                   bool keep_members, std::vector<VertexId> &out)
+{
+    out.clear();
+    for (const VertexId x : a)
+        if (testBit(row, x) == keep_members)
+            out.push_back(x);
+}
+
+/**
  * Stable smallest-first order of the first @p n of <= 8 lists: the
  * fold order of both intersectMany implementations, which must pair
  * the same lists to charge alike.  Insertion sort is branch-light at
@@ -324,19 +345,23 @@ void simdBitmapFilter(std::span<const VertexId> a,
                       std::vector<VertexId> &out);
 } // namespace detail
 
-/** @name Dispatch heuristics (size-ratio thresholds)
+/** @name Dispatch heuristics
  *
- * Retuned from the BENCH_kernels.json calibration sweep: gallop's
- * crossover against merge sits between ratio 4 (merge wins 1.15x)
- * and ratio 15 (gallop wins 1.7x), so the gallop threshold dropped
- * from 16 to 8.  Under Auto the SIMD tier engages as SimdMerge
- * (near-equal sizes) and the word-parallel bitmap path.
+ * A probe with a hub row always takes the bitmap kernel: replayed
+ * on real wedge pairs of the mc and lj stand-ins (bench_kernels'
+ * wedge sweep, BENCH_dispatch.json), it beat the SIMD merge by
+ * 1.2-2.5x on intersections in every size-ratio bucket below 4 and
+ * by 3.2x or more above, and the merge by 4.8x or more on
+ * subtractions in every bucket, bases larger than the hub list
+ * included, so no ratio gates it.  Without a row, gallop's crossover
+ * against merge sits between ratio 4 (merge wins 1.15x) and ratio 15
+ * (gallop wins 1.7x) in the BENCH_kernels.json calibration sweep, so
+ * the gallop threshold is 8.  Under Auto the SIMD tier engages as
+ * SimdMerge (near-equal sizes) and the word-parallel bitmap path.
  */
 /// @{
 /** Gallop when the larger list is >= this multiple of the smaller. */
 inline constexpr std::size_t kGallopRatio = 8;
-/** Bitmap (if a hub row exists) at this ratio and above. */
-inline constexpr std::size_t kBitmapRatio = 4;
 /** SIMD kernels engage when the driving list has at least this many
  *  elements (below this the vector setup outweighs the win). */
 inline constexpr std::size_t kSimdMinSize = 16;
@@ -402,10 +427,12 @@ class KernelDispatcher
      * it is looked up in; only intersections have a SIMD merge.
      * Forced modes run their kernel (bitmap only where the probe has
      * a hub row, merge otherwise).  Auto takes, in order: merge for
-     * an empty operand, bitmap at ratio >= kBitmapRatio when the probe
-     * has a row, gallop at ratio >= kGallopRatio, SIMD merge for an
-     * intersection whose drive has >= kSimdMinSize ids while the tier
-     * was live at construction, and merge otherwise.
+     * an empty operand, bitmap whenever the probe has a row (at any
+     * size ratio, for intersections and subtractions alike), gallop
+     * at ratio >= kGallopRatio, SIMD merge for an intersection whose
+     * drive has >= kSimdMinSize ids while the tier was live at
+     * construction, and merge otherwise.  Auto thus differs from
+     * forced bitmap only for an empty operand or a row-less probe.
      */
     Choice choose(const ListRef &drive, const ListRef &probe,
                   bool intersect) const;

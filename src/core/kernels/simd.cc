@@ -345,10 +345,7 @@ simdBitmapFilter(std::span<const VertexId> a, const std::uint64_t *row,
         return;
     }
 #endif
-    out.clear();
-    for (const VertexId x : a)
-        if (testBit(row, x) == keep_members)
-            out.push_back(x);
+    scalarBitmapFilter(a, row, keep_members, out);
 }
 
 } // namespace detail

@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "support/check.hh"
@@ -10,6 +11,21 @@ namespace khuzdul
 {
 namespace core
 {
+
+namespace
+{
+
+/** Empty @p value and free its buffers (clear() or assigning {}
+ *  keeps a string's or vector's capacity). */
+template <typename T>
+void
+freeStorage(T &value)
+{
+    T empty;
+    std::swap(value, empty);
+}
+
+} // namespace
 
 QueryService::QueryService(GraphContext &context,
                            const ServiceOptions &options)
@@ -47,7 +63,7 @@ QueryService::submit(const ExtendPlan &plan,
         id = submittedCount_++;
         results_.emplace_back();
         results_.back().id = id;
-        done_.push_back(false);
+        states_.push_back(ResultState::Running);
         cancelTokens_.push_back(std::make_shared<CancelToken>());
         pending_.push_back(PendingQuery{id, plan, session, sink,
                                         cancelTokens_.back()});
@@ -66,12 +82,40 @@ QueryService::wait()
 }
 
 const QueryResult &
-QueryService::result(std::size_t id) const
+QueryService::result(std::size_t id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     KHUZDUL_REQUIRE(id < results_.size(), "unknown query id");
-    KHUZDUL_CHECK(done_[id], "query still in flight; wait() first");
+    KHUZDUL_CHECK(states_[id] != ResultState::Running,
+                  "query still in flight; wait() first");
+    releaseExpired();
+    if (states_[id] == ResultState::Released)
+        throw ResultReleased(
+            "result of query " + std::to_string(id)
+            + " was released: a result is kept for "
+            + std::to_string(kReleaseReadAfter)
+            + " completions after its first read");
+    if (states_[id] == ResultState::Done) {
+        states_[id] = ResultState::Read;
+        reads_.push_back({id, completedCount_});
+    }
     return results_[id];
+}
+
+void
+QueryService::releaseExpired()
+{
+    // completedCount_ only grows, so reads_ is ordered by deadline.
+    while (!reads_.empty()
+           && completedCount_ - reads_.front().completedAtRead
+               >= kReleaseReadAfter) {
+        QueryResult &done = results_[reads_.front().id];
+        freeStorage(done.stats);
+        freeStorage(done.modeledJson);
+        freeStorage(done.traceCounts);
+        states_[reads_.front().id] = ResultState::Released;
+        reads_.pop_front();
+    }
 }
 
 std::size_t
@@ -92,7 +136,7 @@ bool
 QueryService::finished(std::size_t id) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return id < done_.size() && done_[id];
+    return id < states_.size() && states_[id] != ResultState::Running;
 }
 
 unsigned
@@ -213,7 +257,7 @@ QueryService::runOne(PendingQuery &&query,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         results_[query.id] = std::move(result);
-        done_[query.id] = true;
+        states_[query.id] = ResultState::Done;
         ++completedCount_;
         --inFlight_;
     }

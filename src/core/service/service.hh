@@ -33,6 +33,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -47,11 +48,22 @@
 #include "pattern/plan.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
+#include "support/check.hh"
 
 namespace khuzdul
 {
 namespace core
 {
+
+/**
+ * Thrown by QueryService::result() for a result whose payload the
+ * service already released (see QueryService::kReleaseReadAfter).
+ */
+class ResultReleased : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
 
 /** QueryService tunables. */
 struct ServiceOptions
@@ -108,7 +120,9 @@ struct QueryResult
 
 /**
  * A long-lived multi-query scheduler over one GraphContext.
- * Thread-safe: submit()/wait() may be called from any thread.
+ * Thread-safe: submit()/wait() may be called from any thread.  A
+ * result() call may release a payload another thread still reads
+ * (see kReleaseReadAfter), so such clients copy results first.
  */
 class QueryService
 {
@@ -138,12 +152,30 @@ class QueryService
     /** Block until every submitted query has completed. */
     void wait();
 
-    /** Result of query @p id (wait() first, or poll finished()).
-     *  The reference stays valid across later submit() calls. */
-    const QueryResult &result(std::size_t id) const;
+    /**
+     * A result's payload (stats, modeledJson, traceCounts) is
+     * released once result() has returned it and this many later
+     * queries have completed.  The release runs inside a later
+     * result() call on the caller's thread, never on a worker, so a
+     * client that reads results from one thread never has a payload
+     * emptied under it while it reads.  Results nobody has read are
+     * kept.
+     */
+    static constexpr std::size_t kReleaseReadAfter = 256;
+
+    /**
+     * Result of query @p id (wait() first, or poll finished()).  The
+     * reference stays valid across later submit() calls, but its
+     * payload empties in the first result() call made once
+     * kReleaseReadAfter later queries have completed: copy what you
+     * need before then.  Asking again for a released id throws
+     * ResultReleased.
+     */
+    const QueryResult &result(std::size_t id);
 
     /** All results so far, indexed by id (wait() first for a full
-     *  workload view). */
+     *  workload view).  Entries result() released have an empty
+     *  payload; the rest are whole. */
     const std::deque<QueryResult> &results() const
     {
         return results_;
@@ -176,8 +208,27 @@ class QueryService
         std::shared_ptr<CancelToken> cancelToken;
     };
 
+    /** Lifecycle of one submitted query's result. */
+    enum class ResultState : std::uint8_t
+    {
+        Running,  ///< pending or executing
+        Done,     ///< completed, never returned by result()
+        Read,     ///< returned by result(); release scheduled
+        Released, ///< payload dropped
+    };
+
+    /** A read result and completedCount_ at its first read. */
+    struct ReadMark
+    {
+        std::size_t id;
+        std::size_t completedAtRead;
+    };
+
     void dispatcherLoop();
     void runOne(PendingQuery &&query, std::size_t admission_index);
+    /** Drop the payloads whose release window has passed (locked;
+     *  called from result() only, on the client's thread). */
+    void releaseExpired();
 
     GraphContext *context_;
     ServiceOptions options_;
@@ -190,7 +241,9 @@ class QueryService
     /** A deque so submit()'s emplace_back never moves a result a
      *  caller still holds by reference. */
     std::deque<QueryResult> results_;
-    std::vector<bool> done_;
+    std::vector<ResultState> states_;
+    /** Read results awaiting release, oldest read first. */
+    std::deque<ReadMark> reads_;
     std::vector<std::shared_ptr<CancelToken>> cancelTokens_;
     std::size_t submittedCount_ = 0;
     std::size_t completedCount_ = 0;

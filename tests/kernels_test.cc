@@ -403,7 +403,7 @@ TEST(Kernels, DispatcherCountersAttributeKernels)
         if (g.degree(v) > g.degree(hub))
             hub = v;
     const EdgeId hub_degree = g.degree(hub);
-    ASSERT_GE(hub_degree, core::kBitmapRatio * 4);
+    ASSERT_GE(hub_degree, 16u);
 
     core::KernelDispatcher dispatcher(core::KernelMode::Auto, &g);
     std::vector<VertexId> out;
@@ -457,8 +457,8 @@ struct SimdSwitchGuard
  * the SIMD tier live and once with it killed before the dispatcher
  * is built.  Forced merge and gallop always run their kernel; forced
  * bitmap runs bitmap when the probe has a hub row, merge otherwise.
- * Auto picks merge for an empty operand, then bitmap at ratio >=
- * kBitmapRatio when the probe has a row, gallop at ratio >=
+ * Auto picks merge for an empty operand, then bitmap whenever the
+ * probe has a row (at any size ratio), gallop at ratio >=
  * kGallopRatio, SIMD merge for an intersection whose smaller list
  * has >= kSimdMinSize ids while the tier is live, and merge
  * otherwise.  The sizes sit on the thresholds' edges.
@@ -478,7 +478,6 @@ TEST(Kernels, DispatchPolicyIsPinned)
     const std::uint64_t row_bytes = ((g.numVertices() + 63) / 64) * 8;
     g.buildHubBitmaps(kLeaves, row_bytes);
     ASSERT_EQ(g.hubBitmapCount(), 1u);
-    ASSERT_EQ(core::kBitmapRatio, 4u);
     ASSERT_EQ(core::kGallopRatio, 8u);
     ASSERT_EQ(core::kSimdMinSize, 16u);
 
@@ -490,6 +489,9 @@ TEST(Kernels, DispatchPolicyIsPinned)
     const std::vector<VertexId> d15 = leaves(15), d16 = leaves(16);
     const std::vector<VertexId> d25 = leaves(25), d26 = leaves(26);
     const std::vector<VertexId> d50 = leaves(50), d51 = leaves(51);
+    const std::vector<VertexId> d199 = leaves(199);
+    // Every vertex id: a subtraction base larger than the hub list.
+    const std::vector<VertexId> all = run(0, kLeaves + 1);
     const std::vector<VertexId> p15 = run(100, 114), p17 = run(100, 116);
     const core::ListRef hub(g.neighbors(0), 0);
     const core::ListRef rowless(g.neighbors(1), 1);
@@ -512,7 +514,8 @@ TEST(Kernels, DispatchPolicyIsPinned)
         {"empty probe", d25, none, K::Merge, K::Merge, K::Merge},
         {"near-equal 15", d15, p15, K::Merge, K::Merge, K::Merge},
         {"near-equal 16", d16, p17, K::Merge, K::SimdMerge, K::Merge},
-        {"ratio 3.9, row", d51, hub, K::Bitmap, K::SimdMerge, K::Merge},
+        {"ratio ~1, row", d199, hub, K::Bitmap, K::Bitmap, K::Bitmap},
+        {"ratio 3.9, row", d51, hub, K::Bitmap, K::Bitmap, K::Bitmap},
         {"ratio 4, row", d50, hub, K::Bitmap, K::Bitmap, K::Bitmap},
         {"ratio 4, no row", d50, rowless, K::Merge, K::SimdMerge,
          K::Merge},
@@ -529,7 +532,10 @@ TEST(Kernels, DispatchPolicyIsPinned)
         {"empty probe", d25, none, K::Merge, K::Merge, K::Merge},
         {"near-equal 15", d15, p15, K::Merge, K::Merge, K::Merge},
         {"near-equal 16", d16, p17, K::Merge, K::Merge, K::Merge},
-        {"ratio 3.9, row", d51, hub, K::Bitmap, K::Merge, K::Merge},
+        {"base 202 > hub 200, row", all, hub, K::Bitmap, K::Bitmap,
+         K::Bitmap},
+        {"ratio ~1, row", d199, hub, K::Bitmap, K::Bitmap, K::Bitmap},
+        {"ratio 3.9, row", d51, hub, K::Bitmap, K::Bitmap, K::Bitmap},
         {"ratio 4, row", d50, hub, K::Bitmap, K::Bitmap, K::Bitmap},
         {"ratio 4, no row", d50, rowless, K::Merge, K::Merge, K::Merge},
         {"ratio 7.7, no row", d26, rowless, K::Merge, K::Merge, K::Merge},

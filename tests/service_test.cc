@@ -3,9 +3,10 @@
  * QueryService tests: admission control (bounded in-flight, FIFO
  * admission order), per-query results matching a solo engine run
  * bit-for-bit, cross-query shared-cache accounting, trace sink
- * wiring, result references that outlive later submits, the
- * reset-vs-clear cache contract on GraphContext, and query-level
- * resilience (deadlines, retries, cancellation, invalid sessions).
+ * wiring, result references that outlive later submits, the release
+ * window of read results, the reset-vs-clear cache contract on
+ * GraphContext, and query-level resilience (deadlines, retries,
+ * cancellation, invalid sessions).
  */
 
 #include <gtest/gtest.h>
@@ -208,6 +209,128 @@ TEST(QueryService, ResultReferenceSurvivesLaterSubmits)
     EXPECT_EQ(first.id, 0u);
     EXPECT_EQ(first.count, count);
     EXPECT_EQ(first.modeledJson, modeled);
+}
+
+/** A one-node context small enough that the release tests can
+ *  complete hundreds of queries quickly, also under sanitizers. */
+core::GraphContext
+releaseContext()
+{
+    static const Graph g = gen::rmat(64, 256, 0.55, 0.2, 0.2, 78);
+    core::GraphSetup setup;
+    setup.cluster = sim::ClusterConfig::paperDefault(1);
+    return core::GraphContext(g, setup);
+}
+
+/** Submit @p n triangle queries and wait for all of them. */
+void
+completeTriangles(core::QueryService &service, std::size_t n)
+{
+    const auto plan = compileAutomine(Pattern::triangle(), {});
+    for (std::size_t i = 0; i < n; ++i)
+        service.submit(plan);
+    service.wait();
+}
+
+TEST(QueryService, ReadResultIsReleasedAfterLaterCompletions)
+{
+    constexpr std::size_t kAfter = core::QueryService::kReleaseReadAfter;
+    core::GraphContext context = releaseContext();
+    core::QueryService service(context);
+    completeTriangles(service, 1);
+
+    const core::QueryResult &first = service.result(0);
+    const Count count = first.count;
+    ASSERT_FALSE(first.stats.nodes.empty());
+    ASSERT_FALSE(first.modeledJson.empty());
+    completeTriangles(service, kAfter - 1);
+    service.result(kAfter - 1);
+    EXPECT_FALSE(first.stats.nodes.empty());
+    EXPECT_FALSE(first.modeledJson.empty());
+
+    // The release waits for the next result() call.
+    completeTriangles(service, 1);
+    EXPECT_FALSE(first.modeledJson.empty());
+    service.result(kAfter);
+    EXPECT_TRUE(first.stats.nodes.empty());
+    EXPECT_TRUE(first.modeledJson.empty());
+    EXPECT_TRUE(first.traceCounts.empty());
+    EXPECT_EQ(first.id, 0u);
+    EXPECT_EQ(first.count, count);
+    EXPECT_EQ(&service.results()[0], &first);
+}
+
+TEST(QueryService, HeldResultStaysWholeWhileLaterQueriesComplete)
+{
+    constexpr std::size_t kAfter = core::QueryService::kReleaseReadAfter;
+    core::GraphContext context = releaseContext();
+    core::ServiceOptions options;
+    options.hostThreads = 2;
+    core::QueryService service(context, options);
+    completeTriangles(service, 1);
+    const core::QueryResult &first = service.result(0);
+    const std::string modeled = first.modeledJson;
+    ASSERT_FALSE(modeled.empty());
+
+    // Workers complete 2K later queries while this thread reads the
+    // payload it holds; only its own next result() call may empty it.
+    const auto plan = compileAutomine(Pattern::triangle(), {});
+    for (std::size_t i = 0; i < 2 * kAfter; ++i)
+        service.submit(plan);
+    while (service.completed() < 1 + 2 * kAfter) {
+        ASSERT_EQ(first.modeledJson, modeled);
+        ASSERT_FALSE(first.stats.nodes.empty());
+    }
+    service.wait();
+    EXPECT_EQ(first.modeledJson, modeled);
+    EXPECT_FALSE(service.result(1).modeledJson.empty());
+    EXPECT_TRUE(first.modeledJson.empty());
+}
+
+TEST(QueryService, UnreadResultSurvivesLaterCompletions)
+{
+    constexpr std::size_t kAfter = core::QueryService::kReleaseReadAfter;
+    core::GraphContext context = releaseContext();
+    core::QueryService service(context);
+    completeTriangles(service, 1);
+    const std::string modeled = service.results()[0].modeledJson;
+    ASSERT_FALSE(modeled.empty());
+
+    // Later results are read and released around the unread one.
+    for (int round = 0; round < 2; ++round) {
+        const std::size_t from = service.completed();
+        completeTriangles(service, kAfter);
+        for (std::size_t id = from; id < service.completed(); ++id)
+            EXPECT_FALSE(service.result(id).modeledJson.empty());
+    }
+    EXPECT_TRUE(service.results()[1].modeledJson.empty());
+    const core::QueryResult &first = service.result(0);
+    EXPECT_EQ(first.modeledJson, modeled);
+    EXPECT_FALSE(first.stats.nodes.empty());
+    EXPECT_EQ(first.traceCounts.size(), sim::kNumPhaseEvents);
+}
+
+TEST(QueryService, ReadingAReleasedResultThrows)
+{
+    core::GraphContext context = releaseContext();
+    core::QueryService service(context);
+    completeTriangles(service, 1);
+    service.result(0);
+    completeTriangles(service, core::QueryService::kReleaseReadAfter);
+    try {
+        service.result(0);
+        FAIL() << "expected ResultReleased";
+    } catch (const core::ResultReleased &e) {
+        EXPECT_NE(std::string(e.what()).find("released"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find(std::to_string(
+                      core::QueryService::kReleaseReadAfter)),
+                  std::string::npos)
+            << e.what();
+    }
+    // Later results stay readable.
+    EXPECT_FALSE(service.result(1).modeledJson.empty());
 }
 
 TEST(QueryService, DestructorDrainsPendingQueries)
