@@ -775,7 +775,7 @@ main(int argc, char **argv)
     std::vector<EngineRow> engine_rows;
     const core::KernelMode modes[] = {
         core::KernelMode::Auto, core::KernelMode::Merge,
-        core::KernelMode::Gallop, core::KernelMode::Bitmap};
+        core::KernelMode::Gallop};
     std::printf("\nengine A/B (standin:mc, 4-CC, graphpi plan):\n");
     for (const core::KernelMode mode : modes) {
         engine_rows.push_back(

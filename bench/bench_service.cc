@@ -15,7 +15,7 @@
  * determinism contract (per-query modeled dumps identical between
  * the serial and concurrent runs) always gates; the throughput
  * floor (concurrent >= serial) is only enforced when the host has
- * >= 4 hardware threads, mirroring bench_parallel_scaling.
+ * >= 4 hardware threads.
  * `--out FILE` overrides the JSON path.
  */
 

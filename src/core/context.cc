@@ -10,6 +10,11 @@ namespace core
 namespace
 {
 
+/** Hub-bitmap admission degree, the default static-cache threshold
+ *  (§5.3): the hot vertices whose lists are cached everywhere get
+ *  dense bitsets. */
+constexpr EdgeId kHubBitmapDegreeThreshold = 32;
+
 /** Byte cap on hub bitmap rows (hottest-first admission). */
 constexpr std::uint64_t kHubBitmapMaxBytes = 32ull << 20;
 
@@ -77,7 +82,7 @@ GraphContext::ensureHubBitmaps()
     std::lock_guard<std::mutex> lock(mutex_);
     if (hubBitmapsBuilt_)
         return;
-    graph_->buildHubBitmaps(setup_.hubBitmapDegreeThreshold,
+    graph_->buildHubBitmaps(kHubBitmapDegreeThreshold,
                             kHubBitmapMaxBytes);
     hubBitmapsBuilt_ = true;
 }

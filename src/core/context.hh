@@ -73,11 +73,6 @@ struct GraphSetup
 
     /** NUMA-aware sub-partitioning (§5.4, Table 7 ablation). */
     bool numaAware = true;
-
-    /** Hub-bitmap admission degree threshold, aligned with the
-     *  static cache's §5.3 threshold: the same hot vertices whose
-     *  lists are cached everywhere get dense bitsets. */
-    EdgeId hubBitmapDegreeThreshold = 32;
 };
 
 /**
@@ -105,7 +100,9 @@ class GraphContext
     std::uint64_t cacheBytesPerUnit() const;
 
     /** Build the graph's hub bitmaps once (idempotent, thread-safe;
-     *  sessions with a bitmap-capable kernel mode call this). */
+     *  Auto-mode sessions call this).  The admission degree and byte
+     *  cap are constants, so the row set depends on the graph
+     *  alone. */
     void ensureHubBitmaps();
 
     /** Planner degree profile, computed once and shared. */

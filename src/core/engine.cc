@@ -466,8 +466,7 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
     session_.faults.validate(partition_.numNodes(),
                              partition_.numUnits());
     stats_.nodes.resize(partition_.numUnits());
-    if (session_.kernelMode == KernelMode::Auto
-        || session_.kernelMode == KernelMode::Bitmap)
+    if (session_.kernelMode == KernelMode::Auto)
         context_->ensureHubBitmaps();
     const std::uint64_t per_unit = context_->cacheBytesPerUnit();
     for (unsigned u = 0; u < partition_.numUnits(); ++u) {

@@ -48,8 +48,6 @@ kernelModeName(KernelMode mode)
         return "merge";
       case KernelMode::Gallop:
         return "gallop";
-      case KernelMode::Bitmap:
-        return "bitmap";
     }
     KHUZDUL_PANIC("unreachable kernel mode");
 }
@@ -63,37 +61,27 @@ parseKernelMode(const std::string &name)
         return KernelMode::Merge;
     if (name == "gallop")
         return KernelMode::Gallop;
-    if (name == "bitmap")
-        return KernelMode::Bitmap;
     KHUZDUL_FATAL("unknown kernel mode '" << name
-                  << "' (expected auto|merge|gallop|bitmap)");
+                  << "' (expected auto|merge|gallop)");
 }
 
 KernelDispatcher::Choice
 KernelDispatcher::choose(const ListRef &drive, const ListRef &probe,
                          bool intersect) const
 {
-    const auto rowOf = [this](const ListRef &ref) {
-        return graph_ && ref.source != kInvalidVertex
-            ? graph_->hubRow(ref.source)
-            : HubRow{};
-    };
     switch (mode_) {
       case KernelMode::Merge:
         return {KernelKind::Merge, {}};
       case KernelMode::Gallop:
         return {KernelKind::Gallop, {}};
-      case KernelMode::Bitmap: {
-        const HubRow hub = rowOf(probe);
-        return {hub ? KernelKind::Bitmap : KernelKind::Merge, hub};
-      }
       case KernelMode::Auto:
         break;
     }
     if (drive.list.empty() || probe.list.empty())
         return {KernelKind::Merge, {}};
-    if (const HubRow hub = rowOf(probe))
-        return {KernelKind::Bitmap, hub};
+    if (graph_ && probe.source != kInvalidVertex)
+        if (const HubRow hub = graph_->hubRow(probe.source))
+            return {KernelKind::Bitmap, hub};
     if (probe.size() >= kGallopRatio * drive.size())
         return {KernelKind::Gallop, {}};
     if (intersect && simd_ && drive.size() >= kSimdMinSize)

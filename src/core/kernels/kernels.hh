@@ -100,10 +100,9 @@ enum class KernelMode : std::uint8_t
     Auto,   ///< bitmap where a hub row exists, else by size ratio
     Merge,  ///< always the reference merge (the modeled machine)
     Gallop, ///< always galloping search
-    Bitmap, ///< bitmap wherever a hub row exists, else merge
 };
 
-/** Stable lowercase name ("auto", "merge", "gallop", "bitmap"). */
+/** Stable lowercase name ("auto", "merge", "gallop"). */
 const char *kernelModeName(KernelMode mode);
 
 /** Parse a --kernel value; aborts on unknown names. */
@@ -425,14 +424,12 @@ class KernelDispatcher
      * The whole selection policy.  @p drive is the smaller operand of
      * an intersection or the base of a subtraction, @p probe the list
      * it is looked up in; only intersections have a SIMD merge.
-     * Forced modes run their kernel (bitmap only where the probe has
-     * a hub row, merge otherwise).  Auto takes, in order: merge for
-     * an empty operand, bitmap whenever the probe has a row (at any
-     * size ratio, for intersections and subtractions alike), gallop
-     * at ratio >= kGallopRatio, SIMD merge for an intersection whose
-     * drive has >= kSimdMinSize ids while the tier was live at
-     * construction, and merge otherwise.  Auto thus differs from
-     * forced bitmap only for an empty operand or a row-less probe.
+     * Forced modes run their kernel.  Auto takes, in order: merge
+     * for an empty operand, bitmap whenever the probe has a row (at
+     * any size ratio, for intersections and subtractions alike),
+     * gallop at ratio >= kGallopRatio, SIMD merge for an intersection
+     * whose drive has >= kSimdMinSize ids while the tier was live at
+     * construction, and merge otherwise.
      */
     Choice choose(const ListRef &drive, const ListRef &probe,
                   bool intersect) const;

@@ -1,5 +1,7 @@
 #include "core/service/service.hh"
 
+#include <algorithm>
+#include <cstdint>
 #include <exception>
 #include <optional>
 #include <string>
@@ -25,15 +27,27 @@ freeStorage(T &value)
     std::swap(value, empty);
 }
 
+/** Workers of the shared pool: the configured count, capped at the
+ *  unit tasks that maxInFlight sessions can have runnable at once
+ *  (a worker beyond that never finds a task). */
+unsigned
+poolWorkers(const GraphContext &context, const ServiceOptions &options)
+{
+    KHUZDUL_REQUIRE(options.maxInFlight >= 1,
+                    "service needs maxInFlight >= 1");
+    const std::uint64_t runnable = std::uint64_t{options.maxInFlight}
+        * context.partition().numUnits();
+    return static_cast<unsigned>(std::min<std::uint64_t>(
+        ThreadPool::resolveThreadCount(options.hostThreads), runnable));
+}
+
 } // namespace
 
 QueryService::QueryService(GraphContext &context,
                            const ServiceOptions &options)
     : context_(&context), options_(options),
-      pool_(ThreadPool::resolveThreadCount(options.hostThreads))
+      pool_(poolWorkers(context, options))
 {
-    KHUZDUL_REQUIRE(options_.maxInFlight >= 1,
-                    "service needs maxInFlight >= 1");
     dispatchers_.reserve(options_.maxInFlight);
     for (unsigned d = 0; d < options_.maxInFlight; ++d)
         dispatchers_.emplace_back([this] { dispatcherLoop(); });

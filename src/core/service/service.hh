@@ -73,8 +73,9 @@ struct ServiceOptions
     unsigned maxInFlight = 4;
 
     /** Workers of the shared unit pool (0 = all hardware
-     *  threads).  Host-side only: modeled results are identical at
-     *  every width. */
+     *  threads), capped at maxInFlight times the context's units.
+     *  Host-side only: modeled results are identical at every
+     *  width. */
     unsigned hostThreads = 0;
 };
 

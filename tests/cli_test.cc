@@ -105,7 +105,7 @@ TEST(Cli, KernelModesAreObservationallyEquivalent)
     EXPECT_NE(reference.second.find("modeled cluster time"),
               std::string::npos);
     for (const std::string flag :
-         {"--kernel auto", "--kernel=gallop", "--kernel=bitmap"}) {
+         {"--kernel auto", "--kernel=gallop"}) {
         const auto [code, out] = runCli(base + flag);
         EXPECT_EQ(code, 0) << flag;
         EXPECT_EQ(modeled(out), modeled(reference.second)) << flag;
@@ -113,6 +113,7 @@ TEST(Cli, KernelModesAreObservationallyEquivalent)
     // Unknown kernel names still abort with the usage string.
     EXPECT_EQ(runCli(base + "--kernel avx2").first, 1);
     EXPECT_EQ(runCli(base + "--kernel simd").first, 1);
+    EXPECT_EQ(runCli(base + "--kernel=bitmap").first, 1);
 }
 
 TEST(Cli, PlanPrintsLevels)
@@ -248,6 +249,16 @@ TEST(Cli, ServeCountsMatchSingleQueryCount)
     EXPECT_NE(serve.second.find(n + " embeddings"),
               std::string::npos)
         << serve.second;
+}
+
+TEST(Cli, ServeAdmissionBoundIsAtMostTheQueryCount)
+{
+    const auto [code, out] =
+        runCli("serve --graph er:200:800:3 --nodes 1 --sockets 1 "
+               "--query triangle --max-in-flight 64");
+    EXPECT_EQ(code, 0);
+    EXPECT_NE(out.find("admission bound 1)"), std::string::npos)
+        << out;
 }
 
 TEST(Cli, ServeRequiresAQuery)

@@ -383,7 +383,7 @@ TEST(Kernels, DispatcherIsModeInvariant)
 
     for (const core::KernelMode mode :
          {core::KernelMode::Auto, core::KernelMode::Merge,
-          core::KernelMode::Gallop, core::KernelMode::Bitmap}) {
+          core::KernelMode::Gallop}) {
         core::KernelDispatcher dispatcher(mode, &g);
         EXPECT_EQ(dispatcher.intersectInto(core::ListRef(small),
                                            hub_ref, out),
@@ -455,8 +455,7 @@ struct SimdSwitchGuard
  * The dispatch policy as a table: every (operation, mode, operand
  * shape) names the KernelKind the counters must record, once with
  * the SIMD tier live and once with it killed before the dispatcher
- * is built.  Forced merge and gallop always run their kernel; forced
- * bitmap runs bitmap when the probe has a hub row, merge otherwise.
+ * is built.  Forced merge and gallop always run their kernel.
  * Auto picks merge for an empty operand, then bitmap whenever the
  * probe has a row (at any size ratio), gallop at ratio >=
  * kGallopRatio, SIMD merge for an intersection whose smaller list
@@ -503,45 +502,39 @@ TEST(Kernels, DispatchPolicyIsPinned)
         const char *shape;
         core::ListRef drive;
         core::ListRef probe;
-        K bitmap;      ///< KernelMode::Bitmap
         K autoLive;    ///< KernelMode::Auto, SIMD tier live
         K autoKilled;  ///< KernelMode::Auto, SIMD tier killed
     };
     // Intersections (into and count): the dispatcher orders operands
     // by size, so each case also runs with drive and probe swapped.
     const std::vector<Case> intersections = {
-        {"empty drive", none, hub, K::Bitmap, K::Merge, K::Merge},
-        {"empty probe", d25, none, K::Merge, K::Merge, K::Merge},
-        {"near-equal 15", d15, p15, K::Merge, K::Merge, K::Merge},
-        {"near-equal 16", d16, p17, K::Merge, K::SimdMerge, K::Merge},
-        {"ratio ~1, row", d199, hub, K::Bitmap, K::Bitmap, K::Bitmap},
-        {"ratio 3.9, row", d51, hub, K::Bitmap, K::Bitmap, K::Bitmap},
-        {"ratio 4, row", d50, hub, K::Bitmap, K::Bitmap, K::Bitmap},
-        {"ratio 4, no row", d50, rowless, K::Merge, K::SimdMerge,
-         K::Merge},
-        {"ratio 7.7, no row", d26, rowless, K::Merge, K::SimdMerge,
-         K::Merge},
-        {"ratio 8, row", d25, hub, K::Bitmap, K::Bitmap, K::Bitmap},
-        {"ratio 8, no row", d25, rowless, K::Merge, K::Gallop,
-         K::Gallop},
+        {"empty drive", none, hub, K::Merge, K::Merge},
+        {"empty probe", d25, none, K::Merge, K::Merge},
+        {"near-equal 15", d15, p15, K::Merge, K::Merge},
+        {"near-equal 16", d16, p17, K::SimdMerge, K::Merge},
+        {"ratio ~1, row", d199, hub, K::Bitmap, K::Bitmap},
+        {"ratio 3.9, row", d51, hub, K::Bitmap, K::Bitmap},
+        {"ratio 4, row", d50, hub, K::Bitmap, K::Bitmap},
+        {"ratio 4, no row", d50, rowless, K::SimdMerge, K::Merge},
+        {"ratio 7.7, no row", d26, rowless, K::SimdMerge, K::Merge},
+        {"ratio 8, row", d25, hub, K::Bitmap, K::Bitmap},
+        {"ratio 8, no row", d25, rowless, K::Gallop, K::Gallop},
     };
     // Subtractions: the drive is the base, only the probe is looked
     // up, and there is no SIMD subtraction.
     const std::vector<Case> subtractions = {
-        {"empty drive", none, hub, K::Bitmap, K::Merge, K::Merge},
-        {"empty probe", d25, none, K::Merge, K::Merge, K::Merge},
-        {"near-equal 15", d15, p15, K::Merge, K::Merge, K::Merge},
-        {"near-equal 16", d16, p17, K::Merge, K::Merge, K::Merge},
-        {"base 202 > hub 200, row", all, hub, K::Bitmap, K::Bitmap,
-         K::Bitmap},
-        {"ratio ~1, row", d199, hub, K::Bitmap, K::Bitmap, K::Bitmap},
-        {"ratio 3.9, row", d51, hub, K::Bitmap, K::Bitmap, K::Bitmap},
-        {"ratio 4, row", d50, hub, K::Bitmap, K::Bitmap, K::Bitmap},
-        {"ratio 4, no row", d50, rowless, K::Merge, K::Merge, K::Merge},
-        {"ratio 7.7, no row", d26, rowless, K::Merge, K::Merge, K::Merge},
-        {"ratio 8, row", d25, hub, K::Bitmap, K::Bitmap, K::Bitmap},
-        {"ratio 8, no row", d25, rowless, K::Merge, K::Gallop,
-         K::Gallop},
+        {"empty drive", none, hub, K::Merge, K::Merge},
+        {"empty probe", d25, none, K::Merge, K::Merge},
+        {"near-equal 15", d15, p15, K::Merge, K::Merge},
+        {"near-equal 16", d16, p17, K::Merge, K::Merge},
+        {"base 202 > hub 200, row", all, hub, K::Bitmap, K::Bitmap},
+        {"ratio ~1, row", d199, hub, K::Bitmap, K::Bitmap},
+        {"ratio 3.9, row", d51, hub, K::Bitmap, K::Bitmap},
+        {"ratio 4, row", d50, hub, K::Bitmap, K::Bitmap},
+        {"ratio 4, no row", d50, rowless, K::Merge, K::Merge},
+        {"ratio 7.7, no row", d26, rowless, K::Merge, K::Merge},
+        {"ratio 8, row", d25, hub, K::Bitmap, K::Bitmap},
+        {"ratio 8, no row", d25, rowless, K::Gallop, K::Gallop},
     };
 
     const bool simd_live = core::simdAvailable();
@@ -581,8 +574,6 @@ TEST(Kernels, DispatchPolicyIsPinned)
                          simd_on, K::Merge);
             expectChoice(op, first, second, core::KernelMode::Gallop,
                          simd_on, K::Gallop);
-            expectChoice(op, first, second, core::KernelMode::Bitmap,
-                         simd_on, c.bitmap);
             expectChoice(op, first, second, core::KernelMode::Auto,
                          simd_on, auto_kind);
         }
@@ -763,12 +754,13 @@ TEST(Kernels, ModeNamesRoundTrip)
 {
     for (const core::KernelMode mode :
          {core::KernelMode::Auto, core::KernelMode::Merge,
-          core::KernelMode::Gallop, core::KernelMode::Bitmap})
+          core::KernelMode::Gallop})
         EXPECT_EQ(core::parseKernelMode(core::kernelModeName(mode)),
                   mode);
     EXPECT_THROW(core::parseKernelMode("avx2"), FatalError);
     EXPECT_THROW(core::parseKernelMode("blocked"), FatalError);
     EXPECT_THROW(core::parseKernelMode("simd"), FatalError);
+    EXPECT_THROW(core::parseKernelMode("bitmap"), FatalError);
 }
 
 } // namespace

@@ -254,7 +254,6 @@ TEST_P(KernelModeSweep, CountsAndModeledTimeAreModeInvariant)
     core::EngineConfig config;
     config.graph.cluster = sim::ClusterConfig::paperDefault(4);
     config.session.chunkBytes = 16 << 10;
-    config.graph.hubBitmapDegreeThreshold = 8;
 
     core::EngineConfig reference_config = config;
     reference_config.session.kernelMode = core::KernelMode::Merge;
@@ -287,6 +286,7 @@ TEST_P(KernelModeSweep, CountsAndModeledTimeAreModeInvariant)
             }
         };
 
+    std::uint64_t bitmap_calls = 0;
     for (const Pattern &p :
          {Pattern::triangle(), Pattern::clique(4), Pattern::cycleOf(4),
           Pattern::diamond(), Pattern::house()}) {
@@ -313,18 +313,23 @@ TEST_P(KernelModeSweep, CountsAndModeledTimeAreModeInvariant)
         for (std::size_t u = 0; u < engine.stats().nodes.size(); ++u) {
             items += engine.stats().nodes[u].intersectionItems;
             ref_items += reference.stats().nodes[u].intersectionItems;
+            bitmap_calls += engine.stats().nodes[u].kernelCalls[
+                static_cast<std::size_t>(core::KernelKind::Bitmap)];
         }
         EXPECT_EQ(items, ref_items) << p.toString();
 
         expectModeledArtifactsEqual(engine, reference, p.toString().c_str());
+    }
+    // The graph's hub rows keep Auto on the bitmap path.
+    if (GetParam() == core::KernelMode::Auto) {
+        EXPECT_GT(bitmap_calls, 0u);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, KernelModeSweep,
                          testing::Values(core::KernelMode::Auto,
                                          core::KernelMode::Merge,
-                                         core::KernelMode::Gallop,
-                                         core::KernelMode::Bitmap));
+                                         core::KernelMode::Gallop));
 
 /**
  * Host-thread invariance: running the simulated units on any number
@@ -356,6 +361,16 @@ TEST_P(HostThreadSweep, ModeledResultsAreThreadCountInvariant)
          {Pattern::triangle(), Pattern::clique(4), Pattern::cycleOf(4),
           Pattern::diamond(), Pattern::house()}) {
         const auto plan = compileAutomine(p, {});
+        ASSERT_EQ(reference.run(plan), oracle(p)) << p.toString();
+        EXPECT_EQ(engine.run(plan), oracle(p)) << p.toString();
+    }
+    // GraphPi plans fold their suffix with IEP, a path no Automine
+    // plan above takes.
+    const GraphProfile profile = GraphProfile::fromGraph(g);
+    for (const Pattern &p :
+         {Pattern::triangle(), Pattern::clique(4), Pattern::diamond()}) {
+        const auto plan = compileGraphPi(p, profile, {});
+        ASSERT_TRUE(plan.hasIep) << p.toString();
         ASSERT_EQ(reference.run(plan), oracle(p)) << p.toString();
         EXPECT_EQ(engine.run(plan), oracle(p)) << p.toString();
     }

@@ -349,6 +349,25 @@ TEST(QueryService, DestructorDrainsPendingQueries)
     EXPECT_GT(absorbed, 0u);
 }
 
+TEST(QueryService, PoolIsCappedAtRunnableUnitTasks)
+{
+    // One unit per session and two sessions in flight: no more than
+    // two unit tasks are ever runnable, so a third worker would idle.
+    core::GraphSetup setup;
+    setup.cluster = sim::ClusterConfig::paperDefault(1);
+    setup.cluster.socketsPerNode = 1;
+    core::GraphContext context(serviceGraph(), setup);
+    core::ServiceOptions options;
+    options.maxInFlight = 2;
+    options.hostThreads = 64;
+    core::QueryService service(context, options);
+    completeTriangles(service, 1);
+    EXPECT_EQ(service.result(0).stats.hostThreads, 2u);
+
+    options.maxInFlight = 0;
+    EXPECT_THROW(core::QueryService(context, options), FatalError);
+}
+
 TEST(QueryService, PerQueryTunablesAreHonored)
 {
     core::GraphContext context(serviceGraph(), serviceSetup());

@@ -668,6 +668,10 @@ cmdServe(const Args &args)
     std::vector<Pattern> patterns;
     for (const std::string &query : specs)
         patterns.push_back(parsePattern(query));
+    // A bound above the number of queries is never reached; clamp
+    // it so the footer prints the bound in effect.
+    options.maxInFlight = static_cast<unsigned>(std::min<std::size_t>(
+        options.maxInFlight, patterns.size()));
 
     const Graph g = loadGraph(spec);
     core::GraphContext context(g, config.graph);
@@ -745,7 +749,7 @@ cmdHelp(const std::string &topic)
                   "  [--nodes N] [--sockets S] [--chunk-bytes B]\n"
                   "  [--cache-fraction F] [--no-cache] [--no-hds] "
                   "[--no-numa]\n"
-                  "  [--kernel auto|merge|gallop|bitmap]\n"
+                  "  [--kernel auto|merge|gallop]\n"
                   "  [--threads N]  host threads running simulated "
                   "units (0 = all;\n"
                   "                 modeled results identical for "
@@ -797,7 +801,7 @@ cmdHelp(const std::string &topic)
                   "  [--nodes N] [--sockets S] [--chunk-bytes B]\n"
                   "  [--cache-fraction F] [--no-cache] [--no-hds] "
                   "[--no-numa]\n"
-                  "  [--kernel auto|merge|gallop|bitmap]\n"
+                  "  [--kernel auto|merge|gallop]\n"
                   "  [--threads N]  host threads (modeled results "
                   "identical for every N)\n"
                   "  [--fault SPEC]...  deterministic fabric faults, "
@@ -821,7 +825,7 @@ cmdHelp(const std::string &topic)
                   "  [--nodes N] [--sockets S] [--chunk-bytes B]\n"
                   "  [--cache-fraction F] [--no-cache] [--no-hds] "
                   "[--no-numa]\n"
-                  "  [--kernel auto|merge|gallop|bitmap]\n"
+                  "  [--kernel auto|merge|gallop]\n"
                   "  [--threads N]  host threads (modeled results "
                   "identical for every N)\n"
                   "  [--fault SPEC]...  deterministic fabric faults, "
@@ -841,11 +845,14 @@ cmdHelp(const std::string &topic)
                   "--query SPEC [--query SPEC]...\n"
                   "  [--system automine|graphpi] [--induced]\n"
                   "  [--max-in-flight N]  queries executing "
-                  "concurrently (default 4;\n"
-                  "                       later submissions queue "
-                  "FIFO)\n"
+                  "concurrently (default 4, at\n"
+                  "                       most the number of --query "
+                  "patterns; later\n"
+                  "                       submissions queue FIFO)\n"
                   "  [--threads N]  workers of the shared unit pool "
-                  "(0 = all)\n"
+                  "(0 = all; at most\n"
+                  "                 max-in-flight times the cluster's "
+                  "units)\n"
                   "  [--query-retries N]  re-run a failed query up "
                   "to N times with\n"
                   "      modeled exponential backoff (default 0; "
