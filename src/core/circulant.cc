@@ -32,13 +32,13 @@ CirculantScheduler::noteRemote(std::uint32_t idx, unsigned owner,
 }
 
 bool
-CirculantScheduler::issue(sim::TransferRecorder &recorder,
+CirculantScheduler::issue(const sim::Fabric &fabric,
                           sim::NodeStats &stats,
-                          std::span<std::uint64_t> sent_bytes,
+                          sim::TrafficTally &tally,
                           sim::TraceSink &trace, int level,
-                          sim::FaultSession *faults,
-                          const sim::CostModel *cost)
+                          sim::FaultSession *faults)
 {
+    const sim::CostModel &cost = fabric.cost();
     for (unsigned slot = 1; slot < numUnits_; ++slot) {
         Batch &batch = batches_[slot];
         if (batch.lists == 0)
@@ -51,23 +51,23 @@ CirculantScheduler::issue(sim::TransferRecorder &recorder,
         for (;;) {
             trace.emit({sim::PhaseEvent::FetchBatchIssued, unit_,
                         level, batch.bytes, batch.lists});
-            // khuzdul-lint: allow(fabric-mutation) CirculantScheduler::issue IS the sanctioned transfer entry point
-            const double base = recorder.recordTransfer(
+            const double base = fabric.modeledTransferNs(
                 node_, dst, batch.bytes, batch.lists);
+            // Every attempt moves bytes on the wire, so every
+            // attempt is attributed — the tally (hence the merged
+            // ledger and the owner's bytesSent) and the receiver's
+            // volume counters agree whether the batch survived or
+            // not.
+            tally.add(owner, batch.bytes);
             if (cross) {
-                // Every attempt moves bytes on the wire, so every
-                // attempt is attributed — the traffic ledger, the
-                // per-node volume counters and the journal must
-                // agree whether the batch survived or not.
                 stats.bytesReceived += batch.bytes;
                 ++stats.messagesSent;
-                sent_bytes[owner] += batch.bytes;
             }
             sim::FaultOutcome outcome;
             outcome.chargeNs = base;
             if (faults && cross)
                 outcome = faults->onTransfer(node_, dst, base,
-                                             cost->timeoutNs);
+                                             cost.timeoutNs);
             if (!outcome.faulted) {
                 batch.commNs += outcome.chargeNs;
                 batch.baseCommNs += base;
@@ -98,7 +98,7 @@ CirculantScheduler::issue(sim::TransferRecorder &recorder,
                 return false;
             ++attempt;
             ++stats.faultsRetried;
-            const double backoff = cost->retryBackoffNs
+            const double backoff = cost.retryBackoffNs
                 * static_cast<double>(1ull << (attempt - 1));
             batch.commNs += backoff;
             stats.recoveryNs += backoff;
@@ -109,19 +109,6 @@ CirculantScheduler::issue(sim::TransferRecorder &recorder,
         }
     }
     return true;
-}
-
-bool
-CirculantScheduler::issue(sim::Fabric &fabric, sim::RunStats &run,
-                          sim::TraceSink &trace, int level)
-{
-    std::vector<std::uint64_t> sent(numUnits_, 0);
-    const bool ok =
-        issue(static_cast<sim::TransferRecorder &>(fabric),
-              run.nodes[unit_], sent, trace, level);
-    for (unsigned owner = 0; owner < numUnits_; ++owner)
-        run.nodes[owner].bytesSent += sent[owner];
-    return ok;
 }
 
 CirculantScheduler::Timeline

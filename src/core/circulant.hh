@@ -5,8 +5,8 @@
  * position — owner (unit + i) mod N is batch i — so that across the
  * cluster every unit fetches from a different peer at every step.
  * The scheduler owns the slot assignment, the per-batch comm/work
- * ledgers, the handoff of batches to the fabric, and the pipelined
- * timeline fold
+ * ledgers, the pricing and tallying of batch attempts, and the
+ * pipelined timeline fold
  *
  *     makespan = comm(b0) + Σ max(compute(b_i), comm(b_{i+1}))
  *
@@ -18,10 +18,8 @@
 #define KHUZDUL_CORE_CIRCULANT_HH
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "sim/cost_model.hh"
 #include "sim/fabric.hh"
 #include "sim/faults.hh"
 #include "sim/stats.hh"
@@ -91,39 +89,31 @@ class CirculantScheduler
                     std::uint64_t bytes);
 
     /**
-     * Hand every non-empty batch to @p recorder in circulant order,
-     * recording modeled transfer times, traffic attribution (the
-     * receiving unit's @p stats plus send-side bytes on the owner's
-     * slot of @p sent_bytes), and fetch-batch trace events.  Taking
-     * a TransferRecorder and a sent-bytes ledger instead of the
-     * fabric and whole-run stats keeps issue() writable from one
-     * execution unit without touching another unit's state — the
-     * contract the host-parallel runtime (§6) relies on.
+     * Issue every non-empty batch in circulant order: price each
+     * attempt through the fabric's pure timing oracle, count it on
+     * the owner's slot of @p tally, attribute it to the receiving
+     * unit's @p stats, and emit fetch-batch trace events.  Nothing
+     * else is written, so issue() runs from one execution unit
+     * without touching another unit's state or the shared ledger
+     * (the host-parallel contract, §6); Fabric::mergeTally folds
+     * the tally in after the barrier.
      *
-     * When @p faults is non-null (engine runs with a fault plan;
-     * @p cost must then be non-null too), every cross-node batch is
-     * a retry loop: a faulted attempt is charged (drop = the wasted
-     * transfer, timeout/node-down = the timeout cost), backed off
-     * exponentially (modeled, charged into the batch), and
-     * re-attempted up to FaultPlan::maxRetries times.  Every attempt
-     * is journalled through @p recorder, so the merged ledger prices
-     * the failures in unit order, exactly like the byte cap.
+     * When @p faults is non-null (engine runs with a fault plan),
+     * every cross-node batch is a retry loop: a faulted attempt is
+     * charged (drop = the wasted transfer, timeout/node-down = the
+     * fabric cost model's timeout), backed off exponentially
+     * (modeled, charged into the batch), and re-attempted up to
+     * FaultPlan::maxRetries times.  Every attempt moves bytes, so
+     * every attempt is tallied.
      *
      * @return false when a batch exhausted its retry budget — the
      *         caller must replay the chunk (§9); already-charged
      *         attempt time stays in the batch ledgers for the
      *         caller to fold as wasted communication.
      */
-    bool issue(sim::TransferRecorder &recorder, sim::NodeStats &stats,
-               std::span<std::uint64_t> sent_bytes,
-               sim::TraceSink &trace, int level,
-               sim::FaultSession *faults = nullptr,
-               const sim::CostModel *cost = nullptr);
-
-    /** Convenience overload writing straight into the fabric and
-     *  @p run (requester stats + owners' bytesSent). */
-    bool issue(sim::Fabric &fabric, sim::RunStats &run,
-               sim::TraceSink &trace, int level);
+    bool issue(const sim::Fabric &fabric, sim::NodeStats &stats,
+               sim::TrafficTally &tally, sim::TraceSink &trace,
+               int level, sim::FaultSession *faults = nullptr);
 
     /** Attribute @p work_ns of extension work to @p idx's batch. */
     void

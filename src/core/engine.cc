@@ -29,9 +29,9 @@ namespace core
  * CirculantScheduler, extension math to the PlanExtender.
  *
  * One explorer is one host-parallel task (§6): it only ever writes
- * its unit's NodeStats slot, its fabric delta journal, its slice of
- * the sent-bytes ledger and its unit-local trace sink — never shared
- * engine state — so any number of explorers may run concurrently.
+ * its unit's NodeStats slot, its traffic tally and its unit-local
+ * trace sink — never shared engine state — so any number of
+ * explorers may run concurrently.
  */
 class HybridExplorer
 {
@@ -49,16 +49,14 @@ class HybridExplorer
 
     HybridExplorer(Engine &engine, unsigned unit,
                    const ExtendPlan &plan, MatchVisitor *visitor,
-                   sim::NodeStats &stats,
-                   sim::TransferRecorder &recorder,
-                   std::span<std::uint64_t> sent_bytes,
+                   sim::NodeStats &stats, sim::TrafficTally &tally,
                    sim::TraceSink &sink,
                    std::vector<ChunkRecord> *steal_ledger,
                    CrashReport *crash_report)
         : engine_(engine), setup_(engine.context_->setup()),
           graph_(*engine.graph_), plan_(plan),
           visitor_(visitor), unit_(unit), stats_(stats),
-          recorder_(recorder), sentBytes_(sent_bytes), sink_(sink),
+          tally_(tally), sink_(sink),
           stealLedger_(steal_ledger), crash_(crash_report),
           provider_(*engine.providers_[unit]),
           faults_(engine.faultSessions_.empty()
@@ -223,8 +221,8 @@ class HybridExplorer
         if (misses != 0)
             trace().emit({sim::PhaseEvent::CacheMiss, unit_, level,
                           misses, 0});
-        return sched.issue(recorder_, stats_, sentBytes_, trace(),
-                           level, faults_, &setup_.cost);
+        return sched.issue(engine_.fabric_, stats_, tally_, trace(),
+                           level, faults_);
     }
 
     /** Run the communication phase until it succeeds, replaying the
@@ -387,8 +385,7 @@ class HybridExplorer
     MatchVisitor *visitor_;
     unsigned unit_;
     sim::NodeStats &stats_;
-    sim::TransferRecorder &recorder_;
-    std::span<std::uint64_t> sentBytes_;
+    sim::TrafficTally &tally_;
     sim::TraceSink &sink_;
     std::vector<ChunkRecord> *stealLedger_;
     CrashReport *crash_;
@@ -547,19 +544,15 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     // khuzdul-lint: allow(wall-clock) host observability: feeds RunStats::hostWallNs, excluded from toJson(false)
     const auto wall_start = std::chrono::steady_clock::now();
 
-    // Per-unit isolation (§6): each unit journals fabric transfers
-    // in a delta, attributes send-side bytes to a private ledger,
+    // Per-unit isolation (§6): each unit counts its fabric traffic
+    // in its own tally (per owner unit, sized by the partition),
     // traces into its own UnitTrace and writes doubles only into its
-    // own NodeStats slot.  The same journals are used at every
+    // own NodeStats slot.  The same per-unit state is used at every
     // thread count — including 1 — and merged in unit order
     // below, so modeled results are a pure function of the config,
     // never of the thread count or the interleaving.
-    std::vector<sim::FabricDelta> deltas;
-    deltas.reserve(units);
-    for (unsigned u = 0; u < units; ++u)
-        deltas.emplace_back(fabric_);
-    std::vector<std::vector<std::uint64_t>> sent(
-        units, std::vector<std::uint64_t>(units, 0));
+    std::vector<sim::TrafficTally> tallies(units,
+                                           sim::TrafficTally(units));
     std::vector<std::int64_t> raws(units, 0);
     std::vector<CandidateMemoCounters> memos(units);
     sim::TraceSink *const user_sink = tracer_.secondary();
@@ -584,7 +577,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     const auto run_unit = [&](std::size_t u) {
         HybridExplorer explorer(
             *this, static_cast<unsigned>(u), plan, visitor,
-            stats_.nodes[u], deltas[u], sent[u], traces[u].sink,
+            stats_.nodes[u], tallies[u], traces[u].sink,
             session_.stealEnabled ? &stealLedgers[u] : nullptr,
             recovery_armed ? &crashReports[u] : nullptr);
         raws[u] = explorer.run();
@@ -607,9 +600,9 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     }
 
     // Ordered merge: fold each unit's trace tallies (sums commute)
-    // and replay its buffer into the user sink, then its fabric
-    // delta (a configured byte cap throws here, in the same unit
-    // order it would have sequentially) and send-side attribution.
+    // and replay its buffer into the user sink, then its traffic
+    // tally (ledger links, owners' bytesSent; a configured byte cap
+    // throws here exactly when the run's total exceeds it).
     std::int64_t raw = 0;
     for (unsigned u = 0; u < units; ++u) {
         traceCounts_.add(traces[u].counts);
@@ -617,9 +610,8 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             stats_.traceBufferPeak, traces[u].buffer.size());
         if (user_sink)
             traces[u].buffer.flushTo(*user_sink);
-        fabric_.apply(deltas[u]);
-        for (unsigned o = 0; o < units; ++o)
-            stats_.nodes[o].bytesSent += sent[u][o];
+        // khuzdul-lint: allow(fabric-mutation) ordered merge: the sequential post-barrier fold IS the sanctioned ledger write
+        fabric_.mergeTally(u, tallies[u], stats_.nodes);
         raw += raws[u];
         stats_.candidateMemoLookups += memos[u].lookups;
         stats_.candidateMemoHits += memos[u].hits;

@@ -47,11 +47,7 @@ QueryService::QueryService(GraphContext &context,
                            const ServiceOptions &options)
     : context_(&context), options_(options),
       pool_(poolWorkers(context, options))
-{
-    dispatchers_.reserve(options_.maxInFlight);
-    for (unsigned d = 0; d < options_.maxInFlight; ++d)
-        dispatchers_.emplace_back([this] { dispatcherLoop(); });
-}
+{}
 
 QueryService::~QueryService()
 {
@@ -81,6 +77,12 @@ QueryService::submit(const ExtendPlan &plan,
         cancelTokens_.push_back(std::make_shared<CancelToken>());
         pending_.push_back(PendingQuery{id, plan, session, sink,
                                         cancelTokens_.back()});
+        // Start a dispatcher only when no idle one is left for this
+        // query: a bound far above the real concurrency costs no
+        // idle threads.
+        if (pending_.size() > idleDispatchers_
+            && dispatchers_.size() < options_.maxInFlight)
+            dispatchers_.emplace_back([this] { dispatcherLoop(); });
     }
     workAvailable_.notify_one();
     return id;
@@ -181,9 +183,11 @@ QueryService::dispatcherLoop()
         std::size_t admission_index;
         {
             std::unique_lock<std::mutex> lock(mutex_);
+            ++idleDispatchers_;
             workAvailable_.wait(lock, [this] {
                 return stopping_ || !pending_.empty();
             });
+            --idleDispatchers_;
             if (pending_.empty())
                 return; // stopping and drained
             // FIFO admission: strictly the submission order.

@@ -251,10 +251,13 @@ class QueryService
     std::size_t admittedCount_ = 0;
     unsigned inFlight_ = 0;
     unsigned peakInFlight_ = 0;
+    /** Dispatchers waiting for a pending query. */
+    std::size_t idleDispatchers_ = 0;
     bool stopping_ = false;
 
-    /** maxInFlight dispatcher threads: each admits the FIFO head,
-     *  runs it as a session on the shared pool, repeats. */
+    /** Dispatcher threads, started by submit() on demand (at most
+     *  maxInFlight): each admits the FIFO head, runs it as a
+     *  session on the shared pool, repeats. */
     std::vector<std::thread> dispatchers_;
 };
 

@@ -4,8 +4,8 @@
  *
  * During a run every execution unit keeps a per-chunk ledger of the
  * modeled time its circulant pipelines charged (core/circulant).
- * After the barrier — once the per-unit journals have been merged in
- * unit order — the StealPlanner replays a donation protocol over
+ * After the barrier — once the per-unit stats and traffic tallies
+ * have been merged in unit order — the StealPlanner replays a donation protocol over
  * those ledgers: while some unit's remaining backlog exceeds a
  * threshold and the least-loaded unit would finish a tail chunk
  * earlier than its owner (including the steal handshake and the

@@ -16,21 +16,28 @@ Fabric::Fabric(const Partition &partition, const CostModel &cost)
     messages_.assign(links, 0);
 }
 
-double
-Fabric::recordTransfer(NodeId src, NodeId dst, std::uint64_t bytes,
-                       std::uint64_t lists)
+void
+Fabric::addTraffic(NodeId src, NodeId dst, std::uint64_t bytes,
+                   std::uint64_t messages)
 {
     bytes_[linkIndex(src, dst)] += bytes;
-    messages_[linkIndex(src, dst)] += 1;
+    messages_[linkIndex(src, dst)] += messages;
     if (src == dst)
-        return cost_->numaTransferNs(bytes, lists);
+        return;
     crossNodeBytes_ += bytes;
     if (byteCap_ != 0 && crossNodeBytes_ > byteCap_)
         throw ByteCapExceededFault(
             "fabric byte cap exceeded: "
             + std::to_string(crossNodeBytes_) + " > "
             + std::to_string(byteCap_));
-    return cost_->transferNs(bytes, lists);
+}
+
+double
+Fabric::recordTransfer(NodeId src, NodeId dst, std::uint64_t bytes,
+                       std::uint64_t lists)
+{
+    addTraffic(src, dst, bytes, 1);
+    return modeledTransferNs(src, dst, bytes, lists);
 }
 
 double
@@ -42,13 +49,23 @@ Fabric::modeledTransferNs(NodeId src, NodeId dst, std::uint64_t bytes,
 }
 
 void
-Fabric::apply(FabricDelta &delta)
+Fabric::mergeTally(unsigned unit, const TrafficTally &tally,
+                   std::span<NodeStats> units)
 {
-    KHUZDUL_CHECK(delta.base_ == this,
-                  "delta journalled against a different fabric");
-    for (const FabricDelta::Entry &e : delta.entries_)
-        recordTransfer(e.src, e.dst, e.bytes, e.lists);
-    delta.clear();
+    KHUZDUL_CHECK(tally.owners.size() == partition_->numUnits()
+                      && units.size() == partition_->numUnits(),
+                  "traffic tally sized for a different partition");
+    const unsigned per_node = partition_->socketsPerNode();
+    const NodeId src = unit / per_node;
+    for (unsigned owner = 0; owner < tally.owners.size(); ++owner) {
+        const TrafficTally::Owner &sent = tally.owners[owner];
+        if (sent.batches == 0)
+            continue;
+        const NodeId dst = owner / per_node;
+        if (src != dst)
+            units[owner].bytesSent += sent.bytes;
+        addTraffic(src, dst, sent.bytes, sent.batches);
+    }
 }
 
 std::uint64_t

@@ -19,6 +19,7 @@
 #include "graph/partition.hh"
 #include "sim/cost_model.hh"
 #include "sim/faults.hh"
+#include "sim/stats.hh"
 #include "support/types.hh"
 
 namespace khuzdul
@@ -26,32 +27,38 @@ namespace khuzdul
 namespace sim
 {
 
-class FabricDelta;
-
 /**
- * Anything that can account for one batched fetch and price it.
- * Two implementations ship: the Fabric itself (direct ledger
- * update, the sequential path) and FabricDelta (a private per-unit
- * journal merged into the Fabric after a parallel run's barrier).
- * The modeled duration is a pure function of the endpoints and
- * payload — never of ledger state — so both return bit-identical
- * times for the same transfer.
+ * One execution unit's fabric traffic of one run: the bytes and the
+ * batch count (messages) of every fetch attempt, summed per owner
+ * unit.  It is sized once from the partition, written only by its
+ * unit while the units run, and folded into the ledger after the
+ * barrier by Fabric::mergeTally.  Every quantity is an integer sum,
+ * so neither the attempt order nor the merge order can change the
+ * merged ledger.
  */
-class TransferRecorder
+struct TrafficTally
 {
-  public:
-    virtual ~TransferRecorder() = default;
+    struct Owner
+    {
+        std::uint64_t bytes = 0;
+        std::uint64_t batches = 0;
+    };
 
-    /** Account a batched fetch of @p lists edge lists totalling
-     *  @p bytes from node @p dst to node @p src; return its modeled
-     *  duration. */
-    virtual double recordTransfer(NodeId src, NodeId dst,
-                                  std::uint64_t bytes,
-                                  std::uint64_t lists) = 0;
+    explicit TrafficTally(unsigned num_units) : owners(num_units) {}
+
+    /** Account one batch of @p bytes fetched from unit @p owner. */
+    void
+    add(unsigned owner, std::uint64_t bytes)
+    {
+        owners[owner].bytes += bytes;
+        ++owners[owner].batches;
+    }
+
+    std::vector<Owner> owners;
 };
 
 /** Per-link transfer ledger plus timing oracle. */
-class Fabric : public TransferRecorder
+class Fabric
 {
   public:
     Fabric(const Partition &partition, const CostModel &cost);
@@ -77,28 +84,33 @@ class Fabric : public TransferRecorder
      * Record one batched fetch of @p lists edge lists totalling
      * @p bytes from node @p dst to node @p src and return its
      * modeled duration.  Same-node transfers (cross-socket) use the
-     * NUMA model.
+     * NUMA model.  The sequential post-barrier passes (migration
+     * commits) write through here.
      */
     double recordTransfer(NodeId src, NodeId dst, std::uint64_t bytes,
-                          std::uint64_t lists) override;
+                          std::uint64_t lists);
 
     /**
      * Pure timing oracle: the modeled duration recordTransfer()
      * would return for this transfer, without touching the ledger.
      * Depends only on the endpoints, the payload and the cost model,
-     * which is what makes per-unit delta journals exact.
+     * so execution units price their attempts through it while they
+     * run and leave the ledger to mergeTally().
      */
     double modeledTransferNs(NodeId src, NodeId dst,
                              std::uint64_t bytes,
                              std::uint64_t lists) const;
 
     /**
-     * Replay a per-unit journal into the ledger and clear it.
-     * Entries apply in their recorded order, so merging every
-     * unit's delta in unit order reproduces the sequential ledger
-     * byte for byte — including where the byte-cap fault fires.
+     * Fold unit @p unit's tally into the ledger: each owner's bytes
+     * and batches go on link (unit's node, owner's node), same-node
+     * owners on the diagonal, and cross-node bytes also onto the
+     * owner's bytesSent in @p units.  The byte cap is checked after
+     * every owner, so whether it fires depends on the run's total
+     * alone, never on the merge order.
      */
-    void apply(FabricDelta &delta);
+    void mergeTally(unsigned unit, const TrafficTally &tally,
+                    std::span<NodeStats> units);
 
     /** Bytes moved from @p dst to @p src so far. */
     std::uint64_t linkBytes(NodeId src, NodeId dst) const;
@@ -119,6 +131,11 @@ class Fabric : public TransferRecorder
     void reset();
 
   private:
+    /** Add @p messages batches of @p bytes in total to link
+     *  (@p src, @p dst) and check the byte cap. */
+    void addTraffic(NodeId src, NodeId dst, std::uint64_t bytes,
+                    std::uint64_t messages);
+
     std::size_t
     linkIndex(NodeId src, NodeId dst) const
     {
@@ -132,50 +149,6 @@ class Fabric : public TransferRecorder
     std::vector<std::uint64_t> messages_;
     std::uint64_t byteCap_ = 0;
     std::uint64_t crossNodeBytes_ = 0;
-};
-
-/**
- * A private transfer journal for one execution unit: records the
- * same (src, dst, bytes, lists) entries a Fabric would, and prices
- * them through the base fabric's pure timing oracle, but defers
- * every ledger mutation until Fabric::apply() replays the journal.
- * This is what lets units run on concurrent host threads without
- * sharing a single mutable ledger, while keeping the merged state
- * bit-identical to a sequential run.
- */
-class FabricDelta final : public TransferRecorder
-{
-  public:
-    explicit FabricDelta(const Fabric &base) : base_(&base) {}
-
-    double
-    recordTransfer(NodeId src, NodeId dst, std::uint64_t bytes,
-                   std::uint64_t lists) override
-    {
-        entries_.push_back({src, dst, bytes, lists});
-        return base_->modeledTransferNs(src, dst, bytes, lists);
-    }
-
-    /** Journalled transfers not yet merged. */
-    std::size_t size() const { return entries_.size(); }
-
-    bool empty() const { return entries_.empty(); }
-
-    void clear() { entries_.clear(); }
-
-  private:
-    friend class Fabric;
-
-    struct Entry
-    {
-        NodeId src;
-        NodeId dst;
-        std::uint64_t bytes;
-        std::uint64_t lists;
-    };
-
-    const Fabric *base_;
-    std::vector<Entry> entries_;
 };
 
 } // namespace sim

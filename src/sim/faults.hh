@@ -14,8 +14,9 @@
  * scheduler consults on every transfer attempt and that the
  * provider's recovery ladder consults for permanently-down owners.
  * Fault *decisions* are made from this per-unit state during the
- * unit's pass; their *ledger effects* are the journalled attempt
- * entries that Fabric::apply replays in unit order — the same merge
+ * unit's pass; their *ledger effects* ride the unit's traffic
+ * tally (every attempt is counted, failed or not), which
+ * Fabric::mergeTally folds in after the barrier — the same merge
  * point where the byte cap fires.
  */
 

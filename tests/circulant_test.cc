@@ -55,7 +55,9 @@ TEST(Circulant, IssueAttributesTrafficBothWays)
     sched.noteRemote(0, 1, 100);
     sched.noteRemote(1, 1, 50);
     sched.noteRemote(2, 3, 10);
-    sched.issue(fabric, run, trace, 0);
+    sim::TrafficTally tally(4);
+    sched.issue(fabric, run.nodes[0], tally, trace, 0);
+    fabric.mergeTally(0, tally, run.nodes);
 
     // Receiver side: everything lands on unit 0.
     EXPECT_EQ(run.nodes[0].bytesReceived, 160u);
@@ -88,7 +90,9 @@ TEST(Circulant, SameNodeBatchesAreNotNetworkTraffic)
     core::CirculantScheduler sched(0, 4, 2);
     sched.begin(1);
     sched.noteRemote(0, 1, 512);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
+    sim::TrafficTally tally(4);
+    sched.issue(fabric, run.nodes[0], tally, sim::nullTraceSink(), 0);
+    fabric.mergeTally(0, tally, run.nodes);
     EXPECT_EQ(run.nodes[0].bytesReceived, 0u);
     EXPECT_EQ(run.nodes[1].bytesSent, 0u);
     EXPECT_EQ(fabric.totalBytes(), 0u);
@@ -108,7 +112,8 @@ TEST(Circulant, PipelineOverlapsCommWithCompute)
     // Embedding 0 stays local (slot 0); embedding 1 fetches from
     // unit 1.
     sched.noteRemote(1, 1, 1024);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
+    sim::TrafficTally tally(3);
+    sched.issue(fabric, run.nodes[0], tally, sim::nullTraceSink(), 0);
     sched.chargeWork(0, 100);
     sched.chargeWork(1, 200);
 
@@ -135,7 +140,8 @@ TEST(Circulant, PenaltyScalesBothPaths)
     core::CirculantScheduler sched(0, 2, 1);
     sched.begin(1);
     sched.noteRemote(0, 1, 256);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
+    sim::TrafficTally tally(2);
+    sched.issue(fabric, run.nodes[0], tally, sim::nullTraceSink(), 0);
     sched.chargeWork(0, 300);
 
     const auto base = sched.pipeline(1, 1.0);
@@ -156,7 +162,8 @@ TEST(Circulant, BeginClearsLedgers)
     core::CirculantScheduler sched(0, 2, 1);
     sched.begin(1);
     sched.noteRemote(0, 1, 4096);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
+    sim::TrafficTally tally(2);
+    sched.issue(fabric, run.nodes[0], tally, sim::nullTraceSink(), 0);
     sched.chargeWork(0, 1000);
 
     sched.begin(1);

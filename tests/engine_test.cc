@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -456,6 +457,112 @@ TEST(Engine, ByteCapFiresUnderParallelRun)
     engine.fabric().setByteCap(1024);
     EXPECT_THROW(engine.run(compileAutomine(Pattern::clique(4), {})),
                  sim::ByteCapExceededFault);
+}
+
+/** A run that leaves every kind of traffic on the fabric ledger:
+ *  2 sockets per node (same-node batches on link (n, n)), dropped,
+ *  timed-out and degraded attempts, and post-barrier migration
+ *  commits from both a crash adoption and the steal pass. */
+core::EngineConfig
+ledgerConfig(unsigned threads)
+{
+    auto config = smallConfig(4); // 4 nodes x 2 sockets = 8 units
+    config.session.chunkBytes = 4 << 10;
+    config.session.hostThreads = threads;
+    config.session.faults.add("drop:*-*:msg=2:count=2");
+    config.session.faults.add("timeout:0-1:msg=1:count=3");
+    config.session.faults.add("degrade:2-*:factor=3:from=0");
+    config.session.faults.add("crash:5:level=1:chunk=1");
+    config.session.stealEnabled = true;
+    config.session.stealBacklogThresholdNs = 2.0e3;
+    return config;
+}
+
+TEST(Engine, TrafficLedgerIsPinned)
+{
+    // Every ledger quantity of one faulted, stolen-from, crashed
+    // run, at 1 and 4 host threads: the per-link bytes and messages,
+    // the cross-node total and each unit's volume counters.
+    using Links = std::array<std::uint64_t, 16>;
+    using Units = std::array<std::uint64_t, 8>;
+    // Row-major (src, dst): src is the requesting node, dst the
+    // owner; the diagonal holds same-node (cross-socket) batches.
+    const Links link_bytes = {7304,  20708, 13512, 21400,
+                              27452, 9360,  12140, 29228,
+                              14080, 11564, 3192,  17416,
+                              18496, 13632, 16272, 6812};
+    const Links link_messages = {11, 35, 29, 27, 35, 17, 32, 38,
+                                 21, 23, 9,  24, 25, 23, 30, 11};
+    const std::uint64_t total_bytes = 215900;
+    const Units bytes_sent = {16468, 44928, 24060, 24116,
+                              31104, 10820, 19424, 50336};
+    const Units bytes_received = {21476, 35512, 37988, 33104,
+                                  30908, 12152, 23624, 26492};
+    const Units messages_sent = {25, 67, 59, 48, 50, 18, 31, 48};
+
+    const Graph g = testGraph();
+    const auto plan = compileAutomine(Pattern::clique(4), {});
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        core::Engine engine(g, ledgerConfig(threads));
+        engine.run(plan);
+        const sim::RunStats &stats = engine.stats();
+        ASSERT_GT(stats.totalFaultsInjected(), 0u);
+        ASSERT_GT(stats.totalChunksAdopted(), 0u);
+        ASSERT_GT(stats.totalChunksStolen(), 0u);
+        Links bytes{};
+        Links messages{};
+        for (NodeId src = 0; src < 4; ++src)
+            for (NodeId dst = 0; dst < 4; ++dst) {
+                bytes[src * 4 + dst] = engine.fabric().linkBytes(src, dst);
+                messages[src * 4 + dst] =
+                    engine.fabric().linkMessages(src, dst);
+            }
+        Units sent{};
+        Units received{};
+        Units messages_out{};
+        for (unsigned u = 0; u < 8; ++u) {
+            sent[u] = stats.nodes[u].bytesSent;
+            received[u] = stats.nodes[u].bytesReceived;
+            messages_out[u] = stats.nodes[u].messagesSent;
+        }
+        EXPECT_EQ(bytes, link_bytes);
+        EXPECT_EQ(messages, link_messages);
+        EXPECT_EQ(engine.fabric().totalBytes(), total_bytes);
+        EXPECT_EQ(sent, bytes_sent);
+        EXPECT_EQ(received, bytes_received);
+        EXPECT_EQ(messages_out, messages_sent);
+    }
+}
+
+TEST(Engine, ByteCapFiresExactlyPastTheUncappedTotal)
+{
+    // Whether the cap fires depends only on the run's final
+    // cross-node total T: a cap of T holds and T - 1 throws, at
+    // every host thread count.  The plain run adds bytes only at the
+    // merge; the ledger run adds migration commits on top.
+    const Graph g = testGraph();
+    const auto plan = compileAutomine(Pattern::clique(4), {});
+    for (const unsigned threads : {1u, 4u}) {
+        auto plain = smallConfig(4);
+        plain.session.hostThreads = threads;
+        for (const auto &config : {plain, ledgerConfig(threads)}) {
+            SCOPED_TRACE(::testing::Message()
+                         << threads << " threads, "
+                         << (config.session.stealEnabled ? "ledger"
+                                                         : "plain"));
+            core::Engine uncapped(g, config);
+            uncapped.run(plan);
+            const std::uint64_t total = uncapped.fabric().totalBytes();
+            ASSERT_GT(total, 0u);
+            core::Engine at_total(g, config);
+            at_total.fabric().setByteCap(total);
+            EXPECT_NO_THROW(at_total.run(plan));
+            core::Engine below(g, config);
+            below.fabric().setByteCap(total - 1);
+            EXPECT_THROW(below.run(plan), sim::ByteCapExceededFault);
+        }
+    }
 }
 
 TEST(Engine, TraceStreamIsThreadCountInvariant)

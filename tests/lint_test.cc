@@ -267,8 +267,8 @@ TEST(LintFabric, FlagsRawMutatorsOutsideFabricImpl)
                        "fabric.setByteCap(1024);\n"
                        "double ns = f.recordTransfer(0, 1, 64, 1);\n"
                        "fabric_.reset();\n"
-                       "fabric_.apply(delta);\n");
-    EXPECT_EQ(liveCount(r, "fabric-mutation"), 3); // apply is fine
+                       "fabric_.mergeTally(u, tallies[u], nodes);\n");
+    EXPECT_EQ(liveCount(r, "fabric-mutation"), 4);
 }
 
 TEST(LintFabric, FabricImplAndAnnotationAreExempt)
@@ -879,6 +879,13 @@ TEST(LintTaint, TwoHopChainFlaggedAndHopRemovalUnflags)
     EXPECT_GT(flagged.report.callEdges, 0u);
     EXPECT_GT(flagged.report.factSeeds, 0u);
 
+    // Without the taint layer nothing is live: the only wall-clock
+    // read sits in an annotated host-only helper, and the line rules
+    // cannot see the modeled caller two hops away.
+    const auto line_rules_only =
+        runProgram(withHop, lint::Options{.taint = false});
+    EXPECT_EQ(line_rules_only.report.violations(), 0u);
+
     // Cut the middle hop: same files, but the formatter no longer
     // calls the clock helper — the chain breaks, the finding goes.
     FixtureTree withoutHop;
@@ -1111,6 +1118,10 @@ TEST(LintCli, RulesTextSnapshot)
             << "row " << i << " must lead with the rule id";
     EXPECT_NE(text.find("taint-wall-clock"), std::string::npos);
     EXPECT_NE(text.find("layering"), std::string::npos);
+    // The fabric-mutation row names the one ledger-write entry point.
+    EXPECT_NE(text.find("only via the post-barrier Fabric::mergeTally"),
+              std::string::npos);
+    EXPECT_EQ(text.find("Fabric::apply"), std::string::npos);
     EXPECT_NE(text.find("suppress one line:"), std::string::npos);
     EXPECT_NE(text.find("suppress one file:"), std::string::npos);
 }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -366,6 +367,42 @@ TEST(QueryService, PoolIsCappedAtRunnableUnitTasks)
 
     options.maxInFlight = 0;
     EXPECT_THROW(core::QueryService(context, options), FatalError);
+}
+
+/** Threads of this process per /proc/self/status (0 if unread). */
+unsigned
+processThreads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("Threads:", 0) == 0)
+            return static_cast<unsigned>(std::stoul(line.substr(8)));
+    return 0;
+}
+
+TEST(QueryService, DispatchersStartOnDemand)
+{
+    // A generous in-flight bound costs no idle threads: constructing
+    // the service adds only the pool's one worker, and each submitted
+    // query starts at most one dispatcher.
+    core::GraphSetup setup;
+    setup.cluster = sim::ClusterConfig::paperDefault(1);
+    setup.cluster.socketsPerNode = 1;
+    core::GraphContext context(serviceGraph(), setup);
+    const unsigned before = processThreads();
+    if (before == 0)
+        GTEST_SKIP() << "/proc/self/status has no Threads: line";
+    core::ServiceOptions options;
+    options.maxInFlight = 64;
+    options.hostThreads = 1;
+    core::QueryService service(context, options);
+    EXPECT_LE(processThreads(), before + 1);
+    completeTriangles(service, 3);
+    EXPECT_LE(processThreads(), before + 1 + 3);
+    EXPECT_GE(service.peakInFlight(), 1u);
+    for (std::size_t id = 0; id < 3; ++id)
+        EXPECT_EQ(service.result(id).admissionIndex, id);
 }
 
 TEST(QueryService, PerQueryTunablesAreHonored)

@@ -214,7 +214,8 @@ TEST(BasePipeline, MatchesPipelineOnAHealthyFabric)
     sched.begin(2);
     sched.noteRemote(0, 1, 1024);
     sched.noteRemote(1, 1, 2048);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
+    sim::TrafficTally tally(2);
+    sched.issue(fabric, run.nodes[0], tally, sim::nullTraceSink(), 0);
     sched.chargeWork(0, 500);
     sched.chargeWork(1, 700);
 
@@ -234,7 +235,7 @@ TEST(BasePipeline, ChargesCleanPricesUnderDegrade)
     const sim::CostModel cost;
     sim::Fabric fabric(partition, cost);
     sim::NodeStats stats;
-    std::vector<std::uint64_t> sent(2, 0);
+    sim::TrafficTally tally(2);
 
     sim::FaultPlan plan;
     plan.add("degrade:*-*:factor=4:from=0");
@@ -243,10 +244,8 @@ TEST(BasePipeline, ChargesCleanPricesUnderDegrade)
     core::CirculantScheduler sched(0, 2, 1);
     sched.begin(1);
     sched.noteRemote(0, 1, 4096);
-    ASSERT_TRUE(sched.issue(fabric, stats,
-                            std::span<std::uint64_t>(sent),
-                            sim::nullTraceSink(), 0, &session,
-                            &cost));
+    ASSERT_TRUE(sched.issue(fabric, stats, tally, sim::nullTraceSink(),
+                            0, &session));
     sched.chargeWork(0, 100);
 
     const auto full = sched.pipeline(1, 1.0);

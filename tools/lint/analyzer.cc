@@ -41,9 +41,9 @@ ruleTable()
          "core/parallel/ and core/service/ — units communicate only "
          "via per-unit deltas merged in unit order"},
         {"fabric-mutation", RuleScope::ModeledZones,
-         "fabric ledger mutation only via Fabric::apply / "
-         "CirculantScheduler::issue outside sim/fabric.cc — no raw "
-         "recordTransfer/setByteCap/reset calls"},
+         "fabric ledger mutation only via the post-barrier "
+         "Fabric::mergeTally outside sim/fabric.cc — no raw "
+         "recordTransfer/mergeTally/setByteCap/reset calls"},
         {"fault-modeled-state", RuleScope::RecoveryPaths,
          "fault triggers, recovery decisions and steal planning read "
          "only modeled ledger state — no Timer/hostWallNs/elapsedNs "
@@ -204,8 +204,9 @@ tokenRules()
         r.push_back(
             {"fabric-mutation",
              std::regex(factPatternSource("fabric-mutation")),
-             "direct fabric ledger mutation — route transfers through "
-             "Fabric::apply or CirculantScheduler::issue",
+             "direct fabric ledger mutation — units tally their "
+             "transfers; the ledger is written by the post-barrier "
+             "Fabric::mergeTally",
              false});
         r.push_back(
             {"simd-intrinsics",

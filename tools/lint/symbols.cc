@@ -207,7 +207,7 @@ factPatterns()
             {"thread-primitive",
              R"(\bstd\s*::\s*(thread|jthread|this_thread|atomic\w*|mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|shared_mutex|shared_timed_mutex|condition_variable(_any)?|lock_guard|unique_lock|shared_lock|scoped_lock|future|shared_future|promise|async|counting_semaphore|binary_semaphore|barrier|latch|stop_token|call_once|once_flag)\b|\bthread\s*::\s*id\b|#\s*include\s*<(thread|atomic|mutex|shared_mutex|condition_variable|future|semaphore|barrier|latch|stop_token)>)"},
             {"fabric-mutation",
-             R"(\b(recordTransfer|setByteCap)\s*\(|\bfabric_?\s*(\.|->)\s*reset\s*\()"},
+             R"(\b(recordTransfer|mergeTally|setByteCap)\s*\(|\bfabric_?\s*(\.|->)\s*reset\s*\()"},
             {"fault-modeled-state",
              R"(\b(hostWallNs|elapsedNs|elapsedSeconds|Timer)\b|\btimer\.hh\b)"},
         };
