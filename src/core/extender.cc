@@ -30,6 +30,25 @@ candidateMemoKey(const ExtendPlan &plan, int t)
     return key;
 }
 
+bool
+countOnlyTerminal(const ExtendPlan &plan)
+{
+    const int t = plan.pattern.size() - 1;
+    if (t < 1 || plan.hasIep || candidateMemoKey(plan, t) != 0)
+        return false;
+    const PlanLevel &level = plan.levels[t];
+    const PositionMask prefix = (PositionMask{1} << t) - 1;
+    if (level.hasLabelFilter
+        || ((level.depMask | level.greaterThanMask) & prefix) != prefix)
+        return false;
+    // intersect()'s operations: a reuse level intersects its extra
+    // lists into the stored set, any other level folds its dep lists
+    // (one list is a view, no operation); subtractions come last.
+    if (level.reuseParent)
+        return level.extraDepMask != 0 && level.extraAntiMask == 0;
+    return std::popcount(level.depMask) >= 2 && level.antiMask == 0;
+}
+
 PlanExtender::PlanExtender(const Graph &g, const ExtendPlan &plan,
                            const sim::CostModel &cost,
                            KernelMode kernel_mode, RunnerHooks *hooks)
@@ -51,6 +70,7 @@ PlanExtender::PlanExtender(const Graph &g, const ExtendPlan &plan,
             ((last.greaterThanMask >> (t - 1)) & 1u)
             || !((last.depMask >> (t - 1)) & 1u);
     }
+    countsTerminal_ = countOnlyTerminal(plan);
 }
 
 std::span<const VertexId>
@@ -220,6 +240,67 @@ PlanExtender::filter(int t) const
     return filter;
 }
 
+SplitCount
+PlanExtender::countTerminal(std::span<const VertexId> stored,
+                            sim::NodeStats &stats)
+{
+    const int t = plan_->pattern.size() - 1;
+    const PlanLevel &level = plan_->levels[t];
+    // The whole filter is its bound (countOnlyTerminal).
+    const VertexId bound = filter(t).minimum;
+
+    // intersect()'s operands, read in its order: a reuse level's
+    // stored set (no source) and extra lists in position order, or
+    // the dep lists in intersectMany's stable smallest-first order.
+    std::size_t lists = 0;
+    if (level.reuseParent) {
+        listBuf_[lists++] = ListRef(stored);
+        ++stats.verticalReuses;
+    }
+    const PositionMask dep =
+        level.reuseParent ? level.extraDepMask : level.depMask;
+    for (int j = 0; j < t; ++j)
+        if ((dep >> j) & 1u)
+            listBuf_[lists++] = {edgeList(vertices_[j]), vertices_[j]};
+    if (!level.reuseParent)
+        detail::sortBySizeStable(listBuf_, lists);
+
+    WorkItems work = 0;
+    SplitCount count;
+    ListRef set = listBuf_[0];
+    for (std::size_t k = 1; k < lists; ++k) {
+        // intersectMany stops folding at an empty intermediate; a
+        // reuse level's position-order loop does not.
+        if (k >= 2 && set.list.empty() && !level.reuseParent)
+            break;
+        if (k + 1 == lists) {
+            work += dispatcher_.intersectCount(set, listBuf_[k], bound,
+                                               count);
+            break;
+        }
+        work += dispatcher_.intersectInto(set, listBuf_[k], scratchB_);
+        candidates_.swap(scratchB_);
+        set = ListRef(candidates_);
+    }
+    stats.intersectionItems += work;
+
+    // The per-candidate scan's ledger additions, in its order: the
+    // set's work in one step, then each candidate's check, plus its
+    // match for those at or above the bound (the sorted tail).
+    const double check_ns = cost_->candidateCheckNs;
+    const double match_ns = cost_->terminalNs;
+    double work_ns =
+        workNs_ + static_cast<double>(work) * cost_->intersectPerItemNs;
+    for (Count i = 0; i < count.below; ++i)
+        work_ns += check_ns;
+    for (Count i = 0; i < count.atOrAbove; ++i) {
+        work_ns += check_ns;
+        work_ns += match_ns;
+    }
+    workNs_ = work_ns;
+    return count;
+}
+
 std::int64_t
 PlanExtender::iepTerminal(int prefix_len,
                           std::span<const VertexId> stored,
@@ -327,6 +408,9 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
     if (plan_->hasIep)
         return iepTerminal(level + 1, chunks[level].result(idx),
                            stats);
+    if (countsTerminal_ && !visitor)
+        return static_cast<std::int64_t>(
+            countTerminal(chunks[level].result(idx), stats).atOrAbove);
     const int t = plan_->pattern.size() - 1;
     const std::span<const VertexId> candidates = buildCandidates(
         t, chunks[t - 1].result(idx), candidates_, stats);

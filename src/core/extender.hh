@@ -22,6 +22,7 @@
 #define KHUZDUL_CORE_EXTENDER_HH
 
 #include <array>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -50,6 +51,17 @@ namespace core
  * same keys below it.  Depends on the plan alone.
  */
 PositionMask candidateMemoKey(const ExtendPlan &plan, int t);
+
+/**
+ * Whether @p plan's terminal level can be counted without building
+ * its candidate set when no visitor observes matches: the plan has
+ * no IEP; the level is not memoized and has no label filter; every
+ * earlier position is a dependency or a greater-than position, so
+ * its filter is one lower bound and the rejected candidates are a
+ * sorted prefix; and its last set operation is an intersection.
+ * Depends on the plan alone.
+ */
+bool countOnlyTerminal(const ExtendPlan &plan);
 
 /** Host-side tallies of one extender's candidate memo (not
  *  modeled: every charge is replayed on a hit). */
@@ -157,9 +169,35 @@ class PlanExtender
         int t, std::span<const VertexId> stored,
         std::vector<VertexId> &out, sim::NodeStats &stats);
 
+    /** Whether @p set views the candidate memo's arena, which the
+     *  next buildCandidates call may overwrite. */
+    bool
+    viewsMemoArena(std::span<const VertexId> set) const
+    {
+        const std::less<const VertexId *> before;
+        return !before(set.data(), memoArena_.data())
+            && before(set.data(),
+                      memoArena_.data() + memoArena_.capacity());
+    }
+
     /** Position @p t's candidate filter for the current prefix
      *  (valid while positions below @p t stay unchanged). */
     CandidateFilter filter(int t) const;
+
+    /** countOnlyTerminal() of this extender's plan. */
+    bool countsTerminal() const { return countsTerminal_; }
+
+    /**
+     * Count-only terminal (countsTerminal() plans): the terminal
+     * position's candidates below the filter's bound and at or
+     * above it, for the current prefix.  The set operations before
+     * the last run as buildCandidates runs them; the last one
+     * counts.  Every charge, tally and edge-list read is the one
+     * buildCandidates and the per-candidate scan would make, in the
+     * same order, so the ledger's double is bit-identical.
+     */
+    SplitCount countTerminal(std::span<const VertexId> stored,
+                             sim::NodeStats &stats);
 
     /**
      * IEP terminal block over the matched prefix (GraphPi, §IEP).
@@ -176,8 +214,9 @@ class PlanExtender
                      sim::NodeStats &stats);
 
     /**
-     * Terminal extension of embedding (@p level, @p idx): IEP fold
-     * or scan-count, delivering matches to @p visitor when set.
+     * Terminal extension of embedding (@p level, @p idx): IEP fold,
+     * count-only terminal (no @p visitor) or scan-count, delivering
+     * matches to @p visitor when set.
      * @return the raw-count contribution.
      */
     std::int64_t extendTerminal(const std::vector<Chunk> &chunks,
@@ -292,6 +331,7 @@ class PlanExtender
      *  it does not read the siblings' own position (t - 1). */
     CandidateFilter terminalFilter_;
     bool terminalFilterReadsLast_ = true;
+    bool countsTerminal_ = false;
 
     std::array<PositionMask, kMaxPatternSize> memoKeys_{};
     std::array<MemoTable, kMaxPatternSize> memo_{};

@@ -62,16 +62,12 @@ WorkItems
 bitmapIntersectCount(std::span<const VertexId> a,
                      std::span<const VertexId> hub_list,
                      const std::uint64_t *row, const std::uint32_t *ranks,
-                     Count &count)
+                     VertexId bound, SplitCount &count)
 {
     const WorkItems work = intersectWork(a, hub_list, row, ranks);
-    if (a.size() >= kSimdMinSize && simdAvailable()) {
-        count = detail::simdBitmapCount(a, row);
-        return work;
-    }
-    count = 0;
-    for (const VertexId x : a)
-        count += detail::testBit(row, x);
+    count = a.size() >= kSimdMinSize && simdAvailable()
+        ? detail::simdBitmapCount(a, row, bound)
+        : detail::scalarBitmapCount(a, row, bound);
     return work;
 }
 

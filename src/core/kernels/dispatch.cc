@@ -112,7 +112,7 @@ KernelDispatcher::intersectInto(const ListRef &a, const ListRef &b,
 
 WorkItems
 KernelDispatcher::intersectCount(const ListRef &a, const ListRef &b,
-                                 Count &count)
+                                 VertexId bound, SplitCount &count)
 {
     const ListRef &small = a.size() <= b.size() ? a : b;
     const ListRef &large = a.size() <= b.size() ? b : a;
@@ -120,14 +120,17 @@ KernelDispatcher::intersectCount(const ListRef &a, const ListRef &b,
     ++counters_.calls[static_cast<std::size_t>(c.kind)];
     switch (c.kind) {
       case KernelKind::Gallop:
-        return gallopIntersectCount(small.list, large.list, count);
+        return gallopIntersectCount(small.list, large.list, bound,
+                                    count);
       case KernelKind::Bitmap:
         return bitmapIntersectCount(small.list, large.list, c.hub.bits,
-                                    c.hub.ranks, count);
+                                    c.hub.ranks, bound, count);
       case KernelKind::SimdMerge:
-        return simdMergeIntersectCount(small.list, large.list, count);
+        return simdMergeIntersectCount(small.list, large.list, bound,
+                                       count);
       default:
-        return core::intersectCount(small.list, large.list, count);
+        return core::intersectCount(small.list, large.list, bound,
+                                    count);
     }
 }
 
@@ -187,14 +190,17 @@ KernelDispatcher::intersectManyCount(std::span<const ListRef> lists,
         count = lists[0].size();
         return 0;
     }
-    if (lists.size() == 2)
-        return intersectCount(lists[0], lists[1], count);
-    WorkItems work = intersectMany(lists.first(lists.size() - 1),
-                                   scratch_a, scratch_b);
-    Count final_count = 0;
-    work += intersectCount(ListRef(scratch_a), lists.back(),
-                           final_count);
-    count = final_count;
+    SplitCount split;
+    WorkItems work = 0;
+    if (lists.size() == 2) {
+        work = intersectCount(lists[0], lists[1], 0, split);
+    } else {
+        work = intersectMany(lists.first(lists.size() - 1), scratch_a,
+                             scratch_b);
+        work += intersectCount(ListRef(scratch_a), lists.back(), 0,
+                               split);
+    }
+    count = split.atOrAbove;
     return work;
 }
 

@@ -70,21 +70,27 @@ gallopIntersectInto(std::span<const VertexId> a,
 
 WorkItems
 gallopIntersectCount(std::span<const VertexId> a,
-                     std::span<const VertexId> b, Count &count)
+                     std::span<const VertexId> b, VertexId bound,
+                     SplitCount &count)
 {
-    count = 0;
+    Count members = 0;
+    Count below = 0;
     const VertexId *cursor = b.data();
     const VertexId *const end = cursor + b.size();
     for (std::size_t i = 0; i < a.size(); ++i) {
         const VertexId x = a[i];
         cursor = gallopLowerBound(cursor, end, x);
-        if (cursor == end)
+        if (cursor == end) {
+            count = {below, members - below};
             return b.size() + i;
+        }
         if (*cursor == x) {
-            ++count;
+            ++members;
+            below += x < bound;
             ++cursor;
         }
     }
+    count = {below, members - below};
     return a.size() + static_cast<WorkItems>(cursor - b.data());
 }
 

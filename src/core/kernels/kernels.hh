@@ -152,6 +152,18 @@ struct ListRef
     std::size_t size() const { return list.size(); }
 };
 
+/**
+ * |a ∩ b| split at a bound: the members below it and the members at
+ * or above it.  A count-only terminal level whose filter is one
+ * lower bound keeps exactly the second part; bound 0 puts every
+ * member there.
+ */
+struct SplitCount
+{
+    Count below = 0;
+    Count atOrAbove = 0;
+};
+
 /** @name Canonical (merge-equivalent) work, in closed form
  *
  * What the reference two-pointer loop would consume on
@@ -179,9 +191,11 @@ WorkItems intersectInto(std::span<const VertexId> a,
                         std::span<const VertexId> b,
                         std::vector<VertexId> &out);
 
-/** |a ∩ b| without materializing. */
+/** |a ∩ b| without materializing, split at @p bound in the same
+ *  pass. */
 WorkItems intersectCount(std::span<const VertexId> a,
-                         std::span<const VertexId> b, Count &count);
+                         std::span<const VertexId> b, VertexId bound,
+                         SplitCount &count);
 
 /** out = a \ b (sorted difference; induced matching). */
 WorkItems subtractInto(std::span<const VertexId> a,
@@ -198,9 +212,10 @@ WorkItems intersectMany(std::span<const std::span<const VertexId>> lists,
                         std::vector<VertexId> &scratch);
 
 /**
- * |intersection of all lists| without materializing the result.
- * Both scratch buffers are clobbered.  A single list is an O(1)
- * size probe and charges 0.
+ * |intersection of all lists| without materializing the result: the
+ * first n - 1 lists are folded by intersectMany, then counted
+ * against the last (bound 0).  Both scratch buffers are clobbered.
+ * A single list is an O(1) size probe and charges 0.
  */
 WorkItems intersectManyCount(
     std::span<const std::span<const VertexId>> lists, Count &count,
@@ -229,7 +244,7 @@ WorkItems gallopIntersectInto(std::span<const VertexId> a,
                               std::vector<VertexId> &out);
 WorkItems gallopIntersectCount(std::span<const VertexId> a,
                                std::span<const VertexId> b,
-                               Count &count);
+                               VertexId bound, SplitCount &count);
 WorkItems gallopSubtractInto(std::span<const VertexId> a,
                              std::span<const VertexId> b,
                              std::vector<VertexId> &out);
@@ -247,7 +262,8 @@ WorkItems bitmapIntersectInto(std::span<const VertexId> a,
 WorkItems bitmapIntersectCount(std::span<const VertexId> a,
                                std::span<const VertexId> hub_list,
                                const std::uint64_t *row,
-                               const std::uint32_t *ranks, Count &count);
+                               const std::uint32_t *ranks,
+                               VertexId bound, SplitCount &count);
 WorkItems bitmapSubtractInto(std::span<const VertexId> a,
                              const std::uint64_t *row,
                              const std::uint32_t *ranks,
@@ -284,7 +300,7 @@ WorkItems simdMergeIntersectInto(std::span<const VertexId> a,
                                  std::vector<VertexId> &out);
 WorkItems simdMergeIntersectCount(std::span<const VertexId> a,
                                   std::span<const VertexId> b,
-                                  Count &count);
+                                  VertexId bound, SplitCount &count);
 /// @}
 
 namespace detail
@@ -314,6 +330,22 @@ scalarBitmapFilter(std::span<const VertexId> a, const std::uint64_t *row,
             out.push_back(x);
 }
 
+/** The members of @p a whose row bit is set, split at @p bound: the
+ *  bitmap count's scalar path, branch-free. */
+inline SplitCount
+scalarBitmapCount(std::span<const VertexId> a, const std::uint64_t *row,
+                  VertexId bound)
+{
+    Count members = 0;
+    Count below = 0;
+    for (const VertexId x : a) {
+        const bool hit = testBit(row, x);
+        members += hit;
+        below += hit & (x < bound);
+    }
+    return {below, members - below};
+}
+
 /**
  * Stable smallest-first order of the first @p n of <= 8 lists: the
  * fold order of both intersectMany implementations, which must pair
@@ -337,8 +369,8 @@ sortBySizeStable(std::array<List, 8> &lists, std::size_t n)
 
 /** Word-parallel bitmap row probes (gather + variable shift); the
  *  bitmap kernels call these only when simdAvailable(). */
-Count simdBitmapCount(std::span<const VertexId> a,
-                      const std::uint64_t *row);
+SplitCount simdBitmapCount(std::span<const VertexId> a,
+                           const std::uint64_t *row, VertexId bound);
 void simdBitmapFilter(std::span<const VertexId> a,
                       const std::uint64_t *row, bool keep_members,
                       std::vector<VertexId> &out);
@@ -398,7 +430,7 @@ class KernelDispatcher
     WorkItems intersectInto(const ListRef &a, const ListRef &b,
                             std::vector<VertexId> &out);
     WorkItems intersectCount(const ListRef &a, const ListRef &b,
-                             Count &count);
+                             VertexId bound, SplitCount &count);
     WorkItems subtractInto(const ListRef &a, const ListRef &b,
                            std::vector<VertexId> &out);
 

@@ -74,9 +74,10 @@ intersectInto(std::span<const VertexId> a, std::span<const VertexId> b,
 
 WorkItems
 intersectCount(std::span<const VertexId> a, std::span<const VertexId> b,
-               Count &count)
+               VertexId bound, SplitCount &count)
 {
-    count = 0;
+    Count members = 0;
+    Count below = 0;
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < a.size() && j < b.size()) {
@@ -85,11 +86,13 @@ intersectCount(std::span<const VertexId> a, std::span<const VertexId> b,
         } else if (a[i] > b[j]) {
             ++j;
         } else {
-            ++count;
+            ++members;
+            below += a[i] < bound;
             ++i;
             ++j;
         }
     }
+    count = {below, members - below};
     return i + j;
 }
 
@@ -153,13 +156,16 @@ intersectManyCount(std::span<const std::span<const VertexId>> lists,
         count = lists[0].size();
         return 0;
     }
-    if (lists.size() == 2)
-        return intersectCount(lists[0], lists[1], count);
-    WorkItems work = intersectMany(lists.first(lists.size() - 1),
-                                   scratch_a, scratch_b);
-    Count final_count = 0;
-    work += intersectCount(scratch_a, lists.back(), final_count);
-    count = final_count;
+    SplitCount split;
+    WorkItems work = 0;
+    if (lists.size() == 2) {
+        work = intersectCount(lists[0], lists[1], 0, split);
+    } else {
+        work = intersectMany(lists.first(lists.size() - 1), scratch_a,
+                             scratch_b);
+        work += intersectCount(scratch_a, lists.back(), 0, split);
+    }
+    count = split.atOrAbove;
     return work;
 }
 

@@ -171,11 +171,37 @@ avx2MergeIntersectInto(std::span<const VertexId> a,
     return mergeEndWork(a, b, i, j);
 }
 
+/** All-ones lanes where @p va >= @p vbound, unsigned (AVX2 compares
+ *  only signed: a lane is at or above iff it is the maximum). */
+KHUZDUL_SIMD_TARGET inline __m256i
+atOrAbove(__m256i va, __m256i vbound)
+{
+    return _mm256_cmpeq_epi32(_mm256_max_epu32(va, vbound), va);
+}
+
+/** Sum of the eight 32-bit lanes of @p v. */
+KHUZDUL_SIMD_TARGET inline Count
+laneSum(__m256i v)
+{
+    alignas(32) std::uint32_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), v);
+    Count c = 0;
+    for (const std::uint32_t lane : lanes)
+        c += lane;
+    return c;
+}
+
+/** The block merge without the stores: matching lanes are counted,
+ *  and those below the bound counted again, in the same loop. */
 KHUZDUL_SIMD_TARGET WorkItems
 avx2MergeIntersectCount(std::span<const VertexId> a,
-                        std::span<const VertexId> b, Count &count)
+                        std::span<const VertexId> b, VertexId bound,
+                        SplitCount &count)
 {
-    Count c = 0;
+    const __m256i vbound = _mm256_set1_epi32(static_cast<int>(bound));
+    // Matching lanes are all-ones (-1): subtracting counts them.
+    __m256i members = _mm256_setzero_si256();
+    __m256i below = _mm256_setzero_si256();
     std::size_t i = 0;
     std::size_t j = 0;
     while (i + 8 <= a.size() && j + 8 <= b.size()) {
@@ -183,14 +209,17 @@ avx2MergeIntersectCount(std::span<const VertexId> a,
             reinterpret_cast<const __m256i *>(a.data() + i));
         const __m256i vb = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(b.data() + j));
-        const int mask = _mm256_movemask_ps(
-            _mm256_castsi256_ps(matchMask(va, vb)));
-        c += std::popcount(static_cast<unsigned>(mask));
+        const __m256i hit = matchMask(va, vb);
+        members = _mm256_sub_epi32(members, hit);
+        below = _mm256_sub_epi32(
+            below, _mm256_andnot_si256(atOrAbove(va, vbound), hit));
         const VertexId amax = a[i + 7];
         const VertexId bmax = b[j + 7];
         i += amax <= bmax ? 8 : 0;
         j += bmax <= amax ? 8 : 0;
     }
+    Count c = laneSum(members);
+    Count c_below = laneSum(below);
     while (i < a.size() && j < b.size()) {
         if (a[i] < b[j]) {
             ++i;
@@ -198,11 +227,12 @@ avx2MergeIntersectCount(std::span<const VertexId> a,
             ++j;
         } else {
             ++c;
+            c_below += a[i] < bound;
             ++i;
             ++j;
         }
     }
-    count = c;
+    count = {c_below, c - c_below};
     return mergeEndWork(a, b, i, j);
 }
 
@@ -219,25 +249,31 @@ gatherBits(const int *words, __m256i va)
                             _mm256_set1_epi32(1));
 }
 
-KHUZDUL_SIMD_TARGET Count
-avx2BitmapCount(std::span<const VertexId> a, const std::uint64_t *row)
+/** Row-bit count of @p a, and of its ids below the bound, in one
+ *  gather loop. */
+KHUZDUL_SIMD_TARGET SplitCount
+avx2BitmapCount(std::span<const VertexId> a, const std::uint64_t *row,
+                VertexId bound)
 {
     const int *words = reinterpret_cast<const int *>(row);
-    __m256i acc = _mm256_setzero_si256();
+    const __m256i vbound = _mm256_set1_epi32(static_cast<int>(bound));
+    __m256i members = _mm256_setzero_si256();
+    __m256i below = _mm256_setzero_si256();
     std::size_t i = 0;
     for (; i + 8 <= a.size(); i += 8) {
         const __m256i va = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(a.data() + i));
-        acc = _mm256_add_epi32(acc, gatherBits(words, va));
+        const __m256i bits = gatherBits(words, va);
+        members = _mm256_add_epi32(members, bits);
+        below = _mm256_add_epi32(
+            below, _mm256_andnot_si256(atOrAbove(va, vbound), bits));
     }
-    alignas(32) std::uint32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    Count c = 0;
-    for (const std::uint32_t lane : lanes)
-        c += lane;
-    for (; i < a.size(); ++i)
-        c += detail::testBit(row, a[i]);
-    return c;
+    SplitCount count =
+        detail::scalarBitmapCount(a.subspan(i), row, bound);
+    const Count lanes_below = laneSum(below);
+    count.below += lanes_below;
+    count.atOrAbove += laneSum(members) - lanes_below;
+    return count;
 }
 
 KHUZDUL_SIMD_TARGET void
@@ -310,29 +346,28 @@ simdMergeIntersectInto(std::span<const VertexId> a,
 
 WorkItems
 simdMergeIntersectCount(std::span<const VertexId> a,
-                        std::span<const VertexId> b, Count &count)
+                        std::span<const VertexId> b, VertexId bound,
+                        SplitCount &count)
 {
 #if KHUZDUL_SIMD_AVX2
     if (simdAvailable())
-        return avx2MergeIntersectCount(a, b, count);
+        return avx2MergeIntersectCount(a, b, bound, count);
 #endif
-    return intersectCount(a, b, count);
+    return intersectCount(a, b, bound, count);
 }
 
 namespace detail
 {
 
-Count
-simdBitmapCount(std::span<const VertexId> a, const std::uint64_t *row)
+SplitCount
+simdBitmapCount(std::span<const VertexId> a, const std::uint64_t *row,
+                VertexId bound)
 {
 #if KHUZDUL_SIMD_AVX2
     if (simdAvailable())
-        return avx2BitmapCount(a, row);
+        return avx2BitmapCount(a, row, bound);
 #endif
-    Count c = 0;
-    for (const VertexId x : a)
-        c += testBit(row, x);
-    return c;
+    return scalarBitmapCount(a, row, bound);
 }
 
 void

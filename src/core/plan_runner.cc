@@ -18,9 +18,10 @@ namespace
 
 /**
  * Recursive DFS over one PlanExtender, one recursion level per plan
- * level.  levels_[t] holds the candidate set position t was drawn
+ * level.  sets_[t] views the candidate set position t was drawn
  * from — the analogue of a chunk's stored result — and goes back to
- * the extender as `stored` for vertical sharing.
+ * the extender as `stored` for vertical sharing; levels_[t] holds it
+ * when it is not a view of something that outlives the loop.
  */
 class DfsDriver
 {
@@ -62,23 +63,33 @@ class DfsDriver
         const int prefix_len = plan_.numMaterializedLevels();
         if (plan_.hasIep && level == prefix_len - 1) {
             result_.rawCount += extender_.iepTerminal(
-                prefix_len, levels_[prefix_len - 1], stats_);
+                prefix_len, sets_[prefix_len - 1], stats_);
             return;
         }
         const int t = level + 1;
         const bool terminal = t == plan_.pattern.size() - 1;
-        const std::span<const VertexId> set = extender_.buildCandidates(
-            t, levels_[t - 1], levels_[t], stats_);
-        // Anything but levels_[t] is a view: of the extender's memo
-        // arena, which deeper levels can recycle, of levels_[t - 1]
-        // or of an edge list.  Keep a copy.
-        if (set.data() != levels_[t].data())
+        if (terminal && !visitor_ && extender_.countsTerminal()) {
+            const SplitCount count =
+                extender_.countTerminal(sets_[t - 1], stats_);
+            result_.candidatesChecked += count.below + count.atOrAbove;
+            result_.rawCount += static_cast<std::int64_t>(count.atOrAbove);
+            return;
+        }
+        std::span<const VertexId> set = extender_.buildCandidates(
+            t, sets_[t - 1], levels_[t], stats_);
+        // A memo hit views the extender's arena, which a deeper miss
+        // can recycle: keep a copy.  Views of levels_[t - 1] (deeper
+        // levels only write higher slots) or of an edge list stay
+        // valid while the loop recurses.
+        if (!terminal && extender_.viewsMemoArena(set)) {
             levels_[t].assign(set.begin(), set.end());
-        // Deeper levels only write higher slots, so levels_[t] and
-        // the prefix the filter was built from stay intact while the
+            set = levels_[t];
+        }
+        sets_[t] = set;
+        // The prefix the filter was built from stays intact while the
         // loop recurses.
         const CandidateFilter accepts = extender_.filter(t);
-        for (const VertexId candidate : levels_[t]) {
+        for (const VertexId candidate : set) {
             ++result_.candidatesChecked;
             if (!accepts(candidate))
                 continue;
@@ -102,6 +113,7 @@ class DfsDriver
     PlanExtender extender_;
     sim::NodeStats stats_;
     RunnerResult result_;
+    std::array<std::span<const VertexId>, kMaxPatternSize> sets_{};
     std::array<std::vector<VertexId>, kMaxPatternSize> levels_{};
 };
 

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #ifndef KHUZDUL_CLI_PATH
 #error "KHUZDUL_CLI_PATH must be defined by the build"
@@ -161,6 +162,23 @@ TEST(Cli, PlanListsMemoizedLevels)
     for (const char *spec : {"clique4", "cycle4", "house --induced"})
         EXPECT_EQ(runCli(std::string("plan --pattern ") + spec)
                       .second.find("memo"),
+                  std::string::npos)
+            << spec;
+}
+
+TEST(Cli, PlanListsCountOnlyTerminal)
+{
+    const std::pair<const char *, const char *> counted[] = {
+        {"cycle4", "  count: L3\n"}, {"clique6", "  count: L5\n"}};
+    for (const auto &[spec, line] : counted) {
+        const auto [code, out] =
+            runCli(std::string("plan --pattern ") + spec);
+        EXPECT_EQ(code, 0);
+        EXPECT_NE(out.find(line), std::string::npos) << out;
+    }
+    for (const char *spec : {"house", "cycle4 --induced"})
+        EXPECT_EQ(runCli(std::string("plan --pattern ") + spec)
+                      .second.find("count:"),
                   std::string::npos)
             << spec;
 }

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/engine.hh"
+#include "core/extender.hh"
 #include "graph/generators.hh"
 #include "pattern/bruteforce.hh"
 #include "pattern/generation.hh"
@@ -584,6 +585,94 @@ TEST(Engine, TraceStreamIsThreadCountInvariant)
     const std::string sequential = stream(1);
     EXPECT_FALSE(sequential.empty());
     EXPECT_EQ(stream(4), sequential);
+}
+
+/**
+ * A count-only terminal (core::countOnlyTerminal) runs only without a
+ * visitor; a no-op visitor forces the per-candidate scan.  Both runs
+ * must report the same count and the same modeled dump, per-kind
+ * kernel tallies included, under every kernel mode and with the SIMD
+ * tier killed, on a skewed graph whose hub rows put Auto on the
+ * bitmap count.
+ */
+TEST(Engine, CountOnlyTerminalMatchesVisitedRun)
+{
+    class Nop : public core::MatchVisitor
+    {
+      public:
+        Count seen = 0;
+        void match(std::span<const VertexId>) override { ++seen; }
+    };
+    struct SimdSwitch
+    {
+        explicit SimdSwitch(bool on) { core::setSimdEnabled(on); }
+        ~SimdSwitch() { core::setSimdEnabled(true); }
+    };
+    const Graph g = gen::rmat(600, 9000, 0.6, 0.15, 0.15, 77);
+    // `khuzdul plan`'s default profile: GraphPi folds no IEP suffix
+    // into these two (this graph's own profile would, for clique6).
+    const GraphProfile profile{100000.0, 16.0};
+    // Without vertical sharing clique4's terminal folds three edge
+    // lists before its count.
+    PlanOptions unshared;
+    unshared.verticalSharing = false;
+    const std::array<ExtendPlan, 5> plans = {
+        compileGraphPi(Pattern::cycleOf(4), profile, {}),
+        compileGraphPi(Pattern::clique(6), profile, {}),
+        compileAutomine(Pattern::triangle(), {}),
+        compileAutomine(Pattern::cycleOf(4), {}),
+        compileAutomine(Pattern::clique(4), unshared)};
+    struct Leg
+    {
+        core::KernelMode mode;
+        bool simd;
+    };
+    for (const Leg leg : {Leg{core::KernelMode::Auto, true},
+                          Leg{core::KernelMode::Merge, true},
+                          Leg{core::KernelMode::Gallop, true},
+                          Leg{core::KernelMode::Auto, false}}) {
+        // The dispatcher reads the switch when the engine is built,
+        // the bitmap probes on every call: hold it across both runs.
+        const SimdSwitch simd(leg.simd);
+        auto config = smallConfig(4);
+        config.session.kernelMode = leg.mode;
+        std::uint64_t bitmap_calls = 0;
+        for (const ExtendPlan &plan : plans) {
+            SCOPED_TRACE(std::string(core::kernelModeName(leg.mode))
+                         + (leg.simd ? "" : " simd killed") + " "
+                         + plan.toString());
+            ASSERT_TRUE(core::countOnlyTerminal(plan));
+            core::Engine visited(g, config);
+            Nop visitor;
+            const Count expected = visited.run(plan, &visitor);
+            EXPECT_EQ(visitor.seen, expected);
+            EXPECT_GT(expected, 0u);
+            core::Engine counted(g, config);
+            EXPECT_EQ(counted.run(plan), expected);
+            EXPECT_EQ(counted.stats().toJson(false),
+                      visited.stats().toJson(false));
+            // The dump rounds to 15 digits; the ledger must not move
+            // by an ulp either.
+            EXPECT_EQ(counted.stats().makespanNs(),
+                      visited.stats().makespanNs());
+            ASSERT_EQ(counted.stats().nodes.size(),
+                      visited.stats().nodes.size());
+            for (std::size_t u = 0; u < counted.stats().nodes.size();
+                 ++u) {
+                EXPECT_EQ(counted.stats().nodes[u].computeNs,
+                          visited.stats().nodes[u].computeNs)
+                    << "unit " << u;
+                EXPECT_EQ(counted.stats().nodes[u].kernelCalls,
+                          visited.stats().nodes[u].kernelCalls)
+                    << "unit " << u;
+                bitmap_calls += counted.stats().nodes[u].kernelCalls[
+                    static_cast<std::size_t>(core::KernelKind::Bitmap)];
+            }
+        }
+        if (leg.mode == core::KernelMode::Auto) {
+            EXPECT_GT(bitmap_calls, 0u);
+        }
+    }
 }
 
 TEST(Engine, VisitorRequiresCompleteSymmetryBreaking)

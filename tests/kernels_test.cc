@@ -43,6 +43,21 @@ randomList(std::size_t size, VertexId universe, std::uint64_t seed)
     return sortedUnique(std::move(list));
 }
 
+/** Exactly @p size distinct ids below @p universe, sorted. */
+std::vector<VertexId>
+exactList(std::size_t size, VertexId universe, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<VertexId> ids(universe);
+    for (VertexId v = 0; v < universe; ++v)
+        ids[v] = v;
+    for (std::size_t i = 0; i < size; ++i)
+        std::swap(ids[i], ids[i + rng.nextBounded(universe - i)]);
+    ids.resize(size);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+}
+
 /** Sorted run lo, lo + step, ... up to and including hi. */
 std::vector<VertexId>
 run(VertexId lo, VertexId hi, VertexId step = 1)
@@ -136,22 +151,22 @@ expectKernelAgreement(std::span<const VertexId> a,
 {
     std::vector<VertexId> ref;
     std::vector<VertexId> out;
-    Count count = 0;
+    core::SplitCount count;
     const core::WorkItems work = core::intersectInto(a, b, ref);
 
     EXPECT_EQ(core::canonicalIntersectWork(a, b), work);
-    EXPECT_EQ(core::intersectCount(a, b, count), work);
-    EXPECT_EQ(count, ref.size());
+    EXPECT_EQ(core::intersectCount(a, b, 0, count), work);
+    EXPECT_EQ(count.atOrAbove, ref.size());
 
     EXPECT_EQ(core::gallopIntersectInto(a, b, out), work);
     EXPECT_EQ(out, ref);
-    EXPECT_EQ(core::gallopIntersectCount(a, b, count), work);
-    EXPECT_EQ(count, ref.size());
+    EXPECT_EQ(core::gallopIntersectCount(a, b, 0, count), work);
+    EXPECT_EQ(count.atOrAbove, ref.size());
 
     EXPECT_EQ(core::simdMergeIntersectInto(a, b, out), work);
     EXPECT_EQ(out, ref);
-    EXPECT_EQ(core::simdMergeIntersectCount(a, b, count), work);
-    EXPECT_EQ(count, ref.size());
+    EXPECT_EQ(core::simdMergeIntersectCount(a, b, 0, count), work);
+    EXPECT_EQ(count.atOrAbove, ref.size());
 
     // Bitmap kernels with b as the hub list.
     VertexId universe = 1;
@@ -164,9 +179,9 @@ expectKernelAgreement(std::span<const VertexId> a,
               work);
     EXPECT_EQ(out, ref);
     EXPECT_EQ(core::bitmapIntersectCount(a, b, hub.words.data(),
-                                         hub.ranks.data(), count),
+                                         hub.ranks.data(), 0, count),
               work);
-    EXPECT_EQ(count, ref.size());
+    EXPECT_EQ(count.atOrAbove, ref.size());
 
     // Subtraction: gallop and bitmap against the reference.
     std::vector<VertexId> sub_ref;
@@ -293,7 +308,7 @@ TEST(Kernels, SimdBitmapPathMatchesScalarOnHubLists)
         SCOPED_TRACE("driver size " + std::to_string(a.size()));
 
         std::vector<VertexId> ref, out;
-        Count count = 0;
+        core::SplitCount count;
         const core::WorkItems work =
             core::intersectInto(a, hub_list, ref);
         EXPECT_EQ(core::bitmapIntersectInto(a, hub_list, row, ranks,
@@ -301,9 +316,9 @@ TEST(Kernels, SimdBitmapPathMatchesScalarOnHubLists)
                   work);
         EXPECT_EQ(out, ref);
         EXPECT_EQ(core::bitmapIntersectCount(a, hub_list, row, ranks,
-                                             count),
+                                             0, count),
                   work);
-        EXPECT_EQ(count, ref.size());
+        EXPECT_EQ(count.atOrAbove, ref.size());
 
         std::vector<VertexId> sub_ref;
         const core::WorkItems sub_work =
@@ -342,7 +357,7 @@ TEST(Kernels, BitmapKernelsMatchReferenceOnHubLists)
                                   g.numVertices(), 300 + v);
         std::vector<VertexId> ref;
         std::vector<VertexId> out;
-        Count count = 0;
+        core::SplitCount count;
         const core::WorkItems work =
             core::intersectInto(a, hub_list, ref);
         EXPECT_EQ(core::bitmapIntersectInto(a, hub_list, row, ranks,
@@ -350,9 +365,9 @@ TEST(Kernels, BitmapKernelsMatchReferenceOnHubLists)
                   work);
         EXPECT_EQ(out, ref);
         EXPECT_EQ(core::bitmapIntersectCount(a, hub_list, row, ranks,
-                                             count),
+                                             0, count),
                   work);
-        EXPECT_EQ(count, ref.size());
+        EXPECT_EQ(count.atOrAbove, ref.size());
 
         std::vector<VertexId> sub_ref;
         const core::WorkItems sub_work =
@@ -545,13 +560,13 @@ TEST(Kernels, DispatchPolicyIsPinned)
         const SimdSwitchGuard simd(simd_on);
         core::KernelDispatcher dispatcher(mode, &g);
         std::vector<VertexId> out;
-        Count count = 0;
+        core::SplitCount count;
         switch (op) {
           case Op::Into:
             dispatcher.intersectInto(first, second, out);
             break;
           case Op::Count:
-            dispatcher.intersectCount(first, second, count);
+            dispatcher.intersectCount(first, second, 0, count);
             break;
           case Op::Subtract:
             dispatcher.subtractInto(first, second, out);
@@ -624,6 +639,105 @@ TEST(Kernels, ManyListFoldsMatchAcrossDispatchAndReference)
                   ref_count_work)
             << "trial " << trial;
         EXPECT_EQ(count, ref_count) << "trial " << trial;
+    }
+}
+
+/**
+ * Every count kernel's split of a ∩ b at @p bound against the
+ * materialized set cut by lower_bound, and its charge against the
+ * closed form.  @p hub, when set, is b's row for the bitmap kernel
+ * (a drives it).
+ */
+void
+expectBoundedCounts(std::span<const VertexId> a,
+                    std::span<const VertexId> b, VertexId bound,
+                    const HubRowOf *hub)
+{
+    std::vector<VertexId> members;
+    core::intersectInto(a, b, members);
+    const Count below = static_cast<Count>(
+        std::lower_bound(members.begin(), members.end(), bound)
+        - members.begin());
+    const Count at_or_above = members.size() - below;
+    const core::WorkItems work = core::canonicalIntersectWork(a, b);
+    SCOPED_TRACE("bound " + std::to_string(bound));
+
+    const auto expectSplit = [&](const char *kernel,
+                                 core::WorkItems charged,
+                                 const core::SplitCount &count) {
+        EXPECT_EQ(charged, work) << kernel;
+        EXPECT_EQ(count.below, below) << kernel;
+        EXPECT_EQ(count.atOrAbove, at_or_above) << kernel;
+    };
+    core::SplitCount count;
+    expectSplit("merge", core::intersectCount(a, b, bound, count),
+                count);
+    expectSplit("gallop",
+                core::gallopIntersectCount(a, b, bound, count), count);
+    expectSplit("simd_merge",
+                core::simdMergeIntersectCount(a, b, bound, count),
+                count);
+    if (hub)
+        expectSplit("bitmap",
+                    core::bitmapIntersectCount(a, b, hub->words.data(),
+                                               hub->ranks.data(), bound,
+                                               count),
+                    count);
+    for (const core::KernelMode mode :
+         {core::KernelMode::Auto, core::KernelMode::Merge,
+          core::KernelMode::Gallop}) {
+        core::KernelDispatcher dispatcher(mode);
+        expectSplit(core::kernelModeName(mode),
+                    dispatcher.intersectCount(a, b, bound, count),
+                    count);
+    }
+}
+
+/** Bounds at 0, at every drive element and past both maxima. */
+void
+expectBoundedCountsAtEveryCut(std::span<const VertexId> a,
+                              std::span<const VertexId> b,
+                              const HubRowOf *hub)
+{
+    VertexId max = 0;
+    for (const std::span<const VertexId> list : {a, b})
+        if (!list.empty())
+            max = std::max(max, list.back());
+    expectBoundedCounts(a, b, 0, hub);
+    for (const VertexId x : a)
+        expectBoundedCounts(a, b, x, hub);
+    expectBoundedCounts(a, b, max + 1, hub);
+}
+
+/**
+ * The terminal count's kernels split a ∩ b at a bound in the same
+ * pass that counts it.  The AVX2 merge and bitmap loops compare
+ * 8 lanes against the bound, so every tail residue of the drive
+ * (and of the merge's other list) is covered, with the tier live
+ * and killed, and ids past 2^31 catch a signed lane compare.
+ */
+TEST(Kernels, BoundedCountsMatchMaterializedSplit)
+{
+    for (const bool simd_on : {true, false}) {
+        const SimdSwitchGuard simd(simd_on);
+        SCOPED_TRACE(simd_on ? "simd live" : "simd killed");
+        for (const std::size_t base_a : {0ul, 8ul, 16ul, 40ul})
+            for (std::size_t ra = 0; ra < 8; ++ra)
+                for (const std::size_t nb : {0ul, 9ul, 23ul, 64ul}) {
+                    const std::size_t na = base_a + ra;
+                    const auto a = exactList(na, 160, 9100 + na);
+                    const auto b = exactList(nb, 160, 9200 + nb + na);
+                    const HubRowOf hub(b, 160);
+                    SCOPED_TRACE("sizes " + std::to_string(a.size())
+                                 + " x " + std::to_string(b.size()));
+                    expectBoundedCountsAtEveryCut(a, b, &hub);
+                    expectBoundedCountsAtEveryCut(b, a, nullptr);
+                }
+        const VertexId high = VertexId{1} << 31;
+        const auto a = run(high - 12, high + 20, 1);
+        const auto b = run(high - 30, high + 40, 2);
+        expectBoundedCountsAtEveryCut(a, b, nullptr);
+        expectBoundedCountsAtEveryCut(b, a, nullptr);
     }
 }
 

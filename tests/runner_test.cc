@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <set>
 #include <tuple>
@@ -19,6 +20,7 @@
 #include "pattern/bruteforce.hh"
 #include "pattern/planner.hh"
 #include "support/check.hh"
+#include "support/rng.hh"
 
 namespace khuzdul
 {
@@ -442,6 +444,163 @@ class RecordReads : public core::RunnerHooks
     }
 };
 
+/** Plans whose terminal level counts instead of building, GraphPi's
+ *  compiled against `khuzdul plan`'s default profile (no IEP).
+ *  Unshared clique4's terminal folds three dep lists. */
+std::vector<ExtendPlan>
+countOnlyPlans()
+{
+    const GraphProfile profile{100000.0, 16.0};
+    PlanOptions unshared;
+    unshared.verticalSharing = false;
+    return {compileGraphPi(Pattern::cycleOf(4), profile, {}),
+            compileGraphPi(Pattern::clique(6), profile, {}),
+            compileAutomine(Pattern::triangle(), {}),
+            compileAutomine(Pattern::cycleOf(4), {}),
+            compileAutomine(Pattern::clique(4), unshared)};
+}
+
+TEST(CountOnlyTerminal, OnlyOneBoundTerminalsEndingInAnIntersection)
+{
+    // GraphPi's cycle4 terminal is N(v1) ∩ N(v2) above v0, clique6's
+    // the stored set ∩ N(v4) above v4, Automine's triangle and cycle4
+    // fold two lists above v1, unshared clique4 three above v2.
+    for (const ExtendPlan &plan : countOnlyPlans()) {
+        EXPECT_FALSE(plan.hasIep) << plan.toString();
+        EXPECT_TRUE(core::countOnlyTerminal(plan)) << plan.toString();
+    }
+    // House's terminal is memoized, induced cycle4's subtracts N(v0),
+    // clique5's is an IEP fold and a labelled terminal filters on
+    // its label.
+    const GraphProfile profile = GraphProfile::fromGraph(pricedGraph());
+    PlanOptions induced;
+    induced.induced = true;
+    Pattern labelled = Pattern::triangle();
+    labelled.setLabel(0, 1);
+    labelled.setLabel(1, 1);
+    labelled.setLabel(2, 2);
+    const ExtendPlan clique5 =
+        compileGraphPi(Pattern::clique(5), profile, {});
+    ASSERT_TRUE(clique5.hasIep);
+    const ExtendPlan labelled_plan = compileAutomine(labelled, {});
+    ASSERT_TRUE(labelled_plan.levels.back().hasLabelFilter);
+    for (const ExtendPlan &plan :
+         {compileGraphPi(Pattern::house(), profile, {}),
+          compileGraphPi(Pattern::cycleOf(4), profile, induced), clique5,
+          labelled_plan})
+        EXPECT_FALSE(core::countOnlyTerminal(plan)) << plan.toString();
+}
+
+TEST(CountOnlyTerminal, CountChargesWhatTheBuiltSetAndScanCharge)
+{
+    // countTerminal against buildCandidates plus the per-candidate
+    // scan, on arbitrary prefixes and stored sets: the same split,
+    // work, per-kind tallies, edge-list reads and ledger bits.  On
+    // arbitrary prefixes unshared clique4's first fold is often
+    // empty, where intersectMany stops.
+    const Graph g = pricedGraph();
+    const sim::CostModel cost;
+    Rng rng(41);
+    for (const ExtendPlan &plan : countOnlyPlans()) {
+        SCOPED_TRACE(plan.toString());
+        const int t = plan.pattern.size() - 1;
+        const PlanLevel &level = plan.levels[t];
+        const int operations = level.reuseParent
+            ? std::popcount(level.extraDepMask)
+            : std::popcount(level.depMask) - 1;
+        RecordReads hooks;
+        core::PlanExtender built(g, plan, cost, core::KernelMode::Auto,
+                                 &hooks);
+        core::PlanExtender counted(g, plan, cost,
+                                   core::KernelMode::Auto, &hooks);
+        std::vector<VertexId> out;
+        int early_exits = 0;
+        for (int trial = 0; trial < 3000; ++trial) {
+            for (int j = 0; j < t; ++j)
+                built.vertices()[j] = counted.vertices()[j] =
+                    static_cast<VertexId>(
+                        rng.nextBounded(g.numVertices()));
+            const std::span<const VertexId> stored = g.neighbors(
+                static_cast<VertexId>(rng.nextBounded(g.numVertices())));
+
+            hooks.reads.clear();
+            const std::uint64_t built_calls =
+                built.kernelCounters().total();
+            built.exchangeWork(static_cast<double>(trial));
+            sim::NodeStats built_stats;
+            const std::span<const VertexId> set =
+                built.buildCandidates(t, stored, out, built_stats);
+            const core::CandidateFilter accepts = built.filter(t);
+            double ns = built.workNs();
+            Count below = 0;
+            Count at_or_above = 0;
+            for (const VertexId candidate : set) {
+                ns += cost.candidateCheckNs;
+                if (!accepts(candidate)) {
+                    ++below;
+                    continue;
+                }
+                ++at_or_above;
+                ns += cost.terminalNs;
+            }
+            const std::vector<VertexId> built_reads = hooks.reads;
+            if (built.kernelCounters().total() - built_calls
+                < static_cast<std::uint64_t>(operations))
+                ++early_exits;
+
+            hooks.reads.clear();
+            counted.exchangeWork(static_cast<double>(trial));
+            sim::NodeStats counted_stats;
+            const core::SplitCount count =
+                counted.countTerminal(stored, counted_stats);
+            ASSERT_EQ(count.below, below) << trial;
+            ASSERT_EQ(count.atOrAbove, at_or_above) << trial;
+            ASSERT_EQ(counted.workNs(), ns) << trial;
+            ASSERT_EQ(counted_stats.intersectionItems,
+                      built_stats.intersectionItems)
+                << trial;
+            ASSERT_EQ(counted_stats.verticalReuses,
+                      built_stats.verticalReuses)
+                << trial;
+            ASSERT_EQ(hooks.reads, built_reads) << trial;
+            ASSERT_EQ(counted.kernelCounters().calls,
+                      built.kernelCounters().calls)
+                << trial;
+        }
+        if (operations >= 2 && !level.reuseParent) {
+            EXPECT_GT(early_exits, 0);
+        }
+    }
+}
+
+TEST(CountOnlyTerminal, RunnerCountsLikeItsVisitedScan)
+{
+    // A visitor forces the per-candidate scan; without one the
+    // terminal counts.  Counters and edge-list reads must not tell.
+    class Nop : public core::MatchVisitor
+    {
+      public:
+        void match(std::span<const VertexId>) override {}
+    };
+    const Graph g = pricedGraph();
+    for (const ExtendPlan &plan : countOnlyPlans()) {
+        SCOPED_TRACE(plan.toString());
+        Nop visitor;
+        RecordReads visited_reads;
+        RecordReads counted_reads;
+        const auto visited = core::runPlanDfs(g, plan, allRoots(g),
+                                              &visitor, &visited_reads);
+        const auto counted = core::runPlanDfs(g, plan, allRoots(g),
+                                              nullptr, &counted_reads);
+        EXPECT_GT(counted.rawCount, 0);
+        EXPECT_EQ(counted.rawCount, visited.rawCount);
+        EXPECT_EQ(counted.workItems, visited.workItems);
+        EXPECT_EQ(counted.candidatesChecked, visited.candidatesChecked);
+        EXPECT_EQ(counted.embeddingsVisited, visited.embeddingsVisited);
+        EXPECT_EQ(counted_reads.reads, visited_reads.reads);
+    }
+}
+
 TEST(CandidateMemo, HitReplaysTheMissExactly)
 {
     const Graph g = pricedGraph();
@@ -454,6 +613,7 @@ TEST(CandidateMemo, HitReplaysTheMissExactly)
     {
         std::vector<VertexId> out;
         bool computed = false; ///< the view points into `out`
+        bool arena = false;    ///< the view points into the memo
         core::WorkItems items = 0;
         double ns = 0;
         std::array<std::uint64_t, core::kNumKernelKinds> calls{};
@@ -471,6 +631,7 @@ TEST(CandidateMemo, HitReplaysTheMissExactly)
         const std::span<const VertexId> set =
             extender.buildCandidates(4, {}, scratch, stats);
         s.computed = set.data() == scratch.data();
+        s.arena = extender.viewsMemoArena(set);
         s.out.assign(set.begin(), set.end());
         s.items = stats.intersectionItems;
         s.ns = extender.workNs();
@@ -500,8 +661,10 @@ TEST(CandidateMemo, HitReplaysTheMissExactly)
                               std::uint64_t{0}),
               0u);
     EXPECT_TRUE(miss.computed);
+    EXPECT_FALSE(miss.arena);
     // A hit is a view of the memo's copy, not a copy into `out`.
     EXPECT_FALSE(hit.computed);
+    EXPECT_TRUE(hit.arena);
     EXPECT_EQ(hit.out, miss.out);
     EXPECT_EQ(hit.items, miss.items);
     EXPECT_EQ(hit.ns, miss.ns);

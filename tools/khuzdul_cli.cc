@@ -567,6 +567,8 @@ cmdPlan(const Args &args)
                     + std::to_string(j);
         std::printf("  memo: L%d key={%s}\n", t, positions.c_str());
     }
+    if (core::countOnlyTerminal(plan))
+        std::printf("  count: L%d\n", plan.pattern.size() - 1);
     return 0;
 }
 
@@ -739,10 +741,13 @@ cmdHelp(const std::string &topic)
                   "vertices, degree 16)\n"
                   "Prints one line per level (dep/anti/gt/active "
                   "position masks in hex),\n"
-                  "the IEP block when GraphPi folds the suffix, and "
+                  "the IEP block when GraphPi folds the suffix, "
                   "one \"memo:\" line per\n"
                   "level served from the host-side candidate memo, "
-                  "with its key positions.");
+                  "with its key positions,\n"
+                  "and a \"count:\" line when the terminal level is "
+                  "counted, not built,\n"
+                  "in runs without a match visitor.");
     } else if (topic == "count") {
         std::puts("khuzdul count --graph <graph-spec> --pattern SPEC\n"
                   "  [--system automine|graphpi] [--induced]\n"
