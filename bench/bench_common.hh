@@ -138,8 +138,11 @@ class TablePrinter
     {
         printRule();
         std::string line = "|";
-        for (std::size_t i = 0; i < headers_.size(); ++i)
-            line += " " + padRight(headers_[i], widths_[i]) + " |";
+        for (std::size_t i = 0; i < headers_.size(); ++i) {
+            line += ' ';
+            line += padRight(headers_[i], widths_[i]);
+            line += " |";
+        }
         std::printf("%s\n", line.c_str());
         printRule();
     }
@@ -148,8 +151,11 @@ class TablePrinter
     printRow(const std::vector<std::string> &cells) const
     {
         std::string line = "|";
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            line += " " + padLeft(cells[i], widths_[i]) + " |";
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            line += ' ';
+            line += padLeft(cells[i], widths_[i]);
+            line += " |";
+        }
         std::printf("%s\n", line.c_str());
     }
 

@@ -248,9 +248,9 @@ class Engine
     /**
      * Run units on an externally owned pool instead of a private
      * one (nullptr reverts).  The QueryService installs its shared
-     * work-stealing pool here so concurrent sessions' unit tasks
-     * interleave fairly at unit granularity.  Host-side only:
-     * modeled results are identical on any pool.
+     * pool here, which serves concurrent sessions' unit tasks first
+     * come, first served.  Host-side only: modeled results are
+     * identical on any pool.
      */
     void setHostPool(ThreadPool *pool) { sharedPool_ = pool; }
 

@@ -12,18 +12,15 @@ namespace core
 ThreadPool::ThreadPool(unsigned workers)
 {
     KHUZDUL_REQUIRE(workers >= 1, "thread pool needs >= 1 worker");
-    queues_.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     threads_.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
-        threads_.emplace_back([this, w] { workerLoop(w); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(controlMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
     workAvailable_.notify_all();
@@ -61,35 +58,12 @@ ThreadPool::run(std::size_t num_tasks,
     KHUZDUL_CHECK(!isWorkerThread(),
                   "ThreadPool::run called from a pool worker thread");
 
-    // The job outlives every queued Task pointing at it: run()
-    // returns only after remaining hits 0.
-    Job job;
-    job.body = &body;
-    job.errors.assign(num_tasks, nullptr);
-    job.remaining = num_tasks;
-
-    unsigned start;
+    Job job{&body, std::vector<std::exception_ptr>(num_tasks),
+            num_tasks, num_tasks};
     {
-        std::lock_guard<std::mutex> lock(controlMutex_);
-        // Counted before the deques fill so queued_ can never
-        // underflow: decrements only follow successful pops.
-        queued_ += num_tasks;
-        // Concurrent jobs seed from rotated home queues so no job's
-        // tasks pile up behind another's (unit-level fairness).
-        start = seedStart_;
-        seedStart_ = (seedStart_ + 1) % workers();
-    }
-    // Seed the deques round-robin.  The job state above was written
-    // before the pushes, so workers get a release/acquire path to it
-    // through whichever queue lock hands them their first task.
-    for (std::size_t t = 0; t < num_tasks; ++t) {
-        WorkerQueue &q = *queues_[(start + t) % queues_.size()];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        q.tasks.push_back(Task{&job, t});
-    }
-    workAvailable_.notify_all();
-    {
-        std::unique_lock<std::mutex> lock(controlMutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
+        open_.push_back(&job);
+        workAvailable_.notify_all();
         jobDone_.wait(lock, [&job] { return job.remaining == 0; });
     }
     // Rethrow the lowest-indexed failure so the surfaced error does
@@ -100,74 +74,31 @@ ThreadPool::run(std::size_t num_tasks,
 }
 
 void
-ThreadPool::workerLoop(unsigned self)
+ThreadPool::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        {
-            std::unique_lock<std::mutex> lock(controlMutex_);
-            workAvailable_.wait(
-                lock, [this] { return stop_ || queued_ > 0; });
-            if (stop_)
-                return;
+        workAvailable_.wait(
+            lock, [this] { return stop_ || !open_.empty(); });
+        if (stop_)
+            return;
+        Job &job = *open_.front();
+        const std::size_t index = --job.unclaimed;
+        if (job.unclaimed == 0)
+            open_.pop_front();
+        lock.unlock();
+        std::exception_ptr error;
+        try {
+            (*job.body)(index);
+        } catch (...) {
+            error = std::current_exception();
         }
-        Task task;
-        while (popOwn(self, task) || stealFrom(self, task))
-            execute(task);
-        // All deques observed empty: tasks never respawn, so no
-        // runnable work is left for this worker right now.
+        lock.lock();
+        job.errors[index] = error;
+        // run() can return, and the job die, once the lock drops.
+        if (--job.remaining == 0)
+            jobDone_.notify_all();
     }
-}
-
-bool
-ThreadPool::popOwn(unsigned self, Task &task)
-{
-    WorkerQueue &q = *queues_[self];
-    {
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (q.tasks.empty())
-            return false;
-        task = q.tasks.back();
-        q.tasks.pop_back();
-    }
-    std::lock_guard<std::mutex> lock(controlMutex_);
-    --queued_;
-    return true;
-}
-
-bool
-ThreadPool::stealFrom(unsigned thief, Task &task)
-{
-    const unsigned n = workers();
-    for (unsigned i = 1; i < n; ++i) {
-        WorkerQueue &victim = *queues_[(thief + i) % n];
-        {
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            if (victim.tasks.empty())
-                continue;
-            task = victim.tasks.front();
-            victim.tasks.pop_front();
-        }
-        std::lock_guard<std::mutex> lock(controlMutex_);
-        --queued_;
-        return true;
-    }
-    return false;
-}
-
-void
-ThreadPool::execute(const Task &task)
-{
-    std::exception_ptr error;
-    try {
-        (*task.job->body)(task.index);
-    } catch (...) {
-        error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(controlMutex_);
-    if (error)
-        task.job->errors[task.index] = error;
-    if (--task.job->remaining == 0)
-        jobDone_.notify_all();
 }
 
 } // namespace core

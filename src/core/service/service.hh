@@ -3,15 +3,15 @@
  * QueryService: the multi-query serving layer (DESIGN.md §10).
  *
  * One service wraps one GraphContext and schedules any number of
- * submitted queries onto a single shared work-stealing ThreadPool:
+ * submitted queries onto a single shared ThreadPool:
  *
  *   - admission control: at most maxInFlight queries execute at
  *     once; submissions beyond the bound queue FIFO and are
  *     admitted strictly in submission order;
- *   - fair unit-level interleaving: every admitted query is a
- *     per-query Engine session whose unit tasks run on the shared
- *     pool, where the pool's rotated seeding interleaves them with
- *     co-running queries' units at task granularity;
+ *   - unit-level first come, first served: every admitted query is
+ *     a per-query Engine session whose unit tasks run on the shared
+ *     pool, which claims the oldest query's unclaimed units before a
+ *     newer query's;
  *   - cross-query sharing: sessions probe the context's residency
  *     directory, so the "host" block of each query's stats reports
  *     how many of its remote fetches a long-lived deployment would

@@ -41,19 +41,18 @@ mapsOnto(const Pattern &a, const Pattern &b, const Permutation &perm)
     return true;
 }
 
-/** Degree multiset comparison: cheap non-isomorphism filter. */
+/** Degree multiset comparison of equal-size patterns: cheap
+ *  non-isomorphism filter. */
 bool
 degreesMatch(const Pattern &a, const Pattern &b)
 {
-    std::array<int, kMaxPatternSize> da{};
-    std::array<int, kMaxPatternSize> db{};
+    // Every degree is below kMaxPatternSize: compare the histograms.
+    std::array<int, kMaxPatternSize> balance{};
     for (int v = 0; v < a.size(); ++v) {
-        da[v] = a.degree(v);
-        db[v] = b.degree(v);
+        ++balance[a.degree(v)];
+        --balance[b.degree(v)];
     }
-    std::sort(da.begin(), da.begin() + a.size());
-    std::sort(db.begin(), db.begin() + b.size());
-    return std::equal(da.begin(), da.begin() + a.size(), db.begin());
+    return balance == std::array<int, kMaxPatternSize>{};
 }
 
 CanonicalCode

@@ -16,6 +16,7 @@
 #include "core/engine.hh"
 #include "core/extender.hh"
 #include "core/plan_runner.hh"
+#include "graph/builder.hh"
 #include "graph/generators.hh"
 #include "pattern/bruteforce.hh"
 #include "pattern/planner.hh"
@@ -712,6 +713,65 @@ TEST(CandidateMemo, StaysExactAcrossArenaOverflow)
     EXPECT_EQ(extender.memoCounters().lookups, 3600u);
     EXPECT_GE(extender.memoCounters().hits, 1800u);
     EXPECT_EQ(extender.memoCounters().tables, 1u);
+}
+
+TEST(CandidateMemo, RunnerCopiesANonTerminalHitBeforeTheArenaResets)
+{
+    // Automine memoizes two levels of this pattern: L4, N(v1) ∩ N(v3),
+    // which is not terminal, and L5, N(v0) ∩ N(v3).  The graph makes
+    // the runner's first stored set the L4 set {p1, p2} of key (a, c),
+    // at arena offset 0 under root p1, then fills the arena exactly
+    // with the L4 sets N(a) ∩ N(d) = {p1} ∪ F of kFillers vertices d
+    // whose L5 sets are empty.  Under root p2 key (a, c) hits, and the
+    // first accepted v4 (p1) misses L5 key (p2, c): storing {g1, g2}
+    // resets the arena and writes over the slots the L4 loop still has
+    // to visit.  A runner that kept iterating the arena would see g2
+    // where p2 was and count an embedding that does not exist.  Each
+    // d meets kPerFiller of the kShared vertices F, so no vertex's
+    // degree grows past about a thousand: the brute-force oracle's
+    // cost is the sum of squared degrees.
+    const ExtendPlan plan = compileAutomine(
+        Pattern(6, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}, {3, 4},
+                    {0, 5}, {1, 5}}),
+        {});
+    ASSERT_EQ(core::candidateMemoKey(plan, 4), PositionMask{0b1010});
+    ASSERT_EQ(core::candidateMemoKey(plan, 5), PositionMask{0b1001});
+
+    // PlanExtender's memo arena holds 2^16 ids: the (a, c) set's two
+    // plus kFillers * (kPerFiller + 1) fill it to the last id.
+    constexpr VertexId kFillers = 1057;
+    constexpr VertexId kPerFiller = 61;
+    constexpr VertexId kShared = kFillers;
+    static_assert(2 + kFillers * (kPerFiller + 1) == VertexId{1} << 16);
+    constexpr VertexId p1 = 0, p2 = 1, a = 2, c = 3;
+    constexpr VertexId d0 = 4, f0 = d0 + kFillers;
+    constexpr VertexId x = f0 + kShared, y = x + 1, g1 = x + 2,
+                       g2 = x + 3;
+    GraphBuilder builder(g2 + 1);
+    for (const auto &[u, v] :
+         {std::pair{p1, a}, {p1, x}, {a, x}, {p1, c}, {p2, a}, {p2, y},
+          {a, y}, {p2, c}, {p2, g1}, {p2, g2}, {c, g1}, {c, g2}})
+        builder.addEdge(u, v);
+    for (VertexId f = f0; f < f0 + kShared; ++f)
+        builder.addEdge(a, f);
+    for (VertexId i = 0; i < kFillers; ++i) {
+        builder.addEdge(p1, d0 + i);
+        for (VertexId j = 0; j < kPerFiller; ++j)
+            builder.addEdge(d0 + i, f0 + (i + j) % kShared);
+    }
+    const Graph g = builder.build();
+
+    std::vector<VertexId> roots(g.numVertices());
+    std::iota(roots.begin(), roots.end(), VertexId{0});
+    const core::RunnerResult runner = core::runPlanDfs(g, plan, roots);
+    core::Engine engine(g, core::EngineConfig{});
+    const Count expected = engine.run(plan);
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(static_cast<Count>(runner.rawCount / plan.countDivisor),
+              expected);
+    // The plan's vertex order starts with the triangle, which keeps
+    // the oracle off the 4-cycles through d and F.
+    EXPECT_EQ(brute::countEmbeddings(g, plan.pattern, false), expected);
 }
 
 TEST(CandidateMemo, UnmemoizedPlansNeverLookUpOrAllocate)

@@ -1,19 +1,23 @@
 /**
  * @file
- * Unit tests of the work-stealing host thread pool: completion of
- * every task, reuse across runs, oversubscription (more tasks than
- * workers), deterministic exception surfacing, and the 0-means-all
- * thread-count resolution convention.
+ * Unit tests of the host thread pool: completion of every task, reuse
+ * across runs, oversubscription (more tasks than workers), the claim
+ * order (highest index first, oldest job first), deterministic
+ * exception surfacing, and the 0-means-all thread-count resolution
+ * convention.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parallel/thread_pool.hh"
@@ -57,8 +61,8 @@ TEST(ThreadPool, MoreWorkersThanTasks)
 
 TEST(ThreadPool, SingleWorkerCompletesEveryTask)
 {
-    // Execution order is deliberately unspecified (the owner pops
-    // LIFO and may race the seeding loop); completeness is not.
+    // Completeness alone; SingleJobClaimsHighestIndexFirst pins the
+    // order.
     core::ThreadPool pool(1);
     std::vector<std::size_t> ran;
     pool.run(6, [&](std::size_t i) { ran.push_back(i); });
@@ -66,6 +70,51 @@ TEST(ThreadPool, SingleWorkerCompletesEveryTask)
     std::vector<std::size_t> expected(6);
     std::iota(expected.begin(), expected.end(), 0u);
     EXPECT_EQ(ran, expected);
+}
+
+TEST(ThreadPool, SingleJobClaimsHighestIndexFirst)
+{
+    core::ThreadPool pool(1);
+    std::vector<std::size_t> ran;
+    pool.run(6, [&](std::size_t i) { ran.push_back(i); });
+    EXPECT_EQ(ran, (std::vector<std::size_t>{5, 4, 3, 2, 1, 0}));
+}
+
+TEST(ThreadPool, OlderJobsTasksAreClaimedFirst)
+{
+    // Job A's first task blocks until client B has called run() and
+    // had ample time to enqueue job B.  B's tasks must still wait for
+    // A's unclaimed ones: the order holds for any timing, since B can
+    // only join the list behind A.
+    core::ThreadPool pool(1);
+    // (job, task) pairs, written by the one worker.
+    std::vector<std::pair<char, std::size_t>> order;
+    std::promise<void> a_started;
+    std::promise<void> b_calling;
+    std::future<void> a_started_seen = a_started.get_future();
+    std::future<void> b_calling_seen = b_calling.get_future();
+    std::thread client_b([&] {
+        a_started_seen.wait();
+        b_calling.set_value();
+        pool.run(2, [&order](std::size_t i) {
+            order.emplace_back('B', i);
+        });
+    });
+    bool first = true;
+    pool.run(3, [&](std::size_t i) {
+        if (first) {
+            first = false;
+            a_started.set_value();
+            b_calling_seen.wait();
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(200));
+        }
+        order.emplace_back('A', i);
+    });
+    client_b.join();
+    const std::vector<std::pair<char, std::size_t>> expected = {
+        {'A', 2}, {'A', 1}, {'A', 0}, {'B', 1}, {'B', 0}};
+    EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, LowestIndexedExceptionWins)

@@ -562,9 +562,11 @@ cmdPlan(const Args &args)
             continue;
         std::string positions;
         for (int j = 0; j < t; ++j)
-            if ((key >> j) & 1u)
-                positions += (positions.empty() ? "" : ",")
-                    + std::to_string(j);
+            if ((key >> j) & 1u) {
+                if (!positions.empty())
+                    positions += ',';
+                positions += std::to_string(j);
+            }
         std::printf("  memo: L%d key={%s}\n", t, positions.c_str());
     }
     if (core::countOnlyTerminal(plan))
