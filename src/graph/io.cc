@@ -48,16 +48,70 @@ writeVector(std::ostream &out, const std::vector<T> &vec)
               static_cast<std::streamsize>(vec.size() * sizeof(T)));
 }
 
+/** Bytes from the read position of @p in to its end. */
+std::uint64_t
+bytesLeft(std::istream &in)
+{
+    const std::streampos here = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.seekg(here);
+    KHUZDUL_REQUIRE(here != std::streampos(-1) && end != std::streampos(-1)
+                        && in.good(),
+                    "binary graph stream must be seekable");
+    return static_cast<std::uint64_t>(end - here);
+}
+
 template <typename T>
 std::vector<T>
 readVector(std::istream &in)
 {
+    // Check the stored length before allocating for it.
     const auto size = readPod<std::uint64_t>(in);
+    KHUZDUL_REQUIRE(size <= bytesLeft(in) / sizeof(T),
+                    "binary graph vector of " << size
+                        << " entries overruns the stream");
     std::vector<T> vec(size);
     in.read(reinterpret_cast<char *>(vec.data()),
             static_cast<std::streamsize>(size * sizeof(T)));
     KHUZDUL_REQUIRE(in.good(), "truncated binary graph stream");
     return vec;
+}
+
+/**
+ * Reject adjacency that breaks Graph's invariants, in one O(arcs)
+ * pass: ids below n, strictly ascending lists, no self loops, and for
+ * an undirected graph every arc (v, u) matched by (u, v).
+ */
+void
+checkAdjacency(const Graph &g)
+{
+    const VertexId n = g.numVertices();
+    // reverse[u] counts the arcs into u seen so far; visiting v in
+    // ascending order meets u's in-arcs in the order of u's own list.
+    std::vector<EdgeId> reverse(g.directed() ? 0 : n, 0);
+    for (VertexId v = 0; v < n; ++v) {
+        const auto list = g.neighbors(v);
+        for (std::size_t i = 0; i < list.size(); ++i) {
+            const VertexId u = list[i];
+            KHUZDUL_REQUIRE(u < n, "binary graph: vertex " << v
+                                << " lists neighbor " << u
+                                << " of " << n);
+            KHUZDUL_REQUIRE(u != v,
+                            "binary graph: self loop at vertex " << v);
+            KHUZDUL_REQUIRE(i == 0 || list[i - 1] < u,
+                            "binary graph: neighbors of vertex "
+                                << v << " are not strictly ascending");
+            if (g.directed())
+                continue;
+            const auto back = g.neighbors(u);
+            KHUZDUL_REQUIRE(reverse[u] < back.size()
+                                && back[reverse[u]] == v,
+                            "binary graph: arc " << v << "->" << u
+                                << " has no reverse arc");
+            ++reverse[u];
+        }
+    }
 }
 
 } // namespace
@@ -134,10 +188,11 @@ readBinary(std::istream &in)
     auto offsets = readVector<EdgeId>(in);
     auto adjacency = readVector<VertexId>(in);
     auto labels = readVector<Label>(in);
-    KHUZDUL_REQUIRE(offsets.size() == n + 1,
+    KHUZDUL_REQUIRE(n < kInvalidVertex && offsets.size() == n + 1,
                     "binary graph offsets size mismatch");
     Graph g(std::move(offsets), std::move(adjacency), std::move(labels));
     g.setDirected(directed != 0);
+    checkAdjacency(g);
     return g;
 }
 

@@ -30,7 +30,12 @@ void writeEdgeList(const Graph &g, std::ostream &out);
 /** Write the binary CSR format. */
 void writeBinary(const Graph &g, std::ostream &out);
 
-/** Read the binary CSR format written by writeBinary(). */
+/**
+ * Read the binary CSR format written by writeBinary().  The stream
+ * must be seekable.  Throws FatalError on a bad magic, a truncated
+ * stream, a stored length past the end of the stream (checked before
+ * allocating), or a CSR that breaks Graph's invariants.
+ */
 Graph readBinary(std::istream &in);
 
 } // namespace io

@@ -119,6 +119,21 @@ automorphisms(const Pattern &p)
     return autos;
 }
 
+std::vector<Permutation>
+conjugated(const std::vector<Permutation> &group, const Permutation &perm,
+           int n)
+{
+    std::vector<Permutation> images;
+    images.reserve(group.size());
+    for (const Permutation &sigma : group) {
+        Permutation image{};
+        for (int v = 0; v < n; ++v)
+            image[perm[v]] = perm[sigma[v]];
+        images.push_back(image);
+    }
+    return images;
+}
+
 CanonicalCode
 canonicalCode(const Pattern &p)
 {

@@ -35,6 +35,16 @@ bool isomorphic(const Pattern &a, const Pattern &b);
 std::vector<Permutation> automorphisms(const Pattern &p);
 
 /**
+ * Carry @p group, the automorphisms of some pattern p, onto
+ * p.permuted(@p perm): each sigma becomes perm . sigma . perm^-1,
+ * i.e. sigma'[perm[v]] = perm[sigma[v]] for v < @p n.  As a set this
+ * equals automorphisms(p.permuted(perm)), in O(|group| n) time
+ * instead of n! tests.
+ */
+std::vector<Permutation> conjugated(const std::vector<Permutation> &group,
+                                    const Permutation &perm, int n);
+
+/**
  * Canonical code: equal iff patterns are isomorphic.  Packs the
  * size, the lexicographically-maximal upper-triangle adjacency over
  * all permutations, and (for labeled patterns) the corresponding

@@ -1,8 +1,10 @@
 #include "pattern/planner.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <set>
 #include <sstream>
 
 #include "pattern/isomorphism.hh"
@@ -73,9 +75,32 @@ GraphProfile::fromGraph(const Graph &g)
     return profile;
 }
 
+namespace
+{
+
+/** The position of each pattern vertex under @p order (the inverse
+ *  of the order); REQUIREs that @p order permutes 0..n-1. */
+iso::Permutation
+positionsOf(const std::vector<int> &order)
+{
+    const int n = static_cast<int>(order.size());
+    iso::Permutation to_position{};
+    std::uint32_t used = 0;
+    for (int i = 0; i < n; ++i) {
+        const int v = order[i];
+        KHUZDUL_REQUIRE(v >= 0 && v < n && !((used >> v) & 1u),
+                        "matching order must be a permutation");
+        used |= 1u << v;
+        to_position[v] = i;
+    }
+    return to_position;
+}
+
+/** buildPlan() given Aut(@p p) as @p autos. */
 ExtendPlan
-buildPlan(const Pattern &p, const std::vector<int> &order,
-          const PlanOptions &options, int iep_suffix)
+planOrder(const Pattern &p, const std::vector<iso::Permutation> &autos,
+          const std::vector<int> &order, const PlanOptions &options,
+          int iep_suffix)
 {
     const int n = p.size();
     KHUZDUL_REQUIRE(n >= 1 && p.connected(),
@@ -89,15 +114,7 @@ buildPlan(const Pattern &p, const std::vector<int> &order,
                         "IEP is incompatible with induced matching");
 
     // Reorder the pattern so that position i == pattern vertex i.
-    iso::Permutation to_position{};
-    std::uint32_t used = 0;
-    for (int i = 0; i < n; ++i) {
-        const int v = order[i];
-        KHUZDUL_REQUIRE(v >= 0 && v < n && !((used >> v) & 1u),
-                        "matching order must be a permutation");
-        used |= 1u << v;
-        to_position[v] = i;
-    }
+    const iso::Permutation to_position = positionsOf(order);
     ExtendPlan plan;
     plan.pattern = p.permuted(to_position);
     plan.induced = options.induced;
@@ -161,12 +178,12 @@ buildPlan(const Pattern &p, const std::vector<int> &order,
     }
 
     // Symmetry breaking and the count divisor.  With
-    //   G  = Aut(reordered pattern),
+    //   G  = Aut(reordered pattern) = Aut(p) carried onto positions,
     //   K  = {sigma in G : sigma maps the prefix to itself},
     //   K0 = {sigma in G : sigma fixes every prefix position},
     // orbit-chain restrictions over K keep one canonical prefix per
     // K-orbit, so every embedding is matched (|G|/|K|) * |K0| times.
-    const auto group = iso::automorphisms(plan.pattern);
+    const auto group = iso::conjugated(autos, to_position, n);
     std::vector<iso::Permutation> prefix_stable;
     std::int64_t k0_size = 0;
     for (const auto &sigma : group) {
@@ -249,6 +266,51 @@ buildPlan(const Pattern &p, const std::vector<int> &order,
     }
 
     return plan;
+}
+
+} // namespace
+
+ExtendPlan
+buildPlan(const Pattern &p, const std::vector<int> &order,
+          const PlanOptions &options, int iep_suffix)
+{
+    return planOrder(p, iso::automorphisms(p), order, options, iep_suffix);
+}
+
+std::vector<std::vector<int>>
+distinctOrders(const Pattern &p)
+{
+    const int n = p.size();
+    std::vector<std::vector<int>> orders;
+    if (n == 0)
+        return orders;
+    // A reordered pattern as a key: adjacency rows, then labels, by
+    // position.
+    std::set<std::array<std::uint32_t, 2 * kMaxPatternSize>> planned;
+    std::vector<int> order(n);
+    for (int i = 0; i < n; ++i)
+        order[i] = i;
+    do {
+        // Prefix connectivity check (cheap reject before reordering).
+        std::uint32_t seen = 1u << order[0];
+        bool connected = true;
+        for (int i = 1; i < n && connected; ++i) {
+            if ((p.adjacency(order[i]) & seen) == 0)
+                connected = false;
+            seen |= 1u << order[i];
+        }
+        if (!connected)
+            continue;
+        const Pattern reordered = p.permuted(positionsOf(order));
+        std::array<std::uint32_t, 2 * kMaxPatternSize> key{};
+        for (int i = 0; i < n; ++i) {
+            key[i] = reordered.adjacency(i);
+            key[kMaxPatternSize + i] = reordered.label(i);
+        }
+        if (planned.insert(key).second)
+            orders.push_back(order);
+    } while (std::next_permutation(order.begin(), order.end()));
+    return orders;
 }
 
 std::vector<int>
@@ -349,10 +411,6 @@ compileGraphPi(const Pattern &p, const GraphProfile &profile,
                const PlanOptions &options)
 {
     const int n = p.size();
-    std::vector<int> order(n);
-    for (int i = 0; i < n; ++i)
-        order[i] = i;
-
     ExtendPlan best;
     double best_cost = 0;
     bool have = false;
@@ -362,19 +420,12 @@ compileGraphPi(const Pattern &p, const GraphProfile &profile,
     if (n > 7)
         return compileAutomine(p, options);
 
-    std::sort(order.begin(), order.end());
-    do {
-        // Prefix connectivity check (cheap reject before building).
-        std::uint32_t seen = 1u << order[0];
-        bool connected = true;
-        for (int i = 1; i < n && connected; ++i) {
-            if ((p.adjacency(order[i]) & seen) == 0)
-                connected = false;
-            seen |= 1u << order[i];
-        }
-        if (!connected)
-            continue;
-
+    // distinctOrders() skips only orders that reorder p like an
+    // earlier one: they would build the same plans at the same costs,
+    // and the strict < below keeps the first of equal costs.  Aut(p)
+    // is enumerated once; planOrder() carries it onto each order.
+    const auto autos = iso::automorphisms(p);
+    for (const auto &order : distinctOrders(p)) {
         // Largest admissible IEP suffix for this order.
         int max_suffix = 0;
         if (options.useIep && !options.induced && !p.labeled()) {
@@ -390,7 +441,7 @@ compileGraphPi(const Pattern &p, const GraphProfile &profile,
             }
         }
         for (int suffix = 0; suffix <= max_suffix; ++suffix) {
-            ExtendPlan plan = buildPlan(p, order, options, suffix);
+            ExtendPlan plan = planOrder(p, autos, order, options, suffix);
             const double cost = estimatePlanCost(plan, profile);
             if (!have || cost < best_cost) {
                 best = std::move(plan);
@@ -398,7 +449,7 @@ compileGraphPi(const Pattern &p, const GraphProfile &profile,
                 have = true;
             }
         }
-    } while (std::next_permutation(order.begin(), order.end()));
+    }
 
     KHUZDUL_CHECK(have, "no valid matching order found");
     return best;

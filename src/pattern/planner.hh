@@ -66,6 +66,17 @@ struct PlanOptions
 ExtendPlan buildPlan(const Pattern &p, const std::vector<int> &order,
                      const PlanOptions &options, int iep_suffix = 0);
 
+/**
+ * The matching orders compileGraphPi() searches: every order of @p p
+ * whose prefixes stay connected, in lexicographic order, keeping
+ * only the first that reorders @p p into a given pattern (adjacency
+ * rows plus labels by position).  Orders sigma . order for sigma in
+ * Aut(p) reorder p alike, so this yields (connected orders) / |Aut(p)|
+ * orders: one for a clique, every connected order for an asymmetric
+ * pattern.
+ */
+std::vector<std::vector<int>> distinctOrders(const Pattern &p);
+
 /** Automine-style heuristic matching order. */
 std::vector<int> automineOrder(const Pattern &p);
 
@@ -73,8 +84,9 @@ std::vector<int> automineOrder(const Pattern &p);
 ExtendPlan compileAutomine(const Pattern &p, const PlanOptions &options);
 
 /**
- * Compile GraphPi style: search all connected matching orders and
- * IEP suffix sizes under the cost model, return the cheapest plan.
+ * Compile GraphPi style: search the distinctOrders() and their IEP
+ * suffix sizes under the cost model, return the cheapest plan (the
+ * first on ties).
  */
 ExtendPlan compileGraphPi(const Pattern &p, const GraphProfile &profile,
                           const PlanOptions &options);

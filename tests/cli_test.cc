@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #ifndef KHUZDUL_CLI_PATH
@@ -721,6 +722,38 @@ TEST(Cli, BadInputsReportErrors)
         EXPECT_EQ(bad.second.find("stod"), std::string::npos)
             << command << ": " << bad.second;
     }
+
+    // A corrupt binary graph is bad input too, not a crash: a 3-vertex
+    // file listing neighbor 7 (once SIGSEGV) and one storing a vector
+    // length of 2^61 (once an untyped length error).
+    const std::string corrupt = testing::TempDir() + "/cli_corrupt.bin";
+    for (const auto &[offsets_length, neighbor, message] :
+         {std::tuple{std::uint64_t{4}, 7u, "neighbor 7"},
+          std::tuple{std::uint64_t{1} << 61, 1u, "overruns the stream"}}) {
+        {
+            std::ofstream out(corrupt, std::ios::binary);
+            const auto put = [&out](const auto &value) {
+                out.write(reinterpret_cast<const char *>(&value),
+                          sizeof(value));
+            };
+            put(std::uint64_t{0x4b48555a44554c31ULL}); // magic
+            put(std::uint8_t{0});                      // undirected
+            put(std::uint64_t{3});                     // vertices
+            put(offsets_length);
+            for (const std::uint64_t offset : {0, 2, 4, 6})
+                put(offset);
+            put(std::uint64_t{6});
+            for (const std::uint32_t u : {1u, neighbor, 0u, 2u, 0u, 1u})
+                put(u);
+            put(std::uint64_t{0}); // no labels
+        }
+        const auto bad =
+            runCli("count --graph " + corrupt + " --pattern triangle");
+        EXPECT_EQ(bad.first, 1) << message << ": " << bad.second;
+        EXPECT_NE(bad.second.find(message), std::string::npos)
+            << bad.second;
+    }
+    std::remove(corrupt.c_str());
 }
 
 TEST(Cli, HelpFlagsAreAcceptedEvenWhenIrrelevant)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 
@@ -18,6 +19,7 @@
 #include "graph/orientation.hh"
 #include "graph/partition.hh"
 #include "support/check.hh"
+#include "support/rng.hh"
 
 namespace khuzdul
 {
@@ -57,6 +59,98 @@ TEST(Builder, RemovesSelfLoopsAndDuplicates)
     EXPECT_TRUE(g.hasEdge(3, 2));
     EXPECT_FALSE(g.hasEdge(2, 2));
     expectCsrInvariants(g);
+}
+
+/** The builder's output built the slow way: orient, sort, unique,
+ *  fill, then sort every list. */
+Graph
+referenceBuild(VertexId n,
+               const std::vector<std::pair<VertexId, VertexId>> &edges)
+{
+    std::vector<std::pair<VertexId, VertexId>> clean;
+    for (auto [u, v] : edges) {
+        if (u == v)
+            continue;
+        if (u > v)
+            std::swap(u, v);
+        clean.emplace_back(u, v);
+    }
+    std::sort(clean.begin(), clean.end());
+    clean.erase(std::unique(clean.begin(), clean.end()), clean.end());
+    std::vector<std::vector<VertexId>> lists(n);
+    for (const auto &[u, v] : clean) {
+        lists[u].push_back(v);
+        lists[v].push_back(u);
+    }
+    std::vector<EdgeId> offsets{0};
+    std::vector<VertexId> adjacency;
+    for (auto &list : lists) {
+        std::sort(list.begin(), list.end());
+        adjacency.insert(adjacency.end(), list.begin(), list.end());
+        offsets.push_back(adjacency.size());
+    }
+    return Graph(std::move(offsets), std::move(adjacency));
+}
+
+void
+expectBuildMatchesReference(
+    VertexId n, const std::vector<std::pair<VertexId, VertexId>> &edges)
+{
+    GraphBuilder builder(n);
+    for (const auto &[u, v] : edges)
+        builder.addEdge(u, v);
+    const Graph built = builder.build();
+    const Graph expected = referenceBuild(n, edges);
+    ASSERT_EQ(built.numVertices(), expected.numVertices());
+    ASSERT_EQ(built.numArcs(), expected.numArcs());
+    for (VertexId v = 0; v < n; ++v) {
+        const auto a = built.neighbors(v);
+        const auto b = expected.neighbors(v);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "vertex " << v << " of " << n << " with "
+            << edges.size() << " input edges";
+    }
+}
+
+/** build() sorts with counting passes and fills lists in edge order;
+ *  it must equal the sort/unique/per-list-sort reference on
+ *  multigraphs with duplicates in both orientations, self loops and
+ *  isolated vertices, on empty and one-vertex graphs, and on a hub
+ *  hit by thousands of repeated arcs. */
+TEST(Builder, MatchesSortedReference)
+{
+    Rng rng(20231);
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto n = static_cast<VertexId>(1 + rng.nextBounded(80));
+        std::vector<std::pair<VertexId, VertexId>> edges;
+        const auto m = rng.nextBounded(4 * n + 1);
+        for (std::uint64_t i = 0; i < m; ++i) {
+            // Ids below n / 2 + 1 leave the upper vertices isolated
+            // in about half of the trials.
+            const VertexId span = trial % 2 == 0 ? n : n / 2 + 1;
+            const auto u = static_cast<VertexId>(rng.nextBounded(span));
+            const auto v = static_cast<VertexId>(rng.nextBounded(span));
+            edges.emplace_back(u, v);
+            if (rng.coin(0.3))
+                edges.emplace_back(v, u);
+            if (rng.coin(0.1))
+                edges.emplace_back(u, u);
+        }
+        expectBuildMatchesReference(n, edges);
+    }
+    expectBuildMatchesReference(7, {});
+    expectBuildMatchesReference(1, {});
+    expectBuildMatchesReference(1, {{0, 0}, {0, 0}});
+
+    std::vector<std::pair<VertexId, VertexId>> hub;
+    for (int i = 0; i < 5000; ++i) {
+        const auto other = static_cast<VertexId>(rng.nextBounded(300));
+        if (rng.coin(0.5))
+            hub.emplace_back(137, other);
+        else
+            hub.emplace_back(other, 137);
+    }
+    expectBuildMatchesReference(300, hub);
 }
 
 TEST(Builder, RejectsOutOfRangeEndpoint)
@@ -229,6 +323,80 @@ TEST(Io, BadMagicRejected)
     EXPECT_THROW(io::readBinary(ss), FatalError);
 }
 
+/** Raw binary-format bytes: writeBinary's layout with any content,
+ *  and any stored vector lengths. */
+struct RawBinary
+{
+    std::uint64_t n = 3;
+    std::uint64_t offsetsLength = 4;
+    std::vector<EdgeId> offsets;
+    std::vector<VertexId> adjacency;
+
+    std::string
+    bytes() const
+    {
+        std::string out;
+        const auto put = [&out](const auto &value) {
+            out.append(reinterpret_cast<const char *>(&value),
+                       sizeof(value));
+        };
+        put(std::uint64_t{0x4b48555a44554c31ULL});
+        put(std::uint8_t{0});
+        put(n);
+        put(offsetsLength);
+        for (const EdgeId offset : offsets)
+            put(offset);
+        put(std::uint64_t{adjacency.size()});
+        for (const VertexId u : adjacency)
+            put(u);
+        put(std::uint64_t{0}); // no labels
+        return out;
+    }
+};
+
+/** readBinary takes nothing on trust: a neighbor id out of range, an
+ *  unsorted or self-looped list, a one-way arc and a stored length
+ *  past the end of the stream each raise FatalError (before any
+ *  allocation for the length). */
+TEST(Io, CorruptBinaryRejected)
+{
+    // A triangle reads back fine.
+    const RawBinary triangle{3, 4, {0, 2, 4, 6}, {1, 2, 0, 2, 0, 1}};
+    std::stringstream good(triangle.bytes());
+    EXPECT_EQ(io::readBinary(good).numEdges(), 3u);
+
+    RawBinary out_of_range = triangle;
+    out_of_range.adjacency[1] = 7;
+    RawBinary unsorted = triangle;
+    std::swap(unsorted.adjacency[0], unsorted.adjacency[1]);
+    RawBinary self_loop = triangle;
+    self_loop.adjacency[0] = 0;
+    RawBinary one_way = triangle;
+    one_way.offsets = {0, 2, 3, 5};
+    one_way.adjacency = {1, 2, 0, 0, 1};
+    RawBinary huge = triangle;
+    huge.offsetsLength = std::uint64_t{1} << 61;
+    RawBinary billions = triangle;
+    billions.offsetsLength = 3'000'000'000ULL;
+    for (const auto &[raw, what] :
+         {std::pair{out_of_range, "neighbor 7"},
+          std::pair{unsorted, "not strictly ascending"},
+          std::pair{self_loop, "self loop"},
+          std::pair{one_way, "no reverse arc"},
+          std::pair{huge, "overruns the stream"},
+          std::pair{billions, "overruns the stream"}}) {
+        std::stringstream in(raw.bytes());
+        try {
+            io::readBinary(in);
+            ADD_FAILURE() << "accepted: " << what;
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find(what),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
 TEST(Orientation, ProducesDagWithHalfTheArcs)
 {
     const Graph g = gen::rmat(512, 2048, 0.57, 0.19, 0.19, 3);
@@ -336,6 +504,43 @@ TEST(Datasets, MemoizesGeneration)
     const auto &a = datasets::byName("mc");
     const auto &b = datasets::byName("mc");
     EXPECT_EQ(&a, &b);
+}
+
+/** Every stand-in, pinned: an FNV-1a hash of its CSR offsets and
+ *  adjacency.  Generation and the builder may get cheaper; the graphs
+ *  every count and modeled byte derive from may not change. */
+TEST(Datasets, StandInsArePinned)
+{
+    struct Case
+    {
+        const char *abbr;
+        std::uint64_t hash;
+    };
+    for (const Case &c :
+         {Case{"mc", 7690104585212685427ull},
+          Case{"pt", 7483461857495042291ull},
+          Case{"lj", 8434883355021344221ull},
+          Case{"uk", 11446576401260081141ull},
+          Case{"tw", 8938695349291787659ull},
+          Case{"fr", 2337200574632870349ull},
+          Case{"cl", 15521883716639427571ull},
+          Case{"uk14", 5369220551284533797ull},
+          Case{"wdc", 17381149417796402145ull},
+          Case{"skitter", 1086524049440861785ull},
+          Case{"orkut", 3452441520621528533ull}}) {
+        const Graph &g = datasets::byName(c.abbr).graph;
+        std::uint64_t hash = 14695981039346656037ull;
+        EdgeId offset = 0;
+        hash = (hash ^ offset) * 1099511628211ull;
+        for (VertexId v = 0; v < g.numVertices(); ++v) {
+            offset += g.degree(v);
+            hash = (hash ^ offset) * 1099511628211ull;
+        }
+        for (VertexId v = 0; v < g.numVertices(); ++v)
+            for (const VertexId u : g.neighbors(v))
+                hash = (hash ^ u) * 1099511628211ull;
+        EXPECT_EQ(hash, c.hash) << c.abbr;
+    }
 }
 
 TEST(Datasets, UnknownNameRejected)

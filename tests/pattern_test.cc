@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "pattern/generation.hh"
 #include "pattern/isomorphism.hh"
 #include "pattern/pattern.hh"
@@ -136,6 +139,35 @@ TEST(Isomorphism, LabeledAutomorphisms)
     p.setLabel(1, 0); // the two label-0 vertices survives
     p.setLabel(2, 0);
     EXPECT_EQ(iso::automorphisms(p).size(), 2u);
+}
+
+/** Conjugating Aut(p) by a permutation yields the automorphism group
+ *  of the permuted pattern, for every connected pattern of up to 5
+ *  vertices, their two-label variants and every permutation. */
+TEST(Isomorphism, ConjugatedGroupMatchesEnumeration)
+{
+    int checked = 0;
+    for (int size = 2; size <= 5; ++size) {
+        for (const auto &base : gen::connectedPatterns(size)) {
+            std::vector<Pattern> variants = gen::labelings(base, 2);
+            variants.push_back(base);
+            for (const Pattern &p : variants) {
+                const auto group = iso::automorphisms(p);
+                iso::Permutation perm{};
+                std::iota(perm.begin(), perm.begin() + size, 0);
+                do {
+                    auto carried = iso::conjugated(group, perm, size);
+                    auto expected = iso::automorphisms(p.permuted(perm));
+                    std::sort(carried.begin(), carried.end());
+                    std::sort(expected.begin(), expected.end());
+                    ASSERT_EQ(carried, expected) << p.toString();
+                    ++checked;
+                } while (std::next_permutation(perm.begin(),
+                                               perm.begin() + size));
+            }
+        }
+    }
+    EXPECT_GT(checked, 10000);
 }
 
 TEST(Isomorphism, CanonicalCodeEqualIffIsomorphic)

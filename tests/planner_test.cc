@@ -12,6 +12,7 @@
 #include <bit>
 
 #include "core/plan_runner.hh"
+#include "graph/datasets.hh"
 #include "graph/generators.hh"
 #include "pattern/bruteforce.hh"
 #include "pattern/generation.hh"
@@ -51,6 +52,41 @@ allValidOrders(const Pattern &p)
             result.push_back(order);
     } while (std::next_permutation(order.begin(), order.end()));
     return result;
+}
+
+/** One word-wise FNV-1a step, as the other pins in this suite use. */
+std::uint64_t
+fnv(std::uint64_t hash, std::uint64_t value)
+{
+    return (hash ^ value) * 1099511628211ull;
+}
+
+/** Chain @p plan into @p hash: its printed form plus the IEP block's
+ *  masks, reuse flags, extra masks and terms, which toString() only
+ *  counts. */
+std::uint64_t
+planHash(std::uint64_t hash, const ExtendPlan &plan)
+{
+    for (const char c : plan.toString())
+        hash = fnv(hash, static_cast<unsigned char>(c));
+    const IepBlock &iep = plan.iep;
+    hash = fnv(hash, iep.masks.size());
+    for (const PositionMask mask : iep.masks)
+        hash = fnv(hash, mask);
+    hash = fnv(hash, iep.maskReuse.size());
+    for (const bool reuse : iep.maskReuse)
+        hash = fnv(hash, reuse);
+    hash = fnv(hash, iep.maskExtra.size());
+    for (const PositionMask extra : iep.maskExtra)
+        hash = fnv(hash, extra);
+    hash = fnv(hash, iep.terms.size());
+    for (const auto &term : iep.terms) {
+        hash = fnv(hash, static_cast<std::uint64_t>(term.coefficient));
+        hash = fnv(hash, term.maskIndex.size());
+        for (const int m : term.maskIndex)
+            hash = fnv(hash, static_cast<std::uint64_t>(m));
+    }
+    return hash;
 }
 
 TEST(Planner, SetPartitionsBellNumbers)
@@ -159,6 +195,149 @@ TEST(Planner, IepMaskReuseImpliesStoredPrefixLevel)
         }
     }
     EXPECT_GT(reusing, 0);
+}
+
+/** What compileGraphPi chooses, pinned: every connected 3-6-vertex
+ *  pattern under the mc and lj stand-ins' profiles with default,
+ *  induced and IEP-free options, plus four 7-vertex patterns at
+ *  default.  Order search may get cheaper; its choice may not move. */
+TEST(Planner, GraphPiChoiceIsPinned)
+{
+    PlanOptions induced;
+    induced.induced = true;
+    PlanOptions no_iep;
+    no_iep.useIep = false;
+    struct Case
+    {
+        const char *graph;
+        std::uint64_t hash;
+    };
+    for (const Case &c : {Case{"mc", 13162454586002927017ull},
+                          Case{"lj", 9132851706884364249ull}}) {
+        const GraphProfile profile =
+            GraphProfile::fromGraph(datasets::byName(c.graph).graph);
+        std::uint64_t hash = 14695981039346656037ull;
+        for (int size = 3; size <= 6; ++size)
+            for (const auto &p : gen::connectedPatterns(size))
+                for (const PlanOptions &options :
+                     {PlanOptions{}, induced, no_iep})
+                    hash = planHash(hash,
+                                    compileGraphPi(p, profile, options));
+        for (const Pattern &p :
+             {Pattern::clique(7), Pattern::cycleOf(7), Pattern::pathOf(7),
+              Pattern::starOf(7)})
+            hash = planHash(hash, compileGraphPi(p, profile, {}));
+        EXPECT_EQ(hash, c.hash) << c.graph;
+    }
+}
+
+/** A pattern reordered by @p order (position i holds order[i]). */
+Pattern
+reorderedBy(const Pattern &p, const std::vector<int> &order)
+{
+    iso::Permutation to_position{};
+    for (int i = 0; i < p.size(); ++i)
+        to_position[order[i]] = i;
+    return p.permuted(to_position);
+}
+
+/** Every connected pattern of 2-5 vertices and its two-label
+ *  variants. */
+std::vector<Pattern>
+smallPatternsAndLabelings()
+{
+    std::vector<Pattern> patterns;
+    for (int size = 2; size <= 5; ++size) {
+        for (const auto &base : gen::connectedPatterns(size)) {
+            patterns.push_back(base);
+            for (const auto &labeled : gen::labelings(base, 2))
+                patterns.push_back(labeled);
+        }
+    }
+    return patterns;
+}
+
+/** distinctOrders keeps the first connected order per reordered
+ *  pattern, labels included.  Aut(p) acts freely on orders, so it
+ *  keeps (connected orders) / |Aut(p)| of them. */
+TEST(Planner, DistinctOrdersAreOnePerReorderedPattern)
+{
+    for (const Pattern &p : smallPatternsAndLabelings()) {
+        const auto all = allValidOrders(p);
+        const auto kept = distinctOrders(p);
+        EXPECT_EQ(kept.size() * iso::automorphisms(p).size(), all.size())
+            << p.toString();
+        for (const auto &order : all) {
+            const Pattern reordered = reorderedBy(p, order);
+            int matches = 0;
+            for (const auto &first : kept) {
+                if (reorderedBy(p, first) == reordered) {
+                    ++matches;
+                    EXPECT_LE(first, order) << p.toString();
+                }
+            }
+            EXPECT_EQ(matches, 1)
+                << p.toString() << " " << testing::PrintToString(order);
+        }
+    }
+}
+
+/** compileGraphPi equals the plain exhaustive search it replaces:
+ *  every connected order, every admissible IEP suffix, buildPlan,
+ *  keep the strictly cheapest. */
+TEST(Planner, GraphPiMatchesExhaustiveSearch)
+{
+    PlanOptions induced;
+    induced.induced = true;
+    PlanOptions plain;
+    plain.verticalSharing = false;
+    plain.symmetryBreaking = false;
+    for (const GraphProfile profile :
+         {GraphProfile{200.0, 4.0}, GraphProfile{1.0e6, 80.0}}) {
+        for (const Pattern &p : smallPatternsAndLabelings()) {
+            for (const PlanOptions &options :
+                 {PlanOptions{}, induced, plain}) {
+                ExtendPlan best;
+                double best_cost = 0;
+                bool have = false;
+                for (const auto &order : allValidOrders(p)) {
+                    int max_suffix = 0;
+                    if (options.useIep && !options.induced
+                        && !p.labeled()) {
+                        const Pattern r = reorderedBy(p, order);
+                        const int n = p.size();
+                        while (max_suffix + 1 < n) {
+                            const int a = n - 1 - max_suffix;
+                            bool independent = true;
+                            for (int b = a + 1; b < n; ++b)
+                                independent &= !r.hasEdge(a, b);
+                            if (!independent)
+                                break;
+                            ++max_suffix;
+                        }
+                    }
+                    for (int suffix = 0; suffix <= max_suffix; ++suffix) {
+                        ExtendPlan plan = buildPlan(p, order, options,
+                                                    suffix);
+                        const double cost = estimatePlanCost(plan, profile);
+                        if (!have || cost < best_cost) {
+                            best = std::move(plan);
+                            best_cost = cost;
+                            have = true;
+                        }
+                    }
+                }
+                const ExtendPlan chosen = compileGraphPi(p, profile,
+                                                         options);
+                EXPECT_EQ(planHash(0, chosen), planHash(0, best))
+                    << chosen.toString() << best.toString();
+                for (std::size_t i = 0; i < chosen.levels.size(); ++i)
+                    EXPECT_EQ(chosen.levels[i].labelFilter,
+                              best.levels[i].labelFilter)
+                        << p.toString();
+            }
+        }
+    }
 }
 
 TEST(Planner, GraphPiUsesLargerIepOnSparsePatterns)
