@@ -460,6 +460,32 @@ TEST(Engine, ByteCapFiresUnderParallelRun)
                  sim::ByteCapExceededFault);
 }
 
+/** Size and FNV-1a hash of a run's purely modeled dump, taken as
+ *  Runner.SmallChunkEngineRunsArePinned takes them. */
+struct DumpPin
+{
+    std::size_t bytes;
+    std::uint64_t hash;
+
+    bool operator==(const DumpPin &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &out, const DumpPin &pin)
+{
+    return out << "{" << pin.bytes << ", " << pin.hash << "ull}";
+}
+
+DumpPin
+dumpPin(const sim::RunStats &stats)
+{
+    const std::string json = stats.toJson(false);
+    std::uint64_t hash = 14695981039346656037ull;
+    for (const char c : json)
+        hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    return {json.size(), hash};
+}
+
 /** A run that leaves every kind of traffic on the fabric ledger:
  *  2 sockets per node (same-node batches on link (n, n)), dropped,
  *  timed-out and degraded attempts, and post-barrier migration
@@ -500,6 +526,9 @@ TEST(Engine, TrafficLedgerIsPinned)
     const Units bytes_received = {21476, 35512, 37988, 33104,
                                   30908, 12152, 23624, 26492};
     const Units messages_sent = {25, 67, 59, 48, 50, 18, 31, 48};
+    // The whole modeled dump: fault, steal, checkpoint and adoption
+    // charges on top of the volumes above.
+    const DumpPin dump = {8555, 2944975006045267006ull};
 
     const Graph g = testGraph();
     const auto plan = compileAutomine(Pattern::clique(4), {});
@@ -533,6 +562,56 @@ TEST(Engine, TrafficLedgerIsPinned)
         EXPECT_EQ(sent, bytes_sent);
         EXPECT_EQ(received, bytes_received);
         EXPECT_EQ(messages_out, messages_sent);
+        EXPECT_EQ(dumpPin(stats), dump);
+    }
+}
+
+/** The modeled dumps of runs that reach the cost terms no other pin
+ *  covers: each replacement cache policy's probe and allocation
+ *  charges, the compute penalty of a NUMA-oblivious two-socket node
+ *  and the backoff of two whole-query retries. */
+TEST(Engine, CostTermsArePinned)
+{
+    const Graph g = testGraph();
+    const auto plan = compileAutomine(Pattern::clique(4), {});
+    struct Policy
+    {
+        core::CachePolicy policy;
+        DumpPin dump;
+    };
+    using core::CachePolicy;
+    for (const Policy &pin :
+         {Policy{CachePolicy::Fifo, {8291, 9188627383321422383ull}},
+          Policy{CachePolicy::Lifo, {8291, 15514256191359981837ull}},
+          Policy{CachePolicy::Lru, {8287, 17922014488981191140ull}},
+          Policy{CachePolicy::Mru, {8295, 1542462660533557173ull}}}) {
+        SCOPED_TRACE(core::cachePolicyName(pin.policy));
+        auto config = smallConfig(4);
+        config.graph.cachePolicy = pin.policy;
+        core::Engine engine(g, config);
+        engine.run(plan);
+        ASSERT_GT(engine.stats().staticCacheHitRate(), 0.0);
+        EXPECT_EQ(dumpPin(engine.stats()), pin.dump);
+    }
+    {
+        SCOPED_TRACE("numa-oblivious");
+        auto config = smallConfig(4);
+        ASSERT_EQ(config.graph.cluster.socketsPerNode, 2u);
+        config.graph.numaAware = false;
+        core::Engine engine(g, config);
+        engine.run(plan);
+        EXPECT_EQ(dumpPin(engine.stats()),
+                  (DumpPin{4520, 8694025172973016131ull}));
+    }
+    {
+        SCOPED_TRACE("query retries");
+        core::Engine engine(g, smallConfig(4));
+        engine.chargeQueryRetry(1);
+        engine.chargeQueryRetry(2);
+        engine.run(plan);
+        EXPECT_EQ(engine.stats().queryRetries, 2u);
+        EXPECT_EQ(dumpPin(engine.stats()),
+                  (DumpPin{8261, 1511423988321092534ull}));
     }
 }
 
