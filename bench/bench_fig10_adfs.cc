@@ -39,9 +39,8 @@ main()
     for (const std::string graph_name : {"skitter", "orkut", "fr"}) {
         const auto &dataset = datasets::byName(graph_name);
 
-        engines::MoveComputationConfig adfs_config;
-        adfs_config.cluster = sim::ClusterConfig::paperDefault(8);
-        engines::MoveComputationEngine adfs(dataset.graph, adfs_config);
+        engines::MoveComputationEngine adfs(
+            dataset.graph, sim::ClusterConfig::paperDefault(8));
         const auto moved = adfs.count(Pattern::triangle());
 
         auto automine = engines::KhuzdulSystem::kAutomine(

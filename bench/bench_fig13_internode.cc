@@ -59,9 +59,8 @@ main()
                 k_first = cell.makespanNs;
             k_last = cell.makespanNs;
 
-            engines::GraphPiRepConfig config;
-            config.cluster = sim::ClusterConfig::paperDefault(nodes);
-            engines::GraphPiRepEngine rep(dataset.graph, config);
+            engines::GraphPiRepEngine rep(
+                dataset.graph, sim::ClusterConfig::paperDefault(nodes));
             double total = 0;
             PlanOptions options;
             options.induced = app.induced;

@@ -72,9 +72,8 @@ main()
         for (const std::string &graph_name : graphs) {
             const auto &dataset = datasets::byName(graph_name);
 
-            engines::GThinkerConfig gt_config;
-            gt_config.cluster = sim::ClusterConfig::singleSocket(8);
-            engines::GThinkerEngine gthinker(dataset.graph, gt_config);
+            engines::GThinkerEngine gthinker(
+                dataset.graph, sim::ClusterConfig::singleSocket(8));
             sim::RunStats gt_stats;
             PlanOptions options;
             options.induced = app.induced;

@@ -31,7 +31,6 @@ main()
         {5, 5, 10, 10, 11});
     table.printHeader();
 
-    sim::CostModel cost;
     for (const std::string app_name : {"TC", "3-MC", "4-CC", "5-CC"}) {
         const bench::App app = bench::appByName(app_name);
         for (const std::string graph_name : {"mc", "pt", "lj", "fr"}) {
@@ -43,8 +42,7 @@ main()
                 {app_name, graph_name,
                  formatBytes(cell.stats.totalBytesSent()),
                  bench::fmtTime(cell.makespanNs),
-                 formatPercent(cell.stats.networkUtilization(
-                     cost.netBytesPerNs))});
+                 formatPercent(cell.stats.networkUtilization())});
         }
         table.printRule();
     }

@@ -218,7 +218,7 @@ main(int argc, char **argv)
 
     // --- Gate: checkpoint overhead on a fault-free run < 5% ------
     // With --checkpoint armed but no crash plan, every level-0
-    // chunk close pays CostModel::checkpointNs; insurance has to
+    // chunk close pays sim::cost::checkpointNs; insurance has to
     // stay cheap relative to the run it protects.  Overhead is
     // measured where it matters — on the critical path: the armed
     // run's makespan must stay under 1.05x the unarmed one (the

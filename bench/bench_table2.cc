@@ -83,12 +83,11 @@ main()
 
             std::string rep_cell;
             {
-                engines::GraphPiRepConfig config;
-                config.cluster = sim::ClusterConfig::paperDefault(8);
                 // The paper's replication wall: nodes have 64 GB and
                 // graphs up to 14 GB; scaled stand-ins mirror the
                 // ratio, so mid-size graphs still fit.
-                engines::GraphPiRepEngine engine(dataset.graph, config);
+                engines::GraphPiRepEngine engine(
+                    dataset.graph, sim::ClusterConfig::paperDefault(8));
                 double total = 0;
                 Count count = 0;
                 try {
@@ -119,9 +118,8 @@ main()
             if (gthinker_crashes) {
                 gt_cell = "CRASHED";
             } else {
-                engines::GThinkerConfig config;
-                config.cluster = sim::ClusterConfig::singleSocket(8);
-                engines::GThinkerEngine engine(dataset.graph, config);
+                engines::GThinkerEngine engine(
+                    dataset.graph, sim::ClusterConfig::singleSocket(8));
                 double total = 0;
                 Count count = 0;
                 PlanOptions options;

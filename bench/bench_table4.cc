@@ -16,6 +16,7 @@
 #include "bench_common.hh"
 #include "engines/pattern_oblivious.hh"
 #include "graph/generators.hh"
+#include "sim/cost_model.hh"
 
 namespace
 {
@@ -45,13 +46,12 @@ singleMachineFsmNs(const Graph &g, const apps::FsmConfig &config,
     apps::SingleMachineFsmBackend backend(g);
     const auto result = apps::mineFrequentSubgraphs(backend, g, config);
     frequent = result.frequent.size();
-    sim::CostModel cost;
-    const double work = cost.dfsWorkNs(backend.workItems(),
-                                       backend.candidatesChecked(),
-                                       backend.embeddingsVisited());
+    const double work = sim::cost::dfsWorkNs(backend.workItems(),
+                                             backend.candidatesChecked(),
+                                             backend.embeddingsVisited());
     const unsigned cores = 16;
     return work * per_op_factor / cores
-        + cost.engineStartupNs * 0.1
+        + sim::cost::engineStartupNs * 0.1
             * static_cast<double>(result.patternsEvaluated);
 }
 
@@ -112,9 +112,8 @@ main()
             singleMachineFsmNs(g, config, 1.2, sm_frequent);
 
         // Fractal-like pattern-oblivious distributed baseline.
-        engines::PatternObliviousConfig oblivious_config;
-        oblivious_config.cluster = sim::ClusterConfig::paperDefault(8);
-        engines::PatternObliviousEngine oblivious(g, oblivious_config);
+        engines::PatternObliviousEngine oblivious(
+            g, sim::ClusterConfig::paperDefault(8));
         const auto baseline =
             oblivious.mineFrequent(config.maxEdges, config.minSupport);
         KHUZDUL_CHECK(baseline.patterns.size() == frequent,

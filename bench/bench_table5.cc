@@ -78,12 +78,12 @@ main()
             // stand-ins (64 GB for ~10 GB graphs -> the massive
             // stand-ins exceed it by the same ratio).
             std::string rep_cell;
-            engines::GraphPiRepConfig rep_config;
-            rep_config.cluster = sim::ClusterConfig::largeCluster(18);
-            rep_config.cluster.memoryBytesPerNode =
+            sim::ClusterConfig rep_cluster =
+                sim::ClusterConfig::largeCluster(18);
+            rep_cluster.memoryBytesPerNode =
                 dataset.graph.sizeBytes() / 2; // mirrors the paper's
                                                // does-not-fit ratio
-            engines::GraphPiRepEngine rep(dataset.graph, rep_config);
+            engines::GraphPiRepEngine rep(dataset.graph, rep_cluster);
             try {
                 rep.count(Pattern::clique(k));
                 rep_cell = "ran?";

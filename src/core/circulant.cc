@@ -38,7 +38,6 @@ CirculantScheduler::issue(const sim::Fabric &fabric,
                           sim::TraceSink &trace, int level,
                           sim::FaultSession *faults)
 {
-    const sim::CostModel &cost = fabric.cost();
     for (unsigned slot = 1; slot < numUnits_; ++slot) {
         Batch &batch = batches_[slot];
         if (batch.lists == 0)
@@ -67,7 +66,7 @@ CirculantScheduler::issue(const sim::Fabric &fabric,
             outcome.chargeNs = base;
             if (faults && cross)
                 outcome = faults->onTransfer(node_, dst, base,
-                                             cost.timeoutNs);
+                                             sim::cost::timeoutNs);
             if (!outcome.faulted) {
                 batch.commNs += outcome.chargeNs;
                 batch.baseCommNs += base;
@@ -98,7 +97,7 @@ CirculantScheduler::issue(const sim::Fabric &fabric,
                 return false;
             ++attempt;
             ++stats.faultsRetried;
-            const double backoff = cost.retryBackoffNs
+            const double backoff = sim::cost::retryBackoffNs
                 * static_cast<double>(1ull << (attempt - 1));
             batch.commNs += backoff;
             stats.recoveryNs += backoff;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/cost_model.hh"
 #include "sim/fabric.hh"
 #include "sim/faults.hh"
 #include "sim/stats.hh"
@@ -67,12 +68,12 @@ class CirculantScheduler
      *  dynamically scheduled mini-batches over @p cores (§6). */
     static double
     dispatchOverheadNs(std::uint32_t num_embeddings,
-                       unsigned mini_batch_size, double dispatch_ns,
-                       unsigned cores)
+                       unsigned mini_batch_size, unsigned cores)
     {
         const auto mini_batches =
             (num_embeddings + mini_batch_size - 1) / mini_batch_size;
-        return static_cast<double>(mini_batches) * dispatch_ns / cores;
+        return static_cast<double>(mini_batches)
+            * sim::cost::miniBatchDispatchNs / cores;
     }
 
     /** Embedding @p idx rides owner @p owner's batch without adding
@@ -100,8 +101,8 @@ class CirculantScheduler
      *
      * When @p faults is non-null (engine runs with a fault plan),
      * every cross-node batch is a retry loop: a faulted attempt is
-     * charged (drop = the wasted transfer, timeout/node-down = the
-     * fabric cost model's timeout), backed off exponentially
+     * charged (drop = the wasted transfer, timeout/node-down =
+     * sim::cost::timeoutNs), backed off exponentially
      * (modeled, charged into the batch), and re-attempted up to
      * FaultPlan::maxRetries times.  Every attempt moves bytes, so
      * every attempt is tallied.

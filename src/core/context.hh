@@ -34,7 +34,6 @@
 #include "graph/partition.hh"
 #include "pattern/planner.hh"
 #include "sim/cluster.hh"
-#include "sim/cost_model.hh"
 #include "sim/fabric.hh"
 #include "support/types.hh"
 
@@ -47,16 +46,14 @@ namespace core
  * Graph-resident configuration: everything that describes the
  * deployment a graph lives in, as opposed to how one query runs.
  * Shared verbatim by every session of a context.  Defaults mirror
- * the paper's configuration at stand-in scale.
+ * the paper's configuration at stand-in scale.  The time constants
+ * are not part of it: they describe the paper's one testbed and are
+ * compile-time constants (sim/cost_model.hh).
  */
 struct GraphSetup
 {
     /** Simulated machines. */
     sim::ClusterConfig cluster;
-
-    /** Time constants (also shared: the hardware doesn't change
-     *  per query). */
-    sim::CostModel cost;
 
     /** Graph-data cache policy (STATIC is the paper's design). */
     CachePolicy cachePolicy = CachePolicy::Static;

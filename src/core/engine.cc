@@ -14,6 +14,7 @@
 #include "core/parallel/thread_pool.hh"
 #include "core/recovery/recovery.hh"
 #include "core/steal/steal.hh"
+#include "sim/cost_model.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -62,8 +63,7 @@ class HybridExplorer
           faults_(engine.faultSessions_.empty()
                       ? nullptr
                       : engine.faultSessions_[unit].get()),
-          extender_(*engine.graph_, plan, setup_.cost,
-                    engine.session_.kernelMode),
+          extender_(*engine.graph_, plan, engine.session_.kernelMode),
           cores_(engine.context_->computeCoresPerUnit()),
           deadlineNs_(engine.session_.deadlineNs),
           deadlineStartNs_(stats.totalNs()),
@@ -173,7 +173,7 @@ class HybridExplorer
     {
         if (!crash_ || crashed_)
             return;
-        const double charge = setup_.cost.checkpointNs;
+        const double charge = sim::cost::checkpointNs;
         stats_.schedulerNs += charge;
         stats_.checkpointOverheadNs += charge;
         ++stats_.checkpointsTaken;
@@ -265,9 +265,8 @@ class HybridExplorer
                 "query cancelled at a chunk boundary");
         maybeCrash(level);
         Chunk &chunk = chunks_[level];
-        const sim::CostModel &cost = setup_.cost;
         ++stats_.chunksProcessed;
-        stats_.schedulerNs += cost.chunkSetupNs;
+        stats_.schedulerNs += sim::cost::chunkSetupNs;
         stats_.peakChunkBytes =
             std::max(stats_.peakChunkBytes, chunk.modeledBytes());
         trace().emit({sim::PhaseEvent::ChunkOpen, unit_, level,
@@ -276,8 +275,7 @@ class HybridExplorer
         fetchWithReplay(level);
 
         stats_.schedulerNs += CirculantScheduler::dispatchOverheadNs(
-            chunk.size(), kMiniBatchSize,
-            cost.miniBatchDispatchNs, cores_);
+            chunk.size(), kMiniBatchSize, cores_);
 
         const bool terminal = level == chunkedLevels_ - 1;
         trace().emit({sim::PhaseEvent::ExtendStart, unit_, level,
@@ -452,7 +450,7 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
       context_(ownedContext_ ? ownedContext_.get() : context),
       graph_(&context_->graph()), session_(session),
       partition_(context_->partition()),
-      fabric_(partition_, context_->setup().cost)
+      fabric_(partition_)
 {
     const Graph &g = *graph_;
     const GraphSetup &setup = context_->setup();
@@ -473,8 +471,7 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
         providers_.push_back(std::make_unique<EdgeListProvider>(
             g, partition_, caches_.back().get(),
             setup.horizontalSharing,
-            EdgeListProvider::engineCosts(setup.cost,
-                                          *caches_.back())));
+            EdgeListProvider::engineCosts(*caches_.back())));
         providers_.back()->setResidency(&context_->residency());
         if (!session_.faults.empty())
             faultSessions_.push_back(
@@ -531,8 +528,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         KHUZDUL_REQUIRE(plan.countDivisor == 1,
                         "visitors need complete symmetry breaking");
     }
-    const sim::CostModel &cost = context_->setup().cost;
-    stats_.startupNs += cost.engineStartupNs;
+    stats_.startupNs += sim::cost::engineStartupNs;
 
     const unsigned units = partition_.numUnits();
     // Visitors are client UDFs of unknown thread-safety; their runs
@@ -642,7 +638,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         }
         const RecoveryPlanner planner(fabric_);
         const auto adoptions = planner.plan(crashes, unitFinishNs());
-        const double handshake = cost.adoptionHandshakeNs;
+        const double handshake = sim::cost::adoptionHandshakeNs;
         for (const AdoptionDecision &d : adoptions) {
             const ChunkRecord &rec = d.chunk;
             // Mirror of the planner's finish[] update: the adopter
@@ -685,7 +681,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             fabric_, session_.stealBacklogThresholdNs);
         const auto decisions =
             planner.plan(std::move(stealLedgers), std::move(finish));
-        const double handshake = cost.stealHandshakeNs;
+        const double handshake = sim::cost::stealHandshakeNs;
         for (const StealDecision &d : decisions) {
             const ChunkRecord &rec = d.chunk;
             tracer_.emit({sim::PhaseEvent::StealIssued, d.thief,
@@ -741,7 +737,7 @@ void
 Engine::chargeQueryRetry(unsigned attempt)
 {
     KHUZDUL_REQUIRE(attempt >= 1, "retry attempts are 1-based");
-    double backoff = context_->setup().cost.queryRetryBackoffNs;
+    double backoff = sim::cost::queryRetryBackoffNs;
     for (unsigned k = 1; k < attempt; ++k)
         backoff *= 2;
     stats_.startupNs += backoff;

@@ -25,7 +25,7 @@
  *
  * Enumeration is performed for real (counts are exact and tested
  * against brute force); time and traffic are modeled through
- * sim::CostModel / sim::Fabric so an 18-node cluster reproduces
+ * sim/cost_model.hh / sim::Fabric so an 18-node cluster reproduces
  * deterministically on one host core.
  */
 
@@ -45,7 +45,6 @@
 #include "graph/partition.hh"
 #include "pattern/plan.hh"
 #include "sim/cluster.hh"
-#include "sim/cost_model.hh"
 #include "sim/fabric.hh"
 #include "sim/faults.hh"
 #include "sim/stats.hh"
@@ -126,7 +125,7 @@ struct SessionConfig
     /**
      * Level-barrier checkpointing (DESIGN.md §9, CLI `--checkpoint`):
      * every unit logically snapshots its partial counts and pending
-     * ledger at each level-0 barrier, charged CostModel::checkpointNs.
+     * ledger at each level-0 barrier, charged sim::cost::checkpointNs.
      * Implicitly armed whenever the fault plan contains a crash spec
      * (recovery needs the checkpoints); enable explicitly to measure
      * the fault-free overhead.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "sim/cost_model.hh"
+
 namespace khuzdul
 {
 namespace core
@@ -50,9 +52,8 @@ countOnlyTerminal(const ExtendPlan &plan)
 }
 
 PlanExtender::PlanExtender(const Graph &g, const ExtendPlan &plan,
-                           const sim::CostModel &cost,
                            KernelMode kernel_mode, RunnerHooks *hooks)
-    : graph_(&g), plan_(&plan), cost_(&cost), hooks_(hooks),
+    : graph_(&g), plan_(&plan), hooks_(hooks),
       dispatcher_(kernel_mode, &g)
 {
     for (int t = 1; t < plan.pattern.size(); ++t) {
@@ -83,7 +84,7 @@ PlanExtender::buildCandidates(int t, std::span<const VertexId> stored,
         ? memoized(t, stored, out, stats, work)
         : intersect(t, stored, out, stats, work);
     stats.intersectionItems += work;
-    workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
+    workNs_ += static_cast<double>(work) * sim::cost::intersectPerItemNs;
     return set;
 }
 
@@ -287,15 +288,13 @@ PlanExtender::countTerminal(std::span<const VertexId> stored,
     // The per-candidate scan's ledger additions, in its order: the
     // set's work in one step, then each candidate's check, plus its
     // match for those at or above the bound (the sorted tail).
-    const double check_ns = cost_->candidateCheckNs;
-    const double match_ns = cost_->terminalNs;
-    double work_ns =
-        workNs_ + static_cast<double>(work) * cost_->intersectPerItemNs;
+    double work_ns = workNs_
+        + static_cast<double>(work) * sim::cost::intersectPerItemNs;
     for (Count i = 0; i < count.below; ++i)
-        work_ns += check_ns;
+        work_ns += sim::cost::candidateCheckNs;
     for (Count i = 0; i < count.atOrAbove; ++i) {
-        work_ns += check_ns;
-        work_ns += match_ns;
+        work_ns += sim::cost::candidateCheckNs;
+        work_ns += sim::cost::terminalNs;
     }
     workNs_ = work_ns;
     return count;
@@ -333,7 +332,7 @@ PlanExtender::iepTerminal(int prefix_len,
         const WorkItems work = dispatcher_.intersectManyCount(
             {listBuf_.data(), lists}, count, scratchA_, scratchB_);
         stats.intersectionItems += work;
-        workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
+        workNs_ += static_cast<double>(work) * sim::cost::intersectPerItemNs;
         std::int64_t size = static_cast<std::int64_t>(count);
         for (int j = 0; j < prefix_len; ++j) {
             // N(v_j) is one of the lists (or folded into the stored
@@ -355,7 +354,7 @@ PlanExtender::iepTerminal(int prefix_len,
             product *= sizes[mask_idx];
         raw += product;
     }
-    workNs_ += cost_->terminalNs;
+    workNs_ += sim::cost::terminalNs;
     return raw;
 }
 
@@ -370,21 +369,19 @@ PlanExtender::extendInner(const std::vector<Chunk> &chunks,
     const std::span<const VertexId> candidates = buildCandidates(
         t, chunks[t - 1].result(idx), candidates_, stats);
     const CandidateFilter accepts = filter(t);
-    const double check_ns = cost_->candidateCheckNs;
-    const double create_ns = cost_->embeddingCreateNs;
     double work_ns = workNs_;
     // Siblings share one stored copy of the candidate set; it is
     // appended lazily when the first child materializes.
     std::uint32_t result_offset = 0;
     bool result_stored = false;
     for (const VertexId candidate : candidates) {
-        work_ns += check_ns;
+        work_ns += sim::cost::candidateCheckNs;
         if (!accepts(candidate))
             continue;
         const std::uint32_t child_idx =
             child.add(candidate, idx, next.fetchEdgeList);
         ++stats.embeddingsCreated;
-        work_ns += create_ns;
+        work_ns += sim::cost::embeddingCreateNs;
         if (next.storeResult) {
             if (!result_stored) {
                 result_offset = child.appendResult(candidates);
@@ -420,19 +417,17 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
     if (walked || terminalFilterReadsLast_)
         terminalFilter_ = filter(t);
     const CandidateFilter accepts = terminalFilter_;
-    const double check_ns = cost_->candidateCheckNs;
-    const double match_ns = cost_->terminalNs;
     // The ledger stays in a register for the loop; the additions run
     // in the same order as charging workNs_ directly, so the sum is
     // bit-identical.
     double work_ns = workNs_;
     std::int64_t raw = 0;
     for (const VertexId candidate : candidates) {
-        work_ns += check_ns;
+        work_ns += sim::cost::candidateCheckNs;
         if (!accepts(candidate))
             continue;
         ++raw;
-        work_ns += match_ns;
+        work_ns += sim::cost::terminalNs;
         if (visitor) {
             vertices_[t] = candidate;
             visitor->match({vertices_.data(),

@@ -31,7 +31,6 @@
 #include "core/visitor.hh"
 #include "graph/graph.hh"
 #include "pattern/plan.hh"
-#include "sim/cost_model.hh"
 #include "sim/stats.hh"
 #include "support/types.hh"
 
@@ -114,7 +113,6 @@ class PlanExtender
     /** @p hooks, when set, sees every edge-list read in read order
      *  (the engine passes none). */
     PlanExtender(const Graph &g, const ExtendPlan &plan,
-                 const sim::CostModel &cost,
                  KernelMode kernel_mode = KernelMode::Auto,
                  RunnerHooks *hooks = nullptr);
 
@@ -315,7 +313,6 @@ class PlanExtender
 
     const Graph *graph_;
     const ExtendPlan *plan_;
-    const sim::CostModel *cost_;
     RunnerHooks *hooks_;
     KernelDispatcher dispatcher_;
 

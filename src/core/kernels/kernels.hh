@@ -28,8 +28,8 @@
  *
  * ## Charging convention (canonical work)
  *
- * Kernels return WorkItems — the modeled compute charge consumed by
- * sim::CostModel.  The charge is *canonical*: every kernel reports
+ * Kernels return WorkItems — the modeled compute charge priced by
+ * sim/cost_model.hh.  The charge is *canonical*: every kernel reports
  * the element count the reference two-pointer merge would have
  * consumed on the same inputs, regardless of how few elements the
  * kernel actually touched, so modeled makespans, RunStats and every

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/extender.hh"
-#include "sim/cost_model.hh"
 #include "sim/stats.hh"
 #include "support/check.hh"
 
@@ -29,7 +28,7 @@ class DfsDriver
     DfsDriver(const Graph &g, const ExtendPlan &plan,
               MatchVisitor *visitor, RunnerHooks *hooks)
         : plan_(plan), visitor_(visitor),
-          extender_(g, plan, cost_, KernelMode::Auto, hooks)
+          extender_(g, plan, KernelMode::Auto, hooks)
     {}
 
     /** Enumerate the embedding tree rooted at @p root. */
@@ -105,11 +104,10 @@ class DfsDriver
         }
     }
 
-    /** The extender's modeled time is never read: baselines price
-     *  their own from RunnerResult. */
-    const sim::CostModel cost_{};
     const ExtendPlan &plan_;
     MatchVisitor *visitor_;
+    /** Its modeled time is never read: baselines price their own
+     *  from RunnerResult. */
     PlanExtender extender_;
     sim::NodeStats stats_;
     RunnerResult result_;

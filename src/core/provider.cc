@@ -1,5 +1,7 @@
 #include "core/provider.hh"
 
+#include "sim/cost_model.hh"
+
 namespace khuzdul
 {
 namespace core
@@ -14,17 +16,16 @@ EdgeListProvider::EdgeListProvider(const Graph &g,
 {}
 
 EdgeListProvider::Costs
-EdgeListProvider::engineCosts(const sim::CostModel &cost,
-                              const DataCache &cache)
+EdgeListProvider::engineCosts(const DataCache &cache)
 {
     const bool replacement = cache.policy() != CachePolicy::Static
         && cache.policy() != CachePolicy::None;
     Costs costs;
-    costs.cacheProbeNs = replacement ? cost.replacementCacheProbeNs
-                                     : cost.staticCacheProbeNs;
-    costs.cacheAdmitNs = replacement ? cost.replacementAllocNs : 0;
-    costs.hashProbeNs = cost.hashProbeNs;
-    costs.reconstructScanNs = cost.candidateCheckNs;
+    costs.cacheProbeNs = replacement ? sim::cost::replacementCacheProbeNs
+                                     : sim::cost::staticCacheProbeNs;
+    costs.cacheAdmitNs = replacement ? sim::cost::replacementAllocNs : 0;
+    costs.hashProbeNs = sim::cost::hashProbeNs;
+    costs.reconstructScanNs = sim::cost::candidateCheckNs;
     return costs;
 }
 

@@ -27,7 +27,6 @@
 #include "core/residency.hh"
 #include "graph/graph.hh"
 #include "graph/partition.hh"
-#include "sim/cost_model.hh"
 #include "sim/faults.hh"
 #include "sim/stats.hh"
 #include "support/types.hh"
@@ -96,8 +95,7 @@ class EdgeListProvider
 
     /** The engine's probe-cost schedule for @p cache's policy
      *  (replacement policies pay their bookkeeping, §7.6). */
-    static Costs engineCosts(const sim::CostModel &cost,
-                             const DataCache &cache);
+    static Costs engineCosts(const DataCache &cache);
 
     /**
      * Resolve the edge list of @p v for @p requester, charging

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/cost_model.hh"
 #include "sim/faults.hh"
 #include "support/check.hh"
 
@@ -36,7 +37,7 @@ RecoveryPlanner::plan(const std::vector<CrashReport> &crashes,
 
     const unsigned units_per_node =
         fabric_->partition().socketsPerNode();
-    const double handshake = fabric_->cost().adoptionHandshakeNs;
+    const double handshake = sim::cost::adoptionHandshakeNs;
 
     // Reports arrive from the merge pass in ascending unit order
     // already; keep a sorted view so the planning order is part of

@@ -9,7 +9,7 @@
  * checkpoint at level-0 barriers (the natural consistent cut of the
  * level-synchronous circulant schedule: the DFS stack is drained and
  * the partial counts are a pure prefix); each snapshot is charged
- * `CostModel::checkpointNs`.
+ * `sim::cost::checkpointNs`.
  *
  * After the PR-3 ordered merge the engine hands the RecoveryPlanner
  * one CrashReport per dead unit: the unit's frozen time categories

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/cost_model.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -22,7 +23,7 @@ StealPlanner::plan(std::vector<std::vector<ChunkRecord>> pending,
 
     const unsigned units_per_node =
         fabric_->partition().socketsPerNode();
-    const double handshake = fabric_->cost().stealHandshakeNs;
+    const double handshake = sim::cost::stealHandshakeNs;
 
     // Remaining donatable backlog per unit: the modeled time of the
     // chunks still in its ledger.  Stolen chunks never re-enter a

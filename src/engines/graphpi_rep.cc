@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/cost_model.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -24,21 +25,21 @@ constexpr unsigned kTaskChunksPerNode = 16;
 } // namespace
 
 GraphPiRepEngine::GraphPiRepEngine(const Graph &g,
-                                   const GraphPiRepConfig &config)
-    : graph_(&g), config_(config), profile_(GraphProfile::fromGraph(g))
+                                   const sim::ClusterConfig &cluster)
+    : graph_(&g), cluster_(cluster), profile_(GraphProfile::fromGraph(g))
 {}
 
 GraphPiRepResult
 GraphPiRepEngine::count(const Pattern &p, const PlanOptions &options)
 {
     KHUZDUL_REQUIRE(
-        graph_->sizeBytes() <= config_.cluster.memoryBytesPerNode,
+        graph_->sizeBytes() <= cluster_.memoryBytesPerNode,
         "replicated graph (" << graph_->sizeBytes()
         << "B) exceeds per-node memory ("
-        << config_.cluster.memoryBytesPerNode << "B)");
+        << cluster_.memoryBytesPerNode << "B)");
 
     const ExtendPlan plan = compileGraphPi(p, profile_, options);
-    const NodeId nodes = config_.cluster.numNodes;
+    const NodeId nodes = cluster_.numNodes;
     const unsigned total_chunks = nodes * kTaskChunksPerNode;
 
     // Coarse static first-loop split: strided vertex assignment
@@ -53,7 +54,6 @@ GraphPiRepEngine::count(const Pattern &p, const PlanOptions &options)
     std::vector<double> node_work(nodes, 0);
     std::vector<double> node_max_chunk(nodes, 0);
 
-    const sim::CostModel &cost = config_.cost;
     std::vector<VertexId> chunk_roots;
     for (unsigned c = 0; c < total_chunks; ++c) {
         chunk_roots.clear();
@@ -65,9 +65,9 @@ GraphPiRepEngine::count(const Pattern &p, const PlanOptions &options)
             *graph_, plan,
             {chunk_roots.data(), chunk_roots.size()});
         raw += work.rawCount;
-        const double work_ns = cost.dfsWorkNs(work.workItems,
-                                              work.candidatesChecked,
-                                              work.embeddingsVisited);
+        const double work_ns = sim::cost::dfsWorkNs(
+            work.workItems, work.candidatesChecked,
+            work.embeddingsVisited);
         const NodeId node = c % nodes;
         node_work[node] += work_ns;
         node_max_chunk[node] = std::max(node_max_chunk[node], work_ns);
@@ -82,12 +82,12 @@ GraphPiRepEngine::count(const Pattern &p, const PlanOptions &options)
 
     // Intra-node parallelism is coarse (first few loops only): the
     // largest statically-assigned chunk leaves a straggler tail.
-    const unsigned cores = config_.cluster.computeCoresPerNode();
+    const unsigned cores = cluster_.computeCoresPerNode();
     for (NodeId n = 0; n < nodes; ++n)
         result.stats.nodes[n].computeNs =
             node_work[n] / cores + 0.3 * node_max_chunk[n];
     result.stats.startupNs = kTaskPartitionOverheadNs
-        + cost.engineStartupNs;
+        + sim::cost::engineStartupNs;
     result.makespanNs = result.stats.makespanNs();
     return result;
 }

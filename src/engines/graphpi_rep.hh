@@ -18,20 +18,12 @@
 #include "graph/graph.hh"
 #include "pattern/planner.hh"
 #include "sim/cluster.hh"
-#include "sim/cost_model.hh"
 #include "sim/stats.hh"
 
 namespace khuzdul
 {
 namespace engines
 {
-
-/** Configuration of the replicated GraphPi deployment. */
-struct GraphPiRepConfig
-{
-    sim::ClusterConfig cluster;
-    sim::CostModel cost;
-};
 
 /** Result of a replicated-GraphPi run. */
 struct GraphPiRepResult
@@ -45,7 +37,7 @@ struct GraphPiRepResult
 class GraphPiRepEngine
 {
   public:
-    GraphPiRepEngine(const Graph &g, const GraphPiRepConfig &config);
+    GraphPiRepEngine(const Graph &g, const sim::ClusterConfig &cluster);
 
     /**
      * Count embeddings of @p p.  Throws FatalError when the
@@ -56,7 +48,7 @@ class GraphPiRepEngine
 
   private:
     const Graph *graph_;
-    GraphPiRepConfig config_;
+    sim::ClusterConfig cluster_;
 
     /** Planner degree profile of the graph. */
     GraphProfile profile_;

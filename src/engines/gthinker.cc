@@ -4,6 +4,7 @@
 
 #include "core/cache.hh"
 #include "core/provider.hh"
+#include "sim/cost_model.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -67,9 +68,8 @@ constexpr double kSocketContentionFactor = 4.0;
 } // namespace
 
 GThinkerEngine::GThinkerEngine(const Graph &g,
-                               const GThinkerConfig &config)
-    : graph_(&g), config_(config),
-      partition_(g, config.cluster.numNodes, 1)
+                               const sim::ClusterConfig &cluster)
+    : graph_(&g), cluster_(cluster), partition_(g, cluster.numNodes, 1)
 {}
 
 GThinkerResult
@@ -78,19 +78,16 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
     // G-thinker enumerates with the same pattern-aware nested loops
     // (compiled Automine-style); its problems are architectural,
     // not algorithmic.
-    PlanOptions opts = options;
-    opts.useIep = false;
-    const ExtendPlan plan = compileAutomine(p, opts);
-    const sim::CostModel &cost = config_.cost;
-    const NodeId nodes = config_.cluster.numNodes;
+    const ExtendPlan plan = compileAutomine(p, options);
+    const NodeId nodes = cluster_.numNodes;
 
     GThinkerResult result;
     result.stats.nodes.resize(nodes);
     std::int64_t raw = 0;
 
-    const double contention = config_.cluster.socketsPerNode >= 2
+    const double contention = cluster_.socketsPerNode >= 2
         ? kSocketContentionFactor : 1.0;
-    const unsigned cores = config_.cluster.computeCoresPerNode();
+    const unsigned cores = cluster_.computeCoresPerNode();
 
     for (NodeId n = 0; n < nodes; ++n) {
         sim::NodeStats &st = result.stats.nodes[n];
@@ -101,7 +98,7 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
         // the (expensive) per-probe cost.
         core::EdgeListProvider provider(
             *graph_, partition_, &cache, /*horizontal_sharing=*/false,
-            {.cacheProbeNs = cost.gthinkerMapUpdateNs * contention,
+            {.cacheProbeNs = sim::cost::gthinkerMapUpdateNs * contention,
              .cacheAdmitNs = 0, .hashProbeNs = 0});
         double compute_ns = 0;
         double comm_ns = 0;
@@ -117,9 +114,9 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
             raw += work.rawCount;
             ++tasks;
 
-            compute_ns += cost.dfsWorkNs(work.workItems,
-                                         work.candidatesChecked,
-                                         work.embeddingsVisited);
+            compute_ns += sim::cost::dfsWorkNs(work.workItems,
+                                               work.candidatesChecked,
+                                               work.embeddingsVisited);
             st.intersectionItems += work.workItems;
             st.embeddingsCreated += work.embeddingsVisited;
 
@@ -143,14 +140,14 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
             }
             subgraph_bytes_total += subgraph_bytes;
             if (pull_lists > 0) {
-                comm_ns += cost.transferNs(pull_bytes, pull_lists);
+                comm_ns += sim::cost::transferNs(pull_bytes, pull_lists);
                 st.bytesReceived += pull_bytes;
                 ++st.messagesSent;
                 st.listsFetchedRemote += pull_lists;
             }
             // Garbage-collection sweep: the cache checks whether the
             // tasks using each cached list have completed.
-            st.cacheNs += cost.gthinkerGcCheckNs * contention
+            st.cacheNs += sim::cost::gthinkerGcCheckNs * contention
                 * static_cast<double>(accessed.size());
         }
 
@@ -168,7 +165,7 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
             1.0, 300.0);
         const double scans_per_task = 10.0;
         st.schedulerNs += static_cast<double>(tasks) * scans_per_task
-            * cost.gthinkerSchedulerScanNs * contention;
+            * sim::cost::gthinkerSchedulerScanNs * contention;
 
         // Limited concurrency also limits communication hiding:
         // with C in-flight tasks only a fraction of fetch latency
@@ -190,7 +187,7 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
     KHUZDUL_CHECK(raw >= 0 && raw % plan.countDivisor == 0,
                   "inconsistent raw count");
     result.count = static_cast<Count>(raw / plan.countDivisor);
-    result.stats.startupNs = cost.engineStartupNs;
+    result.stats.startupNs = sim::cost::engineStartupNs;
     result.makespanNs = result.stats.makespanNs();
     return result;
 }

@@ -20,20 +20,12 @@
 #include "graph/partition.hh"
 #include "pattern/planner.hh"
 #include "sim/cluster.hh"
-#include "sim/cost_model.hh"
 #include "sim/stats.hh"
 
 namespace khuzdul
 {
 namespace engines
 {
-
-/** G-thinker deployment knobs. */
-struct GThinkerConfig
-{
-    sim::ClusterConfig cluster;
-    sim::CostModel cost;
-};
 
 /** Result of one G-thinker run. */
 struct GThinkerResult
@@ -47,7 +39,7 @@ struct GThinkerResult
 class GThinkerEngine
 {
   public:
-    GThinkerEngine(const Graph &g, const GThinkerConfig &config);
+    GThinkerEngine(const Graph &g, const sim::ClusterConfig &cluster);
 
     /** Count embeddings of @p p on the partitioned graph. */
     GThinkerResult count(const Pattern &p,
@@ -55,7 +47,7 @@ class GThinkerEngine
 
   private:
     const Graph *graph_;
-    GThinkerConfig config_;
+    sim::ClusterConfig cluster_;
 
     /** One sub-partition per node: G-thinker has no NUMA support. */
     Partition partition_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/provider.hh"
+#include "sim/cost_model.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -64,20 +65,16 @@ class MigrationTracker : public core::RunnerHooks
 } // namespace
 
 MoveComputationEngine::MoveComputationEngine(
-    const Graph &g, const MoveComputationConfig &config)
-    : graph_(&g), config_(config),
-      partition_(g, config.cluster.numNodes, 1)
+    const Graph &g, const sim::ClusterConfig &cluster)
+    : graph_(&g), cluster_(cluster), partition_(g, cluster.numNodes, 1)
 {}
 
 MoveComputationResult
 MoveComputationEngine::count(const Pattern &p, const PlanOptions &options)
 {
-    PlanOptions opts = options;
-    opts.useIep = false;
-    const ExtendPlan plan = compileAutomine(p, opts);
-    const sim::CostModel &cost = config_.cost;
-    const NodeId nodes = config_.cluster.numNodes;
-    const unsigned cores = config_.cluster.computeCoresPerNode();
+    const ExtendPlan plan = compileAutomine(p, options);
+    const NodeId nodes = cluster_.numNodes;
+    const unsigned cores = cluster_.computeCoresPerNode();
 
     MoveComputationResult result;
     result.stats.nodes.resize(nodes);
@@ -95,16 +92,16 @@ MoveComputationEngine::count(const Pattern &p, const PlanOptions &options)
             &tracker);
         raw += work.rawCount;
 
-        const double compute_ns = cost.dfsWorkNs(
+        const double compute_ns = sim::cost::dfsWorkNs(
             work.workItems, work.candidatesChecked,
             work.embeddingsVisited);
         const double messages = static_cast<double>(tracker.migrations)
             / kShipBatch;
-        const double comm_ns = messages * cost.netLatencyNs
+        const double comm_ns = messages * sim::cost::netLatencyNs
             + static_cast<double>(tracker.bytesShipped)
-                / cost.netBytesPerNs
+                / sim::cost::netBytesPerNs
             + static_cast<double>(tracker.bytesShipped)
-                * cost.netCopyPerByteNs;
+                * sim::cost::netCopyPerByteNs;
 
         st.computeNs = compute_ns / cores;
         st.commTotalNs = comm_ns;
@@ -117,7 +114,7 @@ MoveComputationEngine::count(const Pattern &p, const PlanOptions &options)
     }
     KHUZDUL_CHECK(raw >= 0 && raw % plan.countDivisor == 0,
                   "inconsistent raw count");
-    result.stats.startupNs = cost.engineStartupNs;
+    result.stats.startupNs = sim::cost::engineStartupNs;
     result.makespanNs = result.stats.makespanNs();
     result.count = static_cast<Count>(raw / plan.countDivisor);
     return result;

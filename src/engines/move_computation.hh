@@ -18,20 +18,12 @@
 #include "graph/partition.hh"
 #include "pattern/planner.hh"
 #include "sim/cluster.hh"
-#include "sim/cost_model.hh"
 #include "sim/stats.hh"
 
 namespace khuzdul
 {
 namespace engines
 {
-
-/** Deployment knobs of the aDFS-like engine. */
-struct MoveComputationConfig
-{
-    sim::ClusterConfig cluster;
-    sim::CostModel cost;
-};
 
 /** Result of one run. */
 struct MoveComputationResult
@@ -46,7 +38,7 @@ class MoveComputationEngine
 {
   public:
     MoveComputationEngine(const Graph &g,
-                          const MoveComputationConfig &config);
+                          const sim::ClusterConfig &cluster);
 
     /** Count embeddings of @p p, shipping embeddings to their data. */
     MoveComputationResult count(const Pattern &p,
@@ -54,7 +46,7 @@ class MoveComputationEngine
 
   private:
     const Graph *graph_;
-    MoveComputationConfig config_;
+    sim::ClusterConfig cluster_;
 
     /** One sub-partition per node (single-socket deployment). */
     Partition partition_;

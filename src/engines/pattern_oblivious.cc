@@ -5,6 +5,7 @@
 #include <set>
 
 #include "pattern/isomorphism.hh"
+#include "sim/cost_model.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -175,8 +176,8 @@ class SubgraphEnumerator
 } // namespace
 
 PatternObliviousEngine::PatternObliviousEngine(
-    const Graph &g, const PatternObliviousConfig &config)
-    : graph_(&g), config_(config)
+    const Graph &g, const sim::ClusterConfig &cluster)
+    : graph_(&g), cluster_(cluster)
 {}
 
 PatternObliviousResult
@@ -185,13 +186,13 @@ PatternObliviousEngine::mineFrequent(int max_edges, Count min_support)
     KHUZDUL_REQUIRE(max_edges >= 1 && max_edges <= 6,
                     "pattern-oblivious mining supports 1..6 edges");
     KHUZDUL_REQUIRE(
-        graph_->sizeBytes() <= config_.cluster.memoryBytesPerNode,
+        graph_->sizeBytes() <= cluster_.memoryBytesPerNode,
         "replicated graph exceeds per-node memory");
 
     const Graph &g = *graph_;
     SubgraphEnumerator enumerator(g, max_edges);
     PatternObliviousResult result;
-    const NodeId nodes = config_.cluster.numNodes;
+    const NodeId nodes = cluster_.numNodes;
     result.stats.nodes.resize(nodes);
 
     std::map<iso::CanonicalCode, Aggregate> aggregates;
@@ -291,14 +292,14 @@ PatternObliviousEngine::mineFrequent(int max_edges, Count min_support)
 
     // Modeled time: enumeration plus per-instance canonicalization,
     // distributed over nodes and cores (replicated graph, no comm).
-    const unsigned cores = config_.cluster.computeCoresPerNode();
+    const unsigned cores = cluster_.computeCoresPerNode();
     for (NodeId n = 0; n < nodes; ++n) {
         result.stats.nodes[n].computeNs =
             static_cast<double>(node_instances[n])
             * (kCanonicalizeNs + 80.0) / cores;
         result.stats.nodes[n].embeddingsCreated = node_instances[n];
     }
-    result.stats.startupNs = config_.cost.engineStartupNs;
+    result.stats.startupNs = sim::cost::engineStartupNs;
     result.makespanNs = result.stats.makespanNs();
     return result;
 }

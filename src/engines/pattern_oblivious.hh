@@ -18,20 +18,12 @@
 #include "graph/graph.hh"
 #include "pattern/pattern.hh"
 #include "sim/cluster.hh"
-#include "sim/cost_model.hh"
 #include "sim/stats.hh"
 
 namespace khuzdul
 {
 namespace engines
 {
-
-/** Deployment knobs. */
-struct PatternObliviousConfig
-{
-    sim::ClusterConfig cluster;
-    sim::CostModel cost;
-};
 
 /** Support of one discovered labeled pattern. */
 struct PatternSupport
@@ -55,7 +47,7 @@ class PatternObliviousEngine
 {
   public:
     PatternObliviousEngine(const Graph &g,
-                           const PatternObliviousConfig &config);
+                           const sim::ClusterConfig &cluster);
 
     /**
      * Enumerate all connected subgraphs with <= @p max_edges edges
@@ -68,7 +60,7 @@ class PatternObliviousEngine
 
   private:
     const Graph *graph_;
-    PatternObliviousConfig config_;
+    sim::ClusterConfig cluster_;
 };
 
 } // namespace engines

@@ -1,6 +1,7 @@
 #include "engines/single_machine.hh"
 
 #include "graph/orientation.hh"
+#include "sim/cost_model.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -55,16 +56,13 @@ SingleMachineEngine::count(const Pattern &p, const PlanOptions &options)
         g = &oriented_;
         PlanOptions opts = options;
         opts.symmetryBreaking = false;
-        opts.useIep = false;
         plan = compileAutomine(p, opts);
         plan.countDivisor = 1;
     } else {
         // AutomineIH's plan.  Peregrine matches with its own
         // pattern-aware runtime; use the heuristic order too (its
         // plans are comparable).
-        PlanOptions opts = options;
-        opts.useIep = false;
-        plan = compileAutomine(p, opts);
+        plan = compileAutomine(p, options);
     }
 
     std::vector<VertexId> roots(g->numVertices());
@@ -81,15 +79,15 @@ SingleMachineEngine::count(const Pattern &p, const PlanOptions &options)
 
     // Modeled runtime: measured work on one core, divided over the
     // machine's cores, plus per-system constants.
-    const sim::CostModel &cost = config_.cost;
-    double work_ns = cost.dfsWorkNs(result.work.workItems,
-                                    result.work.candidatesChecked,
-                                    result.work.embeddingsVisited);
+    double work_ns = sim::cost::dfsWorkNs(result.work.workItems,
+                                          result.work.candidatesChecked,
+                                          result.work.embeddingsVisited);
     // Peregrine interprets the pattern at runtime instead of
     // compiling it; a modest per-operation tax models that.
     if (style_ == SingleMachineStyle::PeregrineLike)
         work_ns *= 1.2;
-    result.runtimeNs = work_ns / config_.cores + cost.engineStartupNs;
+    result.runtimeNs =
+        work_ns / config_.cores + sim::cost::engineStartupNs;
     // Orientation is not free: a full relabel-and-rebuild pass over
     // the graph precedes counting.
     if (usesOrientation(p))

@@ -14,7 +14,6 @@
 #include "core/plan_runner.hh"
 #include "graph/graph.hh"
 #include "pattern/planner.hh"
-#include "sim/cost_model.hh"
 
 namespace khuzdul
 {
@@ -37,8 +36,6 @@ struct SingleMachineConfig
 
     /** Memory capacity; counting fails when the graph exceeds it. */
     std::uint64_t memoryBytes = 64ull << 30;
-
-    sim::CostModel cost;
 };
 
 /** Result of one single-machine counting run. */

@@ -1,7 +1,10 @@
 #include "pattern/generation.hh"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "pattern/isomorphism.hh"
@@ -34,18 +37,39 @@ connectedPatterns(int num_vertices)
     KHUZDUL_REQUIRE(num_vertices >= 1 && num_vertices <= 6,
                     "connectedPatterns supports 1..6 vertices, got "
                     << num_vertices);
-    const int pairs = num_vertices * (num_vertices - 1) / 2;
-    std::map<iso::CanonicalCode, bool> seen;
+    const int n = num_vertices;
+    const int pairs = n * (n - 1) / 2;
+    // Bit of the pair {u, v} in an edge mask.
+    std::array<std::array<int, kMaxPatternSize>, kMaxPatternSize> bit{};
+    for (int u = 0, b = 0; u < n; ++u)
+        for (int v = u + 1; v < n; ++v, ++b)
+            bit[u][v] = bit[v][u] = b;
+    // Masks are walked in ascending order, so each class is emitted at
+    // its lowest mask; every relabeling of that mask is then marked and
+    // skipped, and only one mask per class is canonicalized.
+    std::vector<bool> seen(std::size_t{1} << pairs, false);
     std::vector<Pattern> out;
     for (std::uint32_t mask = 0; mask < (1u << pairs); ++mask) {
-        Pattern p(num_vertices);
-        int bit = 0;
-        for (int u = 0; u < num_vertices; ++u)
-            for (int v = u + 1; v < num_vertices; ++v, ++bit)
-                if ((mask >> bit) & 1u)
+        if (seen[mask])
+            continue;
+        Pattern p(n);
+        for (int u = 0; u < n; ++u)
+            for (int v = u + 1; v < n; ++v)
+                if ((mask >> bit[u][v]) & 1u)
                     p.addEdge(u, v);
-        if (p.connected())
-            dedupInsert(p, seen, out);
+        if (!p.connected())
+            continue;
+        out.push_back(iso::canonicalForm(p));
+        std::array<int, kMaxPatternSize> perm{};
+        std::iota(perm.begin(), perm.begin() + n, 0);
+        do {
+            std::uint32_t image = 0;
+            for (int u = 0; u < n; ++u)
+                for (int v = u + 1; v < n; ++v)
+                    if ((mask >> bit[u][v]) & 1u)
+                        image |= 1u << bit[perm[u]][perm[v]];
+            seen[image] = true;
+        } while (std::next_permutation(perm.begin(), perm.begin() + n));
     }
     return out;
 }

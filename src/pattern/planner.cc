@@ -78,6 +78,15 @@ GraphProfile::fromGraph(const Graph &g)
 namespace
 {
 
+/** Plans exist only for connected non-empty patterns: each position
+ *  after the first extends from an earlier one. */
+void
+requirePlannable(const Pattern &p)
+{
+    KHUZDUL_REQUIRE(p.size() >= 1 && p.connected(),
+                    "plans need a connected non-empty pattern");
+}
+
 /** The position of each pattern vertex under @p order (the inverse
  *  of the order); REQUIREs that @p order permutes 0..n-1. */
 iso::Permutation
@@ -103,8 +112,7 @@ planOrder(const Pattern &p, const std::vector<iso::Permutation> &autos,
           int iep_suffix)
 {
     const int n = p.size();
-    KHUZDUL_REQUIRE(n >= 1 && p.connected(),
-                    "plans need a connected non-empty pattern");
+    requirePlannable(p);
     KHUZDUL_REQUIRE(static_cast<int>(order.size()) == n,
                     "matching order size must equal pattern size");
     KHUZDUL_REQUIRE(iep_suffix >= 0 && iep_suffix < n,
@@ -354,6 +362,7 @@ automineOrder(const Pattern &p)
 ExtendPlan
 compileAutomine(const Pattern &p, const PlanOptions &options)
 {
+    requirePlannable(p);
     PlanOptions opts = options;
     opts.useIep = false;
     return buildPlan(p, automineOrder(p), opts, 0);
@@ -410,6 +419,7 @@ ExtendPlan
 compileGraphPi(const Pattern &p, const GraphProfile &profile,
                const PlanOptions &options)
 {
+    requirePlannable(p);
     const int n = p.size();
     ExtendPlan best;
     double best_cost = 0;

@@ -80,13 +80,15 @@ std::vector<std::vector<int>> distinctOrders(const Pattern &p);
 /** Automine-style heuristic matching order. */
 std::vector<int> automineOrder(const Pattern &p);
 
-/** Compile with the Automine heuristic order (no IEP). */
+/** Compile with the Automine heuristic order (no IEP).  Throws
+ *  FatalError unless @p p is connected and non-empty. */
 ExtendPlan compileAutomine(const Pattern &p, const PlanOptions &options);
 
 /**
  * Compile GraphPi style: search the distinctOrders() and their IEP
  * suffix sizes under the cost model, return the cheapest plan (the
- * first on ties).
+ * first on ties).  Throws FatalError unless @p p is connected and
+ * non-empty.
  */
 ExtendPlan compileGraphPi(const Pattern &p, const GraphProfile &profile,
                           const PlanOptions &options);

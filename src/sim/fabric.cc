@@ -1,5 +1,6 @@
 #include "sim/fabric.hh"
 
+#include "sim/cost_model.hh"
 #include "support/check.hh"
 
 namespace khuzdul
@@ -7,8 +8,7 @@ namespace khuzdul
 namespace sim
 {
 
-Fabric::Fabric(const Partition &partition, const CostModel &cost)
-    : partition_(&partition), cost_(&cost)
+Fabric::Fabric(const Partition &partition) : partition_(&partition)
 {
     const std::size_t links = static_cast<std::size_t>(
         partition.numNodes()) * partition.numNodes();
@@ -44,8 +44,8 @@ double
 Fabric::modeledTransferNs(NodeId src, NodeId dst, std::uint64_t bytes,
                           std::uint64_t lists) const
 {
-    return src == dst ? cost_->numaTransferNs(bytes, lists)
-                      : cost_->transferNs(bytes, lists);
+    return src == dst ? cost::numaTransferNs(bytes, lists)
+                      : cost::transferNs(bytes, lists);
 }
 
 void

@@ -5,8 +5,9 @@
  * "fetch" is a zero-copy read of the owner's partition plus an
  * accounting entry: the fabric tracks every (src, dst, bytes,
  * lists) transfer and converts batches to modeled transfer times
- * via the CostModel.  This keeps engine logic identical to a real
- * deployment while making runs deterministic on one host core.
+ * with the constants of sim/cost_model.hh.  This keeps engine logic
+ * identical to a real deployment while making runs deterministic on
+ * one host core.
  */
 
 #ifndef KHUZDUL_SIM_FABRIC_HH
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "graph/partition.hh"
-#include "sim/cost_model.hh"
 #include "sim/faults.hh"
 #include "sim/stats.hh"
 #include "support/types.hh"
@@ -61,24 +61,9 @@ struct TrafficTally
 class Fabric
 {
   public:
-    Fabric(const Partition &partition, const CostModel &cost);
+    explicit Fabric(const Partition &partition);
 
     const Partition &partition() const { return *partition_; }
-    const CostModel &cost() const { return *cost_; }
-
-    /** Zero-copy read of N(v) (the owner's resident copy). */
-    std::span<const VertexId>
-    edgeList(VertexId v) const
-    {
-        return partition_->graph().neighbors(v);
-    }
-
-    /** Payload bytes of N(v) on the wire. */
-    std::uint64_t
-    edgeListBytes(VertexId v) const
-    {
-        return partition_->graph().edgeListBytes(v);
-    }
 
     /**
      * Record one batched fetch of @p lists edge lists totalling
@@ -144,7 +129,6 @@ class Fabric
     }
 
     const Partition *partition_;
-    const CostModel *cost_;
     std::vector<std::uint64_t> bytes_;
     std::vector<std::uint64_t> messages_;
     std::uint64_t byteCap_ = 0;

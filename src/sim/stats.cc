@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/cost_model.hh"
 #include "support/format.hh"
 
 namespace khuzdul
@@ -215,7 +216,7 @@ RunStats::staticCacheHitRate() const
 }
 
 double
-RunStats::networkUtilization(double bytes_per_ns) const
+RunStats::networkUtilization() const
 {
     const double makespan = makespanNs();
     if (makespan <= 0 || nodes.empty())
@@ -225,7 +226,7 @@ RunStats::networkUtilization(double bytes_per_ns) const
     double busiest = 0;
     for (const NodeStats &node : nodes) {
         const double util = static_cast<double>(node.bytesSent)
-            / (bytes_per_ns * makespan);
+            / (cost::netBytesPerNs * makespan);
         busiest = std::max(busiest, util);
     }
     return std::min(1.0, busiest);

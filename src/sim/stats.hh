@@ -213,10 +213,11 @@ struct RunStats
     double staticCacheHitRate() const;
 
     /**
-     * Mean per-link utilization: bytes moved vs. what the bisection
-     * could move within the makespan (paper Fig 19).
+     * Link utilization of the busiest sender: the bytes it sent vs.
+     * what its link moves at cost::netBytesPerNs within the makespan
+     * (paper Fig 19).
      */
-    double networkUtilization(double bytes_per_ns) const;
+    double networkUtilization() const;
 
     /** Merge two runs (e.g. per-pattern runs of a motif census). */
     void accumulate(const RunStats &other);

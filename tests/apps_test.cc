@@ -142,9 +142,8 @@ TEST(Fsm, AgreesWithPatternObliviousBaseline)
     config.maxEdges = 2;
     const auto aware = apps::mineFrequentSubgraphs(backend, g, config);
 
-    engines::PatternObliviousConfig oblivious_config;
-    oblivious_config.cluster = sim::ClusterConfig::paperDefault(2);
-    engines::PatternObliviousEngine oblivious(g, oblivious_config);
+    engines::PatternObliviousEngine oblivious(
+        g, sim::ClusterConfig::paperDefault(2));
     const auto baseline = oblivious.mineFrequent(2, config.minSupport);
 
     // Same frequent pattern sets with the same supports.

@@ -10,6 +10,7 @@
 #include "core/circulant.hh"
 #include "graph/generators.hh"
 #include "graph/partition.hh"
+#include "sim/cost_model.hh"
 #include "sim/fabric.hh"
 #include "sim/trace.hh"
 
@@ -33,10 +34,10 @@ TEST(Circulant, DispatchOverheadCountsMiniBatches)
     // 100 embeddings in mini-batches of 32 -> 4 dispatches of 150ns
     // amortized over 4 cores.
     EXPECT_DOUBLE_EQ(core::CirculantScheduler::dispatchOverheadNs(
-                         100, 32, 150.0, 4),
+                         100, 32, 4),
                      150.0);
     EXPECT_DOUBLE_EQ(core::CirculantScheduler::dispatchOverheadNs(
-                         0, 32, 150.0, 4),
+                         0, 32, 4),
                      0.0);
 }
 
@@ -44,8 +45,7 @@ TEST(Circulant, IssueAttributesTrafficBothWays)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 4, 1);
-    const sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     sim::RunStats run;
     run.nodes.resize(4);
     sim::CountingTraceSink trace;
@@ -82,8 +82,7 @@ TEST(Circulant, SameNodeBatchesAreNotNetworkTraffic)
     // from unit 1 moves over NUMA, not the network.
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 2);
-    const sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     sim::RunStats run;
     run.nodes.resize(4);
 
@@ -102,8 +101,7 @@ TEST(Circulant, PipelineOverlapsCommWithCompute)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 3, 1);
-    const sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     sim::RunStats run;
     run.nodes.resize(3);
 
@@ -118,7 +116,7 @@ TEST(Circulant, PipelineOverlapsCommWithCompute)
     sched.chargeWork(1, 200);
 
     const auto t = sched.pipeline(/*cores=*/2, /*penalty=*/1.0);
-    const double comm = cost.transferNs(1024, 1);
+    const double comm = sim::cost::transferNs(1024, 1);
     EXPECT_DOUBLE_EQ(t.computeNs, 150.0); // (100 + 200) / 2 cores
     EXPECT_DOUBLE_EQ(t.commNs, comm);
     // Slot 0's 50ns of work overlaps the transfer; the rest of the
@@ -132,8 +130,7 @@ TEST(Circulant, PenaltyScalesBothPaths)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 1);
-    const sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     sim::RunStats run;
     run.nodes.resize(2);
 
@@ -154,8 +151,7 @@ TEST(Circulant, BeginClearsLedgers)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 1);
-    const sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     sim::RunStats run;
     run.nodes.resize(2);
 

@@ -628,7 +628,26 @@ TEST(Cli, BadInputsReportErrors)
                      "--pattern triangle").first, 1);
     EXPECT_EQ(runCli("count --graph er:100:200 "
                      "--pattern bogus+spec").first, 1);
-    EXPECT_EQ(runCli("plan --pattern 0-1,2-3").first, 1); // disconnected
+
+    // A disconnected pattern is bad input, not an engine bug: every
+    // subcommand under both systems names connectivity, no panic.
+    for (const char *disconnected :
+         {"plan --pattern 1-2", "plan --pattern 0-1,2-3",
+          "plan --pattern 1-2 --system automine",
+          "plan --pattern 0-1,2-3 --system automine",
+          "count --graph rmat:200:800 --pattern 0-1,2-3",
+          "count --graph rmat:200:800 --pattern 0-1,2-3 "
+          "--system automine",
+          "serve --graph rmat:200:800 --query 0-1,2-3",
+          "serve --graph rmat:200:800 --query 0-1,2-3 "
+          "--system automine"}) {
+        const auto [code, out] = runCli(disconnected);
+        EXPECT_EQ(code, 1) << disconnected;
+        EXPECT_NE(out.find("connected"), std::string::npos)
+            << disconnected << ": " << out;
+        EXPECT_EQ(out.find("panic"), std::string::npos)
+            << disconnected << ": " << out;
+    }
 
     // A zero chunk budget would never admit a root: rejected up
     // front instead of spinning.

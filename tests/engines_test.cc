@@ -141,16 +141,15 @@ TEST(SingleMachine, MemoryLimitEnforced)
 TEST(GraphPiRep, CountsMatchAndMemoryIsChecked)
 {
     const Graph g = testGraph();
-    engines::GraphPiRepConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    engines::GraphPiRepEngine engine(g, config);
+    const sim::ClusterConfig cluster = sim::ClusterConfig::paperDefault(4);
+    engines::GraphPiRepEngine engine(g, cluster);
     const auto result = engine.count(Pattern::clique(4));
     EXPECT_EQ(result.count,
               brute::countEmbeddings(g, Pattern::clique(4), false));
     EXPECT_GT(result.makespanNs, 0.0);
 
-    engines::GraphPiRepConfig tiny = config;
-    tiny.cluster.memoryBytesPerNode = 128;
+    sim::ClusterConfig tiny = cluster;
+    tiny.memoryBytesPerNode = 128;
     engines::GraphPiRepEngine oom(g, tiny);
     EXPECT_THROW(oom.count(Pattern::triangle()), FatalError);
 }
@@ -158,9 +157,8 @@ TEST(GraphPiRep, CountsMatchAndMemoryIsChecked)
 TEST(GraphPiRep, NoNetworkTraffic)
 {
     const Graph g = testGraph();
-    engines::GraphPiRepConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    engines::GraphPiRepEngine engine(g, config);
+    engines::GraphPiRepEngine engine(g,
+                                     sim::ClusterConfig::paperDefault(4));
     const auto result = engine.count(Pattern::triangle());
     EXPECT_EQ(result.stats.totalBytesSent(), 0u);
 }
@@ -168,9 +166,7 @@ TEST(GraphPiRep, NoNetworkTraffic)
 TEST(GThinker, CountsMatchBruteForce)
 {
     const Graph g = testGraph();
-    engines::GThinkerConfig config;
-    config.cluster = sim::ClusterConfig::singleSocket(4);
-    engines::GThinkerEngine engine(g, config);
+    engines::GThinkerEngine engine(g, sim::ClusterConfig::singleSocket(4));
     for (const auto &p : {Pattern::triangle(), Pattern::clique(4)}) {
         EXPECT_EQ(engine.count(p).count,
                   brute::countEmbeddings(g, p, false))
@@ -183,9 +179,7 @@ TEST(GThinker, OverheadDominatesRuntime)
     // The paper's Fig 15: cache + scheduler take ~86% of G-thinker
     // runtime; compute and network are small.
     const Graph g = testGraph();
-    engines::GThinkerConfig config;
-    config.cluster = sim::ClusterConfig::singleSocket(4);
-    engines::GThinkerEngine engine(g, config);
+    engines::GThinkerEngine engine(g, sim::ClusterConfig::singleSocket(4));
     const auto result = engine.count(Pattern::triangle());
     const double total = result.stats.totalComputeNs()
         + result.stats.totalCommExposedNs()
@@ -199,12 +193,8 @@ TEST(GThinker, OverheadDominatesRuntime)
 TEST(GThinker, DualSocketIsSlower)
 {
     const Graph g = testGraph();
-    engines::GThinkerConfig single;
-    single.cluster = sim::ClusterConfig::singleSocket(4);
-    engines::GThinkerConfig dual;
-    dual.cluster = sim::ClusterConfig::paperDefault(4);
-    engines::GThinkerEngine a(g, single);
-    engines::GThinkerEngine b(g, dual);
+    engines::GThinkerEngine a(g, sim::ClusterConfig::singleSocket(4));
+    engines::GThinkerEngine b(g, sim::ClusterConfig::paperDefault(4));
     EXPECT_LT(a.count(Pattern::triangle()).makespanNs,
               b.count(Pattern::triangle()).makespanNs);
 }
@@ -212,9 +202,8 @@ TEST(GThinker, DualSocketIsSlower)
 TEST(MoveComputation, CountsMatchAndTrafficIsHeavy)
 {
     const Graph g = testGraph();
-    engines::MoveComputationConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(4);
-    engines::MoveComputationEngine engine(g, config);
+    engines::MoveComputationEngine engine(
+        g, sim::ClusterConfig::paperDefault(4));
     const auto result = engine.count(Pattern::triangle());
     EXPECT_EQ(result.count,
               brute::countEmbeddings(g, Pattern::triangle(), false));
@@ -232,9 +221,8 @@ TEST(PatternOblivious, SubgraphCensusOnSmallGraphs)
     // two-edge paths (wedges: 4 vertices choose center...) -- check
     // against an independent brute count.
     const Graph g = gen::complete(4);
-    engines::PatternObliviousConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(2);
-    engines::PatternObliviousEngine engine(g, config);
+    engines::PatternObliviousEngine engine(
+        g, sim::ClusterConfig::paperDefault(2));
     const auto result = engine.mineFrequent(2, 0);
     // 1-edge subsets: 6.  2-edge subsets: pairs of adjacent edges =
     // per vertex C(3,2)=3 wedges x 4 vertices = 12.
@@ -295,9 +283,8 @@ TEST(PatternOblivious, MatchesIndependentSubsetEnumeration)
             if (connected)
                 ++expected;
         }
-        engines::PatternObliviousConfig config;
-        config.cluster = sim::ClusterConfig::paperDefault(2);
-        engines::PatternObliviousEngine engine(g, config);
+        engines::PatternObliviousEngine engine(
+            g, sim::ClusterConfig::paperDefault(2));
         EXPECT_EQ(engine.mineFrequent(3, 0).totalInstances, expected)
             << "seed " << seed;
     }
@@ -309,9 +296,8 @@ TEST(PatternOblivious, SupportsMatchLabeledExpectations)
     // support 2 (two A vertices, two B vertices).
     Graph g = gen::cycle(4);
     g.setLabels({0, 1, 0, 1});
-    engines::PatternObliviousConfig config;
-    config.cluster = sim::ClusterConfig::paperDefault(1);
-    engines::PatternObliviousEngine engine(g, config);
+    engines::PatternObliviousEngine engine(
+        g, sim::ClusterConfig::paperDefault(1));
     const auto result = engine.mineFrequent(1, 1);
     ASSERT_EQ(result.patterns.size(), 1u);
     EXPECT_EQ(result.patterns[0].support, 2u);
@@ -368,10 +354,8 @@ TEST(Baselines, ModeledOutputIsPinned)
 
     {
         SCOPED_TRACE("G-thinker");
-        engines::GThinkerConfig config;
-        config.cluster = dual_socket;
-        const auto r =
-            engines::GThinkerEngine(g, config).count(Pattern::diamond());
+        const auto r = engines::GThinkerEngine(g, dual_socket)
+                           .count(Pattern::diamond());
         EXPECT_DOUBLE_EQ(r.makespanNs, 2399645.3833333333);
         expectPinned(r.count, r.stats,
                      {88949,
@@ -382,10 +366,8 @@ TEST(Baselines, ModeledOutputIsPinned)
     }
     {
         SCOPED_TRACE("aDFS-like mover");
-        engines::MoveComputationConfig config;
-        config.cluster = dual_socket;
-        const auto r = engines::MoveComputationEngine(g, config).count(
-            Pattern::diamond());
+        const auto r = engines::MoveComputationEngine(g, dual_socket)
+                           .count(Pattern::diamond());
         EXPECT_DOUBLE_EQ(r.makespanNs, 143709.7761904762);
         expectPinned(r.count, r.stats,
                      {88949,
@@ -396,10 +378,8 @@ TEST(Baselines, ModeledOutputIsPinned)
     }
     {
         SCOPED_TRACE("replicated GraphPi");
-        engines::GraphPiRepConfig config;
-        config.cluster = dual_socket;
-        const auto r =
-            engines::GraphPiRepEngine(g, config).count(Pattern::house());
+        const auto r = engines::GraphPiRepEngine(g, dual_socket)
+                           .count(Pattern::house());
         EXPECT_DOUBLE_EQ(r.makespanNs, 8222272.3833333328);
         expectPinned(r.count, r.stats,
                      {4822373,
@@ -447,10 +427,8 @@ TEST(Baselines, ModeledOutputIsPinned)
     }
     {
         SCOPED_TRACE("pattern-oblivious census");
-        engines::PatternObliviousConfig config;
-        config.cluster = dual_socket;
-        const auto r =
-            engines::PatternObliviousEngine(g, config).mineFrequent(2, 0);
+        const auto r = engines::PatternObliviousEngine(g, dual_socket)
+                           .mineFrequent(2, 0);
         ASSERT_EQ(r.patterns.size(), 2u);
         EXPECT_EQ(r.patterns[0].support, 275u);
         EXPECT_EQ(r.patterns[0].instances, 1801u);

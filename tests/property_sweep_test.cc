@@ -134,19 +134,15 @@ TEST_P(EngineZoo, AllEnginesAgree)
     auto graphpi = engines::KhuzdulSystem::kGraphPi(g, config);
     EXPECT_EQ(graphpi->count(p), expected) << "k-GraphPi";
 
-    engines::GraphPiRepConfig rep_config;
-    rep_config.cluster = sim::ClusterConfig::paperDefault(3);
-    engines::GraphPiRepEngine rep(g, rep_config);
+    engines::GraphPiRepEngine rep(g, sim::ClusterConfig::paperDefault(3));
     EXPECT_EQ(rep.count(p).count, expected) << "GraphPi(rep)";
 
-    engines::GThinkerConfig gt_config;
-    gt_config.cluster = sim::ClusterConfig::singleSocket(3);
-    engines::GThinkerEngine gthinker(g, gt_config);
+    engines::GThinkerEngine gthinker(g,
+                                     sim::ClusterConfig::singleSocket(3));
     EXPECT_EQ(gthinker.count(p).count, expected) << "G-thinker";
 
-    engines::MoveComputationConfig mc_config;
-    mc_config.cluster = sim::ClusterConfig::paperDefault(3);
-    engines::MoveComputationEngine mover(g, mc_config);
+    engines::MoveComputationEngine mover(
+        g, sim::ClusterConfig::paperDefault(3));
     EXPECT_EQ(mover.count(p).count, expected) << "aDFS-like";
 
     engines::SingleMachineConfig sm_config;

@@ -15,6 +15,7 @@
 #include "graph/generators.hh"
 #include "graph/partition.hh"
 #include "pattern/planner.hh"
+#include "sim/cost_model.hh"
 #include "sim/trace.hh"
 
 namespace khuzdul
@@ -140,20 +141,18 @@ TEST(Provider, HorizontalTableSharesAndDrops)
 TEST(Provider, EngineCostsFollowCachePolicy)
 {
     const Graph g = gen::cycle(64);
-    const sim::CostModel cost;
 
     core::DataCache static_cache(g, core::CachePolicy::Static, 1 << 20,
                                  1);
-    const auto s = core::EdgeListProvider::engineCosts(cost,
-                                                       static_cache);
-    EXPECT_DOUBLE_EQ(s.cacheProbeNs, cost.staticCacheProbeNs);
+    const auto s = core::EdgeListProvider::engineCosts(static_cache);
+    EXPECT_DOUBLE_EQ(s.cacheProbeNs, sim::cost::staticCacheProbeNs);
     EXPECT_DOUBLE_EQ(s.cacheAdmitNs, 0.0);
-    EXPECT_DOUBLE_EQ(s.hashProbeNs, cost.hashProbeNs);
+    EXPECT_DOUBLE_EQ(s.hashProbeNs, sim::cost::hashProbeNs);
 
     core::DataCache lru_cache(g, core::CachePolicy::Lru, 1 << 20, 1);
-    const auto r = core::EdgeListProvider::engineCosts(cost, lru_cache);
-    EXPECT_DOUBLE_EQ(r.cacheProbeNs, cost.replacementCacheProbeNs);
-    EXPECT_DOUBLE_EQ(r.cacheAdmitNs, cost.replacementAllocNs);
+    const auto r = core::EdgeListProvider::engineCosts(lru_cache);
+    EXPECT_DOUBLE_EQ(r.cacheProbeNs, sim::cost::replacementCacheProbeNs);
+    EXPECT_DOUBLE_EQ(r.cacheAdmitNs, sim::cost::replacementAllocNs);
 }
 
 TEST(Provider, EmitsCacheTraceEvents)

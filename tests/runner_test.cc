@@ -20,6 +20,7 @@
 #include "graph/generators.hh"
 #include "pattern/bruteforce.hh"
 #include "pattern/planner.hh"
+#include "sim/cost_model.hh"
 #include "support/check.hh"
 #include "support/rng.hh"
 
@@ -352,14 +353,12 @@ TEST(Runner, SmallChunkEngineRunsArePinned)
 TEST(Runner, LevelsWithoutASetOperationReturnViews)
 {
     const Graph g = pricedGraph();
-    const sim::CostModel cost;
-
     const ExtendPlan diamond = compileAutomine(Pattern::diamond(), {});
     const PlanLevel &reuse = diamond.levels[3];
     ASSERT_TRUE(reuse.reuseParent);
     ASSERT_EQ(reuse.extraDepMask | reuse.extraAntiMask, 0u);
     {
-        core::PlanExtender extender(g, diamond, cost);
+        core::PlanExtender extender(g, diamond);
         const std::vector<VertexId> stored = {3, 5, 8, 13};
         std::vector<VertexId> out;
         sim::NodeStats stats;
@@ -384,7 +383,7 @@ TEST(Runner, LevelsWithoutASetOperationReturnViews)
         ASSERT_FALSE(plan.levels[t].reuseParent);
         ASSERT_EQ(plan.levels[t].depMask, PositionMask{1} << dep);
         ASSERT_EQ(plan.levels[t].antiMask, 0u);
-        core::PlanExtender extender(g, plan, cost);
+        core::PlanExtender extender(g, plan);
         for (int j = 0; j < t; ++j)
             extender.vertices()[j] = static_cast<VertexId>(j + 1);
         const VertexId v = extender.vertices()[dep];
@@ -500,7 +499,6 @@ TEST(CountOnlyTerminal, CountChargesWhatTheBuiltSetAndScanCharge)
     // arbitrary prefixes unshared clique4's first fold is often
     // empty, where intersectMany stops.
     const Graph g = pricedGraph();
-    const sim::CostModel cost;
     Rng rng(41);
     for (const ExtendPlan &plan : countOnlyPlans()) {
         SCOPED_TRACE(plan.toString());
@@ -510,10 +508,9 @@ TEST(CountOnlyTerminal, CountChargesWhatTheBuiltSetAndScanCharge)
             ? std::popcount(level.extraDepMask)
             : std::popcount(level.depMask) - 1;
         RecordReads hooks;
-        core::PlanExtender built(g, plan, cost, core::KernelMode::Auto,
-                                 &hooks);
-        core::PlanExtender counted(g, plan, cost,
-                                   core::KernelMode::Auto, &hooks);
+        core::PlanExtender built(g, plan, core::KernelMode::Auto, &hooks);
+        core::PlanExtender counted(g, plan, core::KernelMode::Auto,
+                                   &hooks);
         std::vector<VertexId> out;
         int early_exits = 0;
         for (int trial = 0; trial < 3000; ++trial) {
@@ -536,13 +533,13 @@ TEST(CountOnlyTerminal, CountChargesWhatTheBuiltSetAndScanCharge)
             Count below = 0;
             Count at_or_above = 0;
             for (const VertexId candidate : set) {
-                ns += cost.candidateCheckNs;
+                ns += sim::cost::candidateCheckNs;
                 if (!accepts(candidate)) {
                     ++below;
                     continue;
                 }
                 ++at_or_above;
-                ns += cost.terminalNs;
+                ns += sim::cost::terminalNs;
             }
             const std::vector<VertexId> built_reads = hooks.reads;
             if (built.kernelCounters().total() - built_calls
@@ -606,10 +603,8 @@ TEST(CandidateMemo, HitReplaysTheMissExactly)
 {
     const Graph g = pricedGraph();
     const ExtendPlan plan = compileAutomine(Pattern::house(), {});
-    const sim::CostModel cost;
     RecordReads hooks;
-    core::PlanExtender extender(g, plan, cost, core::KernelMode::Auto,
-                                &hooks);
+    core::PlanExtender extender(g, plan, core::KernelMode::Auto, &hooks);
     struct Step
     {
         std::vector<VertexId> out;
@@ -684,8 +679,7 @@ TEST(CandidateMemo, StaysExactAcrossArenaOverflow)
     // several arenas' worth and force repeated invalidation.
     const Graph g = gen::complete(400);
     const ExtendPlan plan = compileAutomine(Pattern::house(), {});
-    const sim::CostModel cost;
-    core::PlanExtender extender(g, plan, cost);
+    core::PlanExtender extender(g, plan);
     std::vector<VertexId> out;
     std::vector<VertexId> expected;
     for (int pass = 0; pass < 2; ++pass) {
@@ -777,9 +771,8 @@ TEST(CandidateMemo, RunnerCopiesANonTerminalHitBeforeTheArenaResets)
 TEST(CandidateMemo, UnmemoizedPlansNeverLookUpOrAllocate)
 {
     const Graph g = pricedGraph();
-    const sim::CostModel cost;
     for (const ExtendPlan &plan : unmemoizedPlans(g)) {
-        core::PlanExtender extender(g, plan, cost);
+        core::PlanExtender extender(g, plan);
         for (int j = 0; j < plan.pattern.size(); ++j)
             extender.vertices()[j] = static_cast<VertexId>(j);
         std::array<std::vector<VertexId>, kMaxPatternSize> levels;

@@ -24,18 +24,16 @@ namespace
 
 TEST(CostModel, TransferTimeScalesWithBytes)
 {
-    sim::CostModel cost;
-    const double small = cost.transferNs(1024, 1);
-    const double large = cost.transferNs(1024 * 1024, 1);
+    const double small = sim::cost::transferNs(1024, 1);
+    const double large = sim::cost::transferNs(1024 * 1024, 1);
     EXPECT_GT(large, small);
-    EXPECT_GT(small, cost.netLatencyNs); // latency floor
+    EXPECT_GT(small, sim::cost::netLatencyNs); // latency floor
 }
 
 TEST(CostModel, NumaTransferIsCheaperThanNetwork)
 {
-    sim::CostModel cost;
-    EXPECT_LT(cost.numaTransferNs(64 << 10, 16),
-              cost.transferNs(64 << 10, 16));
+    EXPECT_LT(sim::cost::numaTransferNs(64 << 10, 16),
+              sim::cost::transferNs(64 << 10, 16));
 }
 
 TEST(ClusterConfig, CoreAccounting)
@@ -61,8 +59,7 @@ TEST(Fabric, LedgerTracksPerLinkTraffic)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 4, 1);
-    sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
 
     fabric.recordTransfer(0, 1, 1000, 2);
     fabric.recordTransfer(0, 1, 500, 1);
@@ -77,8 +74,7 @@ TEST(Fabric, SameNodeTransfersAreNotNetworkTraffic)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 2);
-    sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     const double numa_time = fabric.recordTransfer(1, 1, 4096, 4);
     EXPECT_EQ(fabric.totalBytes(), 0u);
     EXPECT_GT(numa_time, 0.0);
@@ -89,8 +85,7 @@ TEST(Fabric, ByteCapInjectsFailure)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 1);
-    sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     fabric.setByteCap(1000);
     fabric.recordTransfer(0, 1, 900, 1);
     EXPECT_THROW(fabric.recordTransfer(0, 1, 200, 1),
@@ -101,8 +96,7 @@ TEST(Fabric, ResetClearsLedger)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 1);
-    sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     fabric.recordTransfer(0, 1, 4096, 4);
     fabric.reset();
     EXPECT_EQ(fabric.totalBytes(), 0u);
@@ -113,8 +107,7 @@ TEST(Fabric, ResetClearsByteCapProgress)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 1);
-    sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     fabric.setByteCap(1000);
     fabric.recordTransfer(0, 1, 900, 1);
     fabric.reset();
@@ -129,8 +122,7 @@ TEST(Fabric, ByteCapArmsMidRun)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 1);
-    sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     // With the cap disabled any volume passes, but it still counts:
     // arming mid-run compares against all bytes moved so far.
     fabric.recordTransfer(0, 1, 5000, 2);
@@ -145,8 +137,7 @@ TEST(Fabric, PerLinkLedgerSumsToTotal)
 {
     const Graph g = gen::cycle(64);
     const Partition partition(g, 4, 1);
-    sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     fabric.recordTransfer(0, 1, 100, 1);
     fabric.recordTransfer(1, 2, 200, 2);
     fabric.recordTransfer(3, 0, 300, 1);
@@ -207,7 +198,7 @@ TEST(RunStats, HitRateAndUtilization)
     stats.nodes[0].computeNs = 1000;
     stats.nodes[0].bytesSent = 3500;
     // busiest node sends 3500B over 1000ns at 7B/ns capacity: 50%.
-    EXPECT_NEAR(stats.networkUtilization(7.0), 0.5, 1e-9);
+    EXPECT_NEAR(stats.networkUtilization(), 0.5, 1e-9);
 }
 
 TEST(RunStats, ToJsonCarriesTotalsAndNodes)
@@ -263,7 +254,7 @@ TEST(RunStats, EmptyStatsAreSafe)
     sim::RunStats stats;
     EXPECT_DOUBLE_EQ(stats.makespanNs(), 0.0);
     EXPECT_DOUBLE_EQ(stats.staticCacheHitRate(), 0.0);
-    EXPECT_DOUBLE_EQ(stats.networkUtilization(7.0), 0.0);
+    EXPECT_DOUBLE_EQ(stats.networkUtilization(), 0.0);
     EXPECT_FALSE(stats.summary().empty());
 }
 

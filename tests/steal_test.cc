@@ -31,8 +31,7 @@ struct PlannerRig
 {
     Graph g = gen::cycle(64);
     Partition partition{g, 4, 1};
-    sim::CostModel cost;
-    sim::Fabric fabric{partition, cost};
+    sim::Fabric fabric{partition};
 };
 
 core::ChunkRecord
@@ -115,7 +114,7 @@ TEST(StealPlanner, MakespanNeverIncreases)
 {
     PlannerRig rig;
     const core::StealPlanner planner(rig.fabric, 1.0e4);
-    const double handshake = rig.cost.stealHandshakeNs;
+    const double handshake = sim::cost::stealHandshakeNs;
 
     std::vector<std::vector<core::ChunkRecord>> pending(4);
     for (int i = 0; i < 5; ++i)
@@ -183,8 +182,8 @@ TEST(StealPlanner, UnprofitableMigrationsAreRejected)
     // victim; the planner must leave it alone.
     std::vector<std::vector<core::ChunkRecord>> pending(4);
     pending[3].push_back(
-        chunk(3, rig.cost.stealHandshakeNs * 0.4,
-              rig.cost.stealHandshakeNs * 0.4));
+        chunk(3, sim::cost::stealHandshakeNs * 0.4,
+              sim::cost::stealHandshakeNs * 0.4));
     const std::vector<double> finish = {0, 0, 0, 1.0e6};
     EXPECT_TRUE(planner.plan(pending, finish).empty());
 }
@@ -205,8 +204,7 @@ TEST(BasePipeline, MatchesPipelineOnAHealthyFabric)
     // the clean prices equal the charged prices exactly.
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 1);
-    const sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     sim::RunStats run;
     run.nodes.resize(2);
 
@@ -232,8 +230,7 @@ TEST(BasePipeline, ChargesCleanPricesUnderDegrade)
     // fault-free base price the steal planner hands a healthy thief.
     const Graph g = gen::cycle(64);
     const Partition partition(g, 2, 1);
-    const sim::CostModel cost;
-    sim::Fabric fabric(partition, cost);
+    sim::Fabric fabric(partition);
     sim::NodeStats stats;
     sim::TrafficTally tally(2);
 
@@ -250,7 +247,7 @@ TEST(BasePipeline, ChargesCleanPricesUnderDegrade)
 
     const auto full = sched.pipeline(1, 1.0);
     const auto base = sched.basePipeline(1, 1.0);
-    const double clean = cost.transferNs(4096, 1);
+    const double clean = sim::cost::transferNs(4096, 1);
     EXPECT_DOUBLE_EQ(base.commNs, clean);
     EXPECT_GT(full.commNs, base.commNs);
     EXPECT_DOUBLE_EQ(base.computeNs, full.computeNs);

@@ -780,7 +780,7 @@ cmdHelp(const std::string &topic)
                   "(default 3)\n"
                   "  [--checkpoint]  take level-barrier checkpoints "
                   "even without a\n"
-                  "      crash plan (charged via CostModel::"
+                  "      crash plan (charged via sim::cost::"
                   "checkpointNs)\n"
                   "  [--deadline NS]  fail the query with a typed "
                   "DeadlineExceeded\n"
