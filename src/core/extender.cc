@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "sim/cost_model.hh"
+#include "support/check.hh"
 
 namespace khuzdul
 {
@@ -60,6 +61,9 @@ PlanExtender::PlanExtender(const Graph &g, const ExtendPlan &plan,
         memoKeys_[t] = candidateMemoKey(plan, t);
         memo_[t].width =
             static_cast<std::size_t>(std::popcount(memoKeys_[t]));
+        // A memoized level intersects at least two lists.
+        KHUZDUL_CHECK(memoKeys_[t] == 0 || memo_[t].width >= kInlineKeyIds,
+                      "memo key narrower than a slot's inline key");
     }
     // The terminal filter reads v_{t-1} unless t - 1 is a dependency
     // (candidates lie in its list, so they cannot equal it) and not
@@ -99,9 +103,10 @@ PlanExtender::memoized(int t, std::span<const VertexId> stored,
     const PositionMask key_mask = memoKeys_[t];
     MemoTable &table = memo_[t];
     const std::size_t width = table.width;
+    const std::size_t side_width = width - kInlineKeyIds;
     if (table.slots.empty()) {
         table.slots.resize(kMemoSlots);
-        table.keys.resize(kMemoSlots * width);
+        table.keys.resize(kMemoSlots * side_width);
         memoArena_.reserve(kMemoArenaIds);
         ++memoCounters_.tables;
     }
@@ -118,13 +123,14 @@ PlanExtender::memoized(int t, std::span<const VertexId> stored,
     }
     const std::size_t index = hash >> (64 - kMemoSlotBits);
     MemoSlot &slot = table.slots[index];
-    VertexId *const slot_key = table.keys.data() + index * width;
+    const std::size_t side = index * side_width;
 
-    // An inline loop: std::equal on a two-id key compiles to a
+    // Inline compares: std::equal on a two-id key compiles to a
     // memcmp call.
-    bool hit = slot.valid;
-    for (std::size_t i = 0; i < width && hit; ++i)
-        hit = slot_key[i] == key[i];
+    bool hit = slot.valid && slot.key[0] == key[0]
+        && slot.key[1] == key[1];
+    for (std::size_t i = kInlineKeyIds; i < width && hit; ++i)
+        hit = table.keys[side + i - kInlineKeyIds] == key[i];
     if (hit) {
         ++memoCounters_.hits;
         if (hooks_) {
@@ -160,7 +166,9 @@ PlanExtender::memoized(int t, std::span<const VertexId> stored,
         slot.calls[k] = static_cast<std::uint8_t>(
             dispatcher_.counters().calls[k] - before.calls[k]);
     slot.valid = true;
-    std::copy(key.begin(), key.begin() + n, slot_key);
+    std::copy(key.begin(), key.begin() + kInlineKeyIds, slot.key.begin());
+    std::copy(key.begin() + kInlineKeyIds, key.begin() + n,
+              table.keys.begin() + static_cast<std::ptrdiff_t>(side));
     memoArena_.insert(memoArena_.end(), set.begin(), set.end());
     return set;
 }
@@ -396,6 +404,59 @@ PlanExtender::extendInner(const std::vector<Chunk> &chunks,
 }
 
 std::int64_t
+PlanExtender::scanTerminal(std::span<const VertexId> candidates,
+                           const CandidateFilter &accepts,
+                           MatchVisitor *visitor)
+{
+    // A rejected candidate adds +0.0 in place of terminalNs: that
+    // leaves the ledger's bits as they were, since it starts at +0.0
+    // and only grows (only -0.0 + 0.0 changes a double's bits).  So
+    // the additions run in the branchy scan's order, with no branch.
+    static constexpr std::array<double, 2> kMatchNs = {
+        sim::cost::terminalNs, 0.0};
+    const int t = plan_->pattern.size() - 1;
+    const std::span<const VertexId> others(accepts.others.data(),
+                                           accepts.numOthers);
+    // The ledger stays in a register for the loop.
+    double work_ns = workNs_;
+    std::int64_t raw = 0;
+    for (std::size_t base = 0; base < candidates.size();
+         base += kRejectionBlock) {
+        const std::span<const VertexId> block = candidates.subspan(
+            base, std::min(kRejectionBlock, candidates.size() - base));
+        RejectionMask rejected =
+            rejectionMask(block, accepts.minimum, others);
+        if (accepts.labels) {
+            for (std::size_t i = 0; i < block.size(); ++i) {
+                const std::uint64_t miss =
+                    std::uint64_t{accepts.labels->label(block[i])
+                                  != accepts.label}
+                    << i;
+                rejected.count += (miss & ~rejected.bits) != 0;
+                rejected.bits |= miss;
+            }
+        }
+        for (std::size_t i = 0; i < block.size(); ++i) {
+            work_ns += sim::cost::candidateCheckNs;
+            work_ns += kMatchNs[(rejected.bits >> i) & 1u];
+        }
+        raw += static_cast<std::int64_t>(block.size() - rejected.count);
+        if (visitor) {
+            std::uint64_t accepted =
+                ~rejected.bits & (~std::uint64_t{0} >> (64 - block.size()));
+            for (; accepted != 0; accepted &= accepted - 1) {
+                vertices_[t] = block[static_cast<std::size_t>(
+                    std::countr_zero(accepted))];
+                visitor->match({vertices_.data(),
+                                static_cast<std::size_t>(t + 1)});
+            }
+        }
+    }
+    workNs_ = work_ns;
+    return raw;
+}
+
+std::int64_t
 PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
                              int level, std::uint32_t idx,
                              MatchVisitor *visitor,
@@ -416,26 +477,7 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
     // reads v_{t-1}.
     if (walked || terminalFilterReadsLast_)
         terminalFilter_ = filter(t);
-    const CandidateFilter accepts = terminalFilter_;
-    // The ledger stays in a register for the loop; the additions run
-    // in the same order as charging workNs_ directly, so the sum is
-    // bit-identical.
-    double work_ns = workNs_;
-    std::int64_t raw = 0;
-    for (const VertexId candidate : candidates) {
-        work_ns += sim::cost::candidateCheckNs;
-        if (!accepts(candidate))
-            continue;
-        ++raw;
-        work_ns += sim::cost::terminalNs;
-        if (visitor) {
-            vertices_[t] = candidate;
-            visitor->match({vertices_.data(),
-                            static_cast<std::size_t>(t + 1)});
-        }
-    }
-    workNs_ = work_ns;
-    return raw;
+    return scanTerminal(candidates, terminalFilter_, visitor);
 }
 
 } // namespace core

@@ -212,8 +212,23 @@ class PlanExtender
                      sim::NodeStats &stats);
 
     /**
+     * Masked terminal scan of @p candidates, the terminal position's
+     * set for the current prefix, under @p accepts (its filter).  It
+     * serves every terminal that is neither an IEP fold nor counted
+     * (memo hits included).  Per block of kRejectionBlock ids it
+     * takes rejectionMask's bits, ORs in the label filter's misses,
+     * then adds, in candidate order, candidateCheckNs and
+     * kMatchNs[rejected] per candidate to the ledger and hands the
+     * accepted ones to @p visitor (when set) in ascending order.
+     * @return the accepted count.
+     */
+    std::int64_t scanTerminal(std::span<const VertexId> candidates,
+                              const CandidateFilter &accepts,
+                              MatchVisitor *visitor);
+
+    /**
      * Terminal extension of embedding (@p level, @p idx): IEP fold,
-     * count-only terminal (no @p visitor) or scan-count, delivering
+     * count-only terminal (no @p visitor) or masked scan, delivering
      * matches to @p visitor when set.
      * @return the raw-count contribution.
      */
@@ -292,18 +307,26 @@ class PlanExtender
     static constexpr std::size_t kMemoArenaIds = std::size_t{1} << 16;
     /// @}
 
+    /** Key ids a slot holds inline (a memoized level's key has at
+     *  least two positions). */
+    static constexpr std::size_t kInlineKeyIds = 2;
+
+    /** One stored set in 32 bytes: a hit on a two-position key
+     *  (house's {0,3}) reads this slot and no side array. */
     struct MemoSlot
     {
         std::uint32_t offset = 0; ///< into memoArena_
         std::uint32_t size = 0;
         WorkItems work = 0;
+        std::array<VertexId, kInlineKeyIds> key{};
         KernelCallDelta calls{};
         bool valid = false;
     };
+    static_assert(sizeof(MemoSlot) == 32);
 
-    /** One memoized level's direct-mapped table: slots plus their
-     *  exact keys (kMemoSlots x key width); empty until the level's
-     *  first lookup. */
+    /** One memoized level's direct-mapped table: slots plus the key
+     *  ids past the inline ones (kMemoSlots x (width - 2)); empty
+     *  until the level's first lookup. */
     struct MemoTable
     {
         std::vector<MemoSlot> slots;

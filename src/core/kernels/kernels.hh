@@ -303,6 +303,37 @@ WorkItems simdMergeIntersectCount(std::span<const VertexId> a,
                                   VertexId bound, SplitCount &count);
 /// @}
 
+/** @name Terminal rejection mask
+ *
+ * The scanned terminal's filter over a block of candidates, as one
+ * bitmask instead of one branch per candidate.  Not a set
+ * operation: it charges nothing and no KernelKind tallies it.
+ */
+/// @{
+
+/** Candidates per rejectionMask call (the mask's width). */
+inline constexpr std::size_t kRejectionBlock = 64;
+
+/** Which candidates of one block a filter rejects. */
+struct RejectionMask
+{
+    /** Bit i is set when the block's i-th id is rejected. */
+    std::uint64_t bits = 0;
+    /** The number of set bits. */
+    std::uint32_t count = 0;
+};
+
+/**
+ * The ids of @p ids (at most kRejectionBlock) below @p minimum,
+ * compared unsigned, or equal to one of @p others.  AVX2 masked
+ * loads when simdAvailable(), else detail::scalarRejectionMask;
+ * both give the same mask.
+ */
+RejectionMask rejectionMask(std::span<const VertexId> ids,
+                            VertexId minimum,
+                            std::span<const VertexId> others);
+/// @}
+
 namespace detail
 {
 /** Bit @p v of a hub bitmap row. */
@@ -344,6 +375,22 @@ scalarBitmapCount(std::span<const VertexId> a, const std::uint64_t *row,
         below += hit & (x < bound);
     }
     return {below, members - below};
+}
+
+/** rejectionMask's scalar path, branch-free. */
+inline RejectionMask
+scalarRejectionMask(std::span<const VertexId> ids, VertexId minimum,
+                    std::span<const VertexId> others)
+{
+    RejectionMask mask;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        bool rejected = ids[i] < minimum;
+        for (const VertexId other : others)
+            rejected |= ids[i] == other;
+        mask.bits |= std::uint64_t{rejected} << i;
+        mask.count += rejected;
+    }
+    return mask;
 }
 
 /**

@@ -1,10 +1,11 @@
 /**
  * @file
- * AVX2 SIMD tier: shuffle-based block merge intersection and
- * word-parallel bitmap row probes.  Every kernel here produces
- * output element-for-element identical to the reference merge and
- * charges the same canonical merge-equivalent WorkItems — the tier
- * changes host wall-clock only.
+ * AVX2 SIMD tier: shuffle-based block merge intersection,
+ * word-parallel bitmap row probes and the terminal rejection mask.
+ * Every kernel here produces output element-for-element identical to
+ * its scalar counterpart and charges the same canonical
+ * merge-equivalent WorkItems — the tier changes host wall-clock
+ * only.
  *
  * The AVX2 code is compiled per-function (target("avx2")) rather
  * than with a TU-wide -mavx2, so nothing outside the explicitly
@@ -25,6 +26,8 @@
 #define KHUZDUL_SIMD_AVX2 1
 #include <immintrin.h>
 #define KHUZDUL_SIMD_TARGET __attribute__((target("avx2")))
+#define KHUZDUL_SIMD_POPCNT_TARGET                                     \
+    __attribute__((target("avx2,popcnt")))
 #else
 #define KHUZDUL_SIMD_AVX2 0
 #endif
@@ -39,6 +42,16 @@ namespace
 
 /** Host-side kill switch; modeled results never depend on it. */
 bool g_simd_enabled = true;
+
+/** rejectionMask's scalar fallback, out of line: inlined, its loop
+ *  made the entry point save five registers before testing the
+ *  tier, on every call. */
+[[gnu::noinline]] RejectionMask
+scalarRejectionMaskCall(std::span<const VertexId> ids, VertexId minimum,
+                        std::span<const VertexId> others)
+{
+    return detail::scalarRejectionMask(ids, minimum, others);
+}
 
 #if KHUZDUL_SIMD_AVX2
 
@@ -306,6 +319,40 @@ avx2BitmapFilter(std::span<const VertexId> a, const std::uint64_t *row,
     out.resize(static_cast<std::size_t>(op - out.data()));
 }
 
+/**
+ * rejectionMask's AVX2 body: eight ids per masked load (lanes past
+ * the end load as 0 and are masked off), each lane compared against
+ * the bound and every excluded id; the block's mask is built from
+ * the lanes' sign bits and counted with one popcnt.
+ */
+KHUZDUL_SIMD_POPCNT_TARGET RejectionMask
+avx2RejectionMask(std::span<const VertexId> ids, VertexId minimum,
+                  std::span<const VertexId> others)
+{
+    const __m256i vminimum = _mm256_set1_epi32(static_cast<int>(minimum));
+    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < ids.size(); i += 8) {
+        const __m256i live = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(ids.size() - i)), lanes);
+        const __m256i v = _mm256_maskload_epi32(
+            reinterpret_cast<const int *>(ids.data() + i), live);
+        __m256i equal = _mm256_setzero_si256();
+        for (const VertexId other : others)
+            equal = _mm256_or_si256(
+                equal, _mm256_cmpeq_epi32(
+                           v, _mm256_set1_epi32(static_cast<int>(other))));
+        // Rejected: live and not (at or above the bound and unequal).
+        const __m256i kept =
+            _mm256_andnot_si256(equal, atOrAbove(v, vminimum));
+        const __m256i rejected = _mm256_andnot_si256(kept, live);
+        bits |= static_cast<std::uint64_t>(static_cast<unsigned>(
+                    _mm256_movemask_ps(_mm256_castsi256_ps(rejected))))
+            << i;
+    }
+    return {bits, static_cast<std::uint32_t>(_mm_popcnt_u64(bits))};
+}
+
 #endif // KHUZDUL_SIMD_AVX2
 
 } // namespace
@@ -354,6 +401,17 @@ simdMergeIntersectCount(std::span<const VertexId> a,
         return avx2MergeIntersectCount(a, b, bound, count);
 #endif
     return intersectCount(a, b, bound, count);
+}
+
+RejectionMask
+rejectionMask(std::span<const VertexId> ids, VertexId minimum,
+              std::span<const VertexId> others)
+{
+#if KHUZDUL_SIMD_AVX2
+    if (simdAvailable())
+        return avx2RejectionMask(ids, minimum, others);
+#endif
+    return scalarRejectionMaskCall(ids, minimum, others);
 }
 
 namespace detail

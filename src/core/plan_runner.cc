@@ -76,31 +76,30 @@ class DfsDriver
         }
         std::span<const VertexId> set = extender_.buildCandidates(
             t, sets_[t - 1], levels_[t], stats_);
+        // The prefix the filter was built from stays intact while the
+        // loop recurses.
+        const CandidateFilter accepts = extender_.filter(t);
+        if (terminal) {
+            result_.candidatesChecked += set.size();
+            result_.rawCount +=
+                extender_.scanTerminal(set, accepts, visitor_);
+            return;
+        }
         // A memo hit views the extender's arena, which a deeper miss
         // can recycle: keep a copy.  Views of levels_[t - 1] (deeper
         // levels only write higher slots) or of an edge list stay
         // valid while the loop recurses.
-        if (!terminal && extender_.viewsMemoArena(set)) {
+        if (extender_.viewsMemoArena(set)) {
             levels_[t].assign(set.begin(), set.end());
             set = levels_[t];
         }
         sets_[t] = set;
-        // The prefix the filter was built from stays intact while the
-        // loop recurses.
-        const CandidateFilter accepts = extender_.filter(t);
         for (const VertexId candidate : set) {
             ++result_.candidatesChecked;
             if (!accepts(candidate))
                 continue;
             extender_.vertices()[t] = candidate;
-            if (!terminal) {
-                recurse(t);
-                continue;
-            }
-            ++result_.rawCount;
-            if (visitor_)
-                visitor_->match({extender_.vertices().data(),
-                                 static_cast<std::size_t>(t + 1)});
+            recurse(t);
         }
     }
 

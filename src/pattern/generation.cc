@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -77,26 +76,17 @@ connectedPatterns(int num_vertices)
 std::vector<Pattern>
 connectedPatternsUpToEdges(int max_edges)
 {
-    KHUZDUL_REQUIRE(max_edges >= 1 && max_edges <= 7,
-                    "connectedPatternsUpToEdges supports 1..7 edges");
-    std::map<iso::CanonicalCode, bool> seen;
+    KHUZDUL_REQUIRE(max_edges >= 1 && max_edges <= kMaxUpToEdges,
+                    "connectedPatternsUpToEdges supports 1.."
+                        << kMaxUpToEdges << " edges, got " << max_edges);
+    // A connected graph with e edges has at most e + 1 vertices, and
+    // every class connectedPatterns emits (in ascending order of its
+    // lowest edge mask) keeps the order a walk over edge masks gives.
     std::vector<Pattern> out;
-    // A connected graph with e edges has at most e+1 vertices.
-    for (int n = 2; n <= max_edges + 1 && n <= kMaxPatternSize; ++n) {
-        const int pairs = n * (n - 1) / 2;
-        for (std::uint32_t mask = 0; mask < (1u << pairs); ++mask) {
-            if (std::popcount(mask) > max_edges)
-                continue;
-            Pattern p(n);
-            int bit = 0;
-            for (int u = 0; u < n; ++u)
-                for (int v = u + 1; v < n; ++v, ++bit)
-                    if ((mask >> bit) & 1u)
-                        p.addEdge(u, v);
-            if (p.connected())
-                dedupInsert(p, seen, out);
-        }
-    }
+    for (int n = 2; n <= max_edges + 1; ++n)
+        for (Pattern &p : connectedPatterns(n))
+            if (p.numEdges() <= max_edges)
+                out.push_back(std::move(p));
     return out;
 }
 

@@ -25,10 +25,16 @@ namespace gen
  */
 std::vector<Pattern> connectedPatterns(int num_vertices);
 
+/** The largest edge count connectedPatternsUpToEdges accepts: six
+ *  edges need 7-vertex patterns, which connectedPatterns does not
+ *  enumerate. */
+inline constexpr int kMaxUpToEdges = 5;
+
 /**
  * All non-isomorphic connected unlabeled patterns with at most
- * @p max_edges edges (>= 1) and any vertex count that a connected
- * graph with that many edges allows.
+ * @p max_edges edges (1..kMaxUpToEdges, else a FatalError) and any
+ * vertex count that a connected graph with that many edges allows:
+ * connectedPatterns(2..max_edges + 1) filtered by edge count.
  */
 std::vector<Pattern> connectedPatternsUpToEdges(int max_edges);
 

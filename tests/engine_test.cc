@@ -754,6 +754,86 @@ TEST(Engine, CountOnlyTerminalMatchesVisitedRun)
     }
 }
 
+/**
+ * Every terminal that is neither an IEP fold nor counted takes the
+ * masked scan, with or without a visitor; the visitor only adds the
+ * walk over the accepted bits.  A no-op visitor's run must report the
+ * same count and the same modeled dump, per-kind kernel tallies
+ * included, under every kernel mode and with the SIMD tier killed:
+ * house (memoized), induced house (subtractions), Automine diamond (a
+ * view of the stored set above a bound) and a labelled house.
+ */
+TEST(Engine, MaskedTerminalMatchesVisitedRun)
+{
+    class Nop : public core::MatchVisitor
+    {
+      public:
+        Count seen = 0;
+        void match(std::span<const VertexId>) override { ++seen; }
+    };
+    struct SimdSwitch
+    {
+        explicit SimdSwitch(bool on) { core::setSimdEnabled(on); }
+        ~SimdSwitch() { core::setSimdEnabled(true); }
+    };
+    Graph g = testGraph();
+    gen::randomizeLabels(g, 2, 11);
+    PlanOptions induced;
+    induced.induced = true;
+    Pattern labelled = Pattern::house();
+    for (int v = 0; v < labelled.size(); ++v)
+        labelled.setLabel(v, static_cast<Label>(v % 2));
+    const std::array<ExtendPlan, 4> plans = {
+        compileAutomine(Pattern::house(), {}),
+        compileAutomine(Pattern::house(), induced),
+        compileAutomine(Pattern::diamond(), {}),
+        compileAutomine(labelled, {})};
+    struct Leg
+    {
+        core::KernelMode mode;
+        bool simd;
+    };
+    for (const Leg leg : {Leg{core::KernelMode::Auto, true},
+                          Leg{core::KernelMode::Merge, true},
+                          Leg{core::KernelMode::Gallop, true},
+                          Leg{core::KernelMode::Auto, false}}) {
+        // The dispatcher reads the switch when the engine is built,
+        // the kernels on every call: hold it across both runs.
+        const SimdSwitch simd(leg.simd);
+        auto config = smallConfig(4);
+        config.session.kernelMode = leg.mode;
+        for (const ExtendPlan &plan : plans) {
+            SCOPED_TRACE(std::string(core::kernelModeName(leg.mode))
+                         + (leg.simd ? "" : " simd killed") + " "
+                         + plan.toString());
+            ASSERT_FALSE(plan.hasIep);
+            ASSERT_FALSE(core::countOnlyTerminal(plan));
+            core::Engine visited(g, config);
+            Nop visitor;
+            const Count expected = visited.run(plan, &visitor);
+            EXPECT_EQ(visitor.seen, expected);
+            EXPECT_GT(expected, 0u);
+            core::Engine counted(g, config);
+            EXPECT_EQ(counted.run(plan), expected);
+            EXPECT_EQ(counted.stats().toJson(false),
+                      visited.stats().toJson(false));
+            EXPECT_EQ(counted.stats().makespanNs(),
+                      visited.stats().makespanNs());
+            ASSERT_EQ(counted.stats().nodes.size(),
+                      visited.stats().nodes.size());
+            for (std::size_t u = 0; u < counted.stats().nodes.size();
+                 ++u) {
+                EXPECT_EQ(counted.stats().nodes[u].computeNs,
+                          visited.stats().nodes[u].computeNs)
+                    << "unit " << u;
+                EXPECT_EQ(counted.stats().nodes[u].kernelCalls,
+                          visited.stats().nodes[u].kernelCalls)
+                    << "unit " << u;
+            }
+        }
+    }
+}
+
 TEST(Engine, VisitorRequiresCompleteSymmetryBreaking)
 {
     const Graph g = gen::complete(5);

@@ -14,6 +14,7 @@
 #include <bit>
 #include <vector>
 
+#include "core/extender.hh"
 #include "core/kernels/kernels.hh"
 #include "graph/builder.hh"
 #include "graph/generators.hh"
@@ -738,6 +739,83 @@ TEST(Kernels, BoundedCountsMatchMaterializedSplit)
         const auto b = run(high - 30, high + 40, 2);
         expectBoundedCountsAtEveryCut(a, b, nullptr);
         expectBoundedCountsAtEveryCut(b, a, nullptr);
+    }
+}
+
+/**
+ * rejectionMask over @p ids in kRejectionBlock blocks, as the scanned
+ * terminal calls it, against the CandidateFilter scan: the same
+ * rejected ids, a count equal to the mask's bits, no bit past a
+ * block's end, and the scalar path's mask.
+ */
+void
+expectRejectionMask(std::span<const VertexId> ids, VertexId minimum,
+                    std::span<const VertexId> others)
+{
+    core::CandidateFilter accepts;
+    accepts.minimum = minimum;
+    std::copy(others.begin(), others.end(), accepts.others.begin());
+    accepts.numOthers = others.size();
+    for (std::size_t base = 0; base < ids.size();
+         base += core::kRejectionBlock) {
+        const std::span<const VertexId> block = ids.subspan(
+            base, std::min(core::kRejectionBlock, ids.size() - base));
+        std::uint64_t expected = 0;
+        for (std::size_t i = 0; i < block.size(); ++i)
+            expected |= std::uint64_t{!accepts(block[i])} << i;
+        const core::RejectionMask mask =
+            core::rejectionMask(block, minimum, others);
+        ASSERT_EQ(mask.bits, expected)
+            << "block at " << base << ", minimum " << minimum;
+        ASSERT_EQ(mask.count,
+                  static_cast<std::uint32_t>(std::popcount(expected)));
+        const core::RejectionMask scalar =
+            core::detail::scalarRejectionMask(block, minimum, others);
+        ASSERT_EQ(scalar.bits, mask.bits);
+        ASSERT_EQ(scalar.count, mask.count);
+    }
+}
+
+/**
+ * The scanned terminal's rejection mask matches its CandidateFilter
+ * on every size 0..130, so every 8-lane residue of every 64-id block
+ * is hit, with the SIMD tier live and killed: bounds at 0, at each
+ * element and past the maximum; excluded ids first, last, absent,
+ * duplicated and below the bound; ids below 2^31 and straddling it
+ * (a signed lane compare would fail there).
+ */
+TEST(Kernels, RejectionMaskMatchesTheFilterScan)
+{
+    for (const bool simd_on : {true, false}) {
+        const SimdSwitchGuard simd(simd_on);
+        SCOPED_TRACE(simd_on ? "simd live" : "simd killed");
+        for (const VertexId offset : {VertexId{0}, (VertexId{1} << 31) - 150}) {
+            for (std::size_t n = 0; n <= 130; ++n) {
+                SCOPED_TRACE("size " + std::to_string(n) + ", offset "
+                             + std::to_string(offset));
+                std::vector<VertexId> ids = exactList(n, 300, 9300 + n);
+                for (VertexId &id : ids)
+                    id += offset;
+                const VertexId absent = offset + 300;
+                std::vector<std::vector<VertexId>> other_sets = {{},
+                                                                 {absent}};
+                if (n > 0) {
+                    const VertexId first = ids.front();
+                    const VertexId last = ids.back();
+                    const VertexId mid = ids[n / 2];
+                    other_sets.push_back({first});
+                    other_sets.push_back({last});
+                    other_sets.push_back({mid, mid});
+                    other_sets.push_back({last, absent, first, mid, mid,
+                                          ids[n / 3], ids[(2 * n) / 3]});
+                }
+                std::vector<VertexId> bounds = {0, offset + 301};
+                bounds.insert(bounds.end(), ids.begin(), ids.end());
+                for (const VertexId minimum : bounds)
+                    for (const std::vector<VertexId> &others : other_sets)
+                        expectRejectionMask(ids, minimum, others);
+            }
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "pattern/generation.hh"
 #include "pattern/isomorphism.hh"
@@ -214,6 +215,27 @@ TEST(Generation, UpToEdgesMatchesKnownCounts)
     EXPECT_EQ(gen::connectedPatternsUpToEdges(1).size(), 1u);
     EXPECT_EQ(gen::connectedPatternsUpToEdges(2).size(), 2u);
     EXPECT_EQ(gen::connectedPatternsUpToEdges(3).size(), 5u);
+    // Connected graphs with exactly 4 edges: 5 (cycle4, tailed
+    // triangle, path5, star5 and the fork); with exactly 5: 12.
+    EXPECT_EQ(gen::connectedPatternsUpToEdges(4).size(), 10u);
+    EXPECT_EQ(gen::connectedPatternsUpToEdges(5).size(), 22u);
+}
+
+TEST(Generation, UpToEdgesRejectsSizesPastItsLimit)
+{
+    // Six edges need 7-vertex patterns; the mask walk that used to
+    // serve them took seconds.
+    EXPECT_EQ(gen::kMaxUpToEdges, 5);
+    EXPECT_THROW(gen::connectedPatternsUpToEdges(6), FatalError);
+    EXPECT_THROW(gen::connectedPatternsUpToEdges(0), FatalError);
+    try {
+        gen::connectedPatternsUpToEdges(7);
+        ADD_FAILURE() << "7 edges accepted";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("1..5 edges"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(Generation, LabelingsOfAnEdge)

@@ -13,6 +13,7 @@
 #include <set>
 #include <tuple>
 
+#include "core/chunk.hh"
 #include "core/engine.hh"
 #include "core/extender.hh"
 #include "core/plan_runner.hh"
@@ -596,6 +597,172 @@ TEST(CountOnlyTerminal, RunnerCountsLikeItsVisitedScan)
         EXPECT_EQ(counted.candidatesChecked, visited.candidatesChecked);
         EXPECT_EQ(counted.embeddingsVisited, visited.embeddingsVisited);
         EXPECT_EQ(counted_reads.reads, visited_reads.reads);
+    }
+}
+
+/** Plans whose terminal takes the masked scan: house's memoized
+ *  N(v0) ∩ N(v3), induced house's (a subtraction), Automine diamond's
+ *  (a view of the stored set above the bound v2) and a labelled
+ *  house's. */
+std::vector<ExtendPlan>
+maskedTerminalPlans()
+{
+    PlanOptions induced;
+    induced.induced = true;
+    Pattern labelled = Pattern::house();
+    for (int v = 0; v < labelled.size(); ++v)
+        labelled.setLabel(v, static_cast<Label>(v % 2));
+    return {compileAutomine(Pattern::house(), {}),
+            compileAutomine(Pattern::house(), induced),
+            compileAutomine(Pattern::diamond(), {}),
+            compileAutomine(labelled, {})};
+}
+
+/**
+ * A random prefix tree of a plan's first @p t levels, laid out as the
+ * explorer lays it out: children of one parent contiguous, parents
+ * ascending, and every level t - 1 entry storing a random edge list
+ * as its stored result.  Three vertices in four are drawn from
+ * @p hubs, so keys repeat across siblings.
+ */
+std::vector<core::Chunk>
+prefixTree(const Graph &g, int t, std::span<const VertexId> hubs,
+           Rng &rng)
+{
+    const auto draw = [&] {
+        return rng.nextBounded(4) != 0
+            ? hubs[rng.nextBounded(hubs.size())]
+            : static_cast<VertexId>(rng.nextBounded(g.numVertices()));
+    };
+    std::vector<core::Chunk> chunks(t, core::Chunk(std::uint64_t{1} << 24));
+    for (int root = 0; root < 3; ++root)
+        chunks[0].add(draw(), core::kNoParent, false);
+    for (int l = 1; l < t; ++l)
+        for (std::uint32_t p = 0; p < chunks[l - 1].size(); ++p)
+            for (std::uint64_t k = 0, n = 1 + rng.nextBounded(4); k < n;
+                 ++k)
+                chunks[l].add(draw(), p, false);
+    core::Chunk &last = chunks[t - 1];
+    for (std::uint32_t idx = 0; idx < last.size(); ++idx) {
+        const std::span<const VertexId> stored = g.neighbors(draw());
+        last.setResultRef(idx, last.appendResult(stored),
+                          static_cast<std::uint32_t>(stored.size()));
+    }
+    return chunks;
+}
+
+TEST(MaskedTerminal, ScanChargesWhatTheBranchyScanCharges)
+{
+    // extendTerminal on random prefix trees against buildCandidates
+    // plus the per-candidate CandidateFilter scan, from nonzero
+    // ledgers: the same raw count, ledger bits, work, per-kind
+    // tallies and edge-list reads, and with a visitor the same
+    // matches in the same order.  House's (v0, v3) keys repeat across
+    // v2 siblings, so its terminal is served by memo hits too.
+    class Record : public core::MatchVisitor
+    {
+      public:
+        std::vector<VertexId> seen;
+        void
+        match(std::span<const VertexId> embedding) override
+        {
+            seen.insert(seen.end(), embedding.begin(), embedding.end());
+        }
+    };
+    Graph g = pricedGraph();
+    gen::randomizeLabels(g, 2, 5);
+    std::vector<VertexId> hubs(g.numVertices());
+    std::iota(hubs.begin(), hubs.end(), VertexId{0});
+    std::partial_sort(hubs.begin(), hubs.begin() + 12, hubs.end(),
+                      [&](VertexId a, VertexId b) {
+                          return g.degree(a) > g.degree(b);
+                      });
+    hubs.resize(12);
+    ASSERT_TRUE(maskedTerminalPlans().back().levels.back().hasLabelFilter);
+    Rng rng(47);
+    for (const ExtendPlan &plan : maskedTerminalPlans()) {
+        SCOPED_TRACE(plan.toString());
+        ASSERT_FALSE(plan.hasIep);
+        ASSERT_FALSE(core::countOnlyTerminal(plan));
+        const int t = plan.pattern.size() - 1;
+        std::int64_t total = 0;
+        std::uint64_t hits = 0;
+        for (int trial = 0; trial < 60; ++trial) {
+            const std::vector<core::Chunk> chunks =
+                prefixTree(g, t, hubs, rng);
+            RecordReads reference_reads;
+            RecordReads masked_reads;
+            RecordReads visited_reads;
+            core::PlanExtender reference(g, plan, core::KernelMode::Auto,
+                                         &reference_reads);
+            core::PlanExtender masked(g, plan, core::KernelMode::Auto,
+                                      &masked_reads);
+            core::PlanExtender visited(g, plan, core::KernelMode::Auto,
+                                       &visited_reads);
+            std::vector<VertexId> out;
+            for (std::uint32_t idx = 0; idx < chunks[t - 1].size(); ++idx) {
+                const double start = 1.0 / 3.0 + trial + 0.1 * idx;
+                reference.recoverVertices(chunks, t - 1, idx);
+                reference.exchangeWork(start);
+                sim::NodeStats reference_stats;
+                const std::span<const VertexId> set =
+                    reference.buildCandidates(t, chunks[t - 1].result(idx),
+                                              out, reference_stats);
+                const core::CandidateFilter accepts = reference.filter(t);
+                double ns = reference.workNs();
+                std::int64_t raw = 0;
+                std::vector<VertexId> matches;
+                for (const VertexId candidate : set) {
+                    ns += sim::cost::candidateCheckNs;
+                    if (!accepts(candidate))
+                        continue;
+                    ++raw;
+                    ns += sim::cost::terminalNs;
+                    reference.vertices()[t] = candidate;
+                    matches.insert(matches.end(),
+                                   reference.vertices().begin(),
+                                   reference.vertices().begin() + t + 1);
+                }
+
+                masked.exchangeWork(start);
+                sim::NodeStats masked_stats;
+                ASSERT_EQ(masked.extendTerminal(chunks, t - 1, idx,
+                                                nullptr, masked_stats),
+                          raw)
+                    << trial << "/" << idx;
+                Record visitor;
+                visited.exchangeWork(start);
+                sim::NodeStats visited_stats;
+                ASSERT_EQ(visited.extendTerminal(chunks, t - 1, idx,
+                                                 &visitor, visited_stats),
+                          raw)
+                    << trial << "/" << idx;
+                ASSERT_EQ(visitor.seen, matches) << trial << "/" << idx;
+                for (const core::PlanExtender *extender : {&masked, &visited})
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(extender->workNs()),
+                              std::bit_cast<std::uint64_t>(ns))
+                        << trial << "/" << idx;
+                for (const sim::NodeStats *stats :
+                     {&masked_stats, &visited_stats}) {
+                    ASSERT_EQ(stats->intersectionItems,
+                              reference_stats.intersectionItems);
+                    ASSERT_EQ(stats->verticalReuses,
+                              reference_stats.verticalReuses);
+                }
+                total += raw;
+            }
+            ASSERT_EQ(masked.kernelCounters().calls,
+                      reference.kernelCounters().calls);
+            ASSERT_EQ(visited.kernelCounters().calls,
+                      reference.kernelCounters().calls);
+            ASSERT_EQ(masked_reads.reads, reference_reads.reads);
+            ASSERT_EQ(visited_reads.reads, reference_reads.reads);
+            hits += masked.memoCounters().hits;
+        }
+        EXPECT_GT(total, 0);
+        if (core::candidateMemoKey(plan, t) != 0) {
+            EXPECT_GT(hits, 0u);
+        }
     }
 }
 
